@@ -181,6 +181,11 @@ def _run_fit(args) -> int:
 def _run_predict(args) -> int:
     model = load_model(args.model)
     ds = Dataset.from_csv(args.data)
+    bad = np.argwhere(~np.isfinite(ds.matrix[:, :6]))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(f"{args.data}: line {i + 2}: {ds.columns[j]} cell is "
+                         f"{float(ds.matrix[i, j])!r}; CT descriptors must be finite")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("id,value,label\n")
         for i in range(len(ds)):

@@ -176,16 +176,16 @@ def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
 
     jobs = [(i, dataset, engine, epsilon, candidates, min_rows, template,
              fit_fn, predict_fn) for i in range(n)]
-    predictions = np.full(n, np.nan)
     if parallelism <= 1:
-        results = map(_loo_fold, jobs)
+        results = list(map(_loo_fold, jobs))
     else:
-        executor = ProcessPoolExecutor(max_workers=parallelism)
-        results = executor.map(_loo_fold, jobs, chunksize=max(1, n // (parallelism * 4)))
+        # leaving the block joins the workers, also when a fold raises
+        with ProcessPoolExecutor(max_workers=parallelism) as executor:
+            results = list(executor.map(_loo_fold, jobs,
+                                        chunksize=max(1, n // (parallelism * 4))))
+    predictions = np.full(n, np.nan)
     for i, value in results:
         predictions[i] = value
-    if parallelism > 1:
-        executor.shutdown()
 
     truths = dataset.column("rat").astype(float)
     rat = truths

@@ -103,6 +103,12 @@ class MixtureModel:
             lo, hi = self.truncation
             if not lo < hi:
                 raise ArgumentError(f"empty truncation interval {self.truncation}")
+            # F(lo) and the truncated mass, evaluated once instead of on every
+            # cdf/density call; plain attributes, not fields, so equality and
+            # the persisted document never see them
+            cdf_lo = self._raw_cdf(lo)
+            object.__setattr__(self, "_cdf_lo", cdf_lo)
+            object.__setattr__(self, "_mass", float(self._raw_cdf(hi) - cdf_lo))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -119,18 +125,13 @@ class MixtureModel:
     def _raw_cdf(self, x):
         return self.lam * self.comp1.cdf(x) + (1.0 - self.lam) * self.comp2.cdf(x)
 
-    def _truncation_mass(self) -> float:
-        lo, hi = self.truncation
-        return float(self._raw_cdf(hi) - self._raw_cdf(lo))
-
     def density(self, x):
         x = np.asarray(x, dtype=float)
         if self.truncation is None:
             return self._raw_density(x)
         lo, hi = self.truncation
-        mass = self._truncation_mass()
         inside = (x > lo) & (x < hi)
-        return np.where(inside, self._raw_density(x) / mass, 0.0)
+        return np.where(inside, self._raw_density(x) / self._mass, 0.0)
 
     def log_density(self, x):
         with np.errstate(divide="ignore"):
@@ -141,8 +142,7 @@ class MixtureModel:
         if self.truncation is None:
             return self._raw_cdf(x)
         lo, hi = self.truncation
-        mass = self._truncation_mass()
-        scaled = (self._raw_cdf(np.clip(x, lo, hi)) - self._raw_cdf(lo)) / mass
+        scaled = (self._raw_cdf(np.clip(x, lo, hi)) - self._cdf_lo) / self._mass
         return np.clip(scaled, 0.0, 1.0)
 
     def quantile(self, p):
@@ -172,21 +172,6 @@ class MixtureModel:
                 break
         out = 0.5 * (lo + hi)
         return float(out[0]) if scalar else out
-
-
-def mixture_density(model: MixtureModel, x):
-    """Evaluate the (possibly truncated) mixture density."""
-    return model.density(x)
-
-
-def mixture_cdf(model: MixtureModel, x):
-    """Evaluate the mixture CDF via regularized incomplete gamma/beta functions."""
-    return model.cdf(x)
-
-
-def mixture_quantile(model: MixtureModel, p):
-    """Invert the mixture CDF; p must lie strictly inside (0, 1)."""
-    return model.quantile(p)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +259,9 @@ def _weighted_beta_mle(x: np.ndarray, w: np.ndarray, start: BetaParams) -> BetaP
     return BetaParams(p, q)
 
 
-def _component_loglik(family: str, params, x: np.ndarray) -> np.ndarray:
-    return params.logpdf(x)
-
-
-def _mixture_loglik(family: str, c1, c2, lam: float, x: np.ndarray) -> float:
-    l1 = _component_loglik(family, c1, x) + np.log(max(lam, 1e-300))
-    l2 = _component_loglik(family, c2, x) + np.log(max(1.0 - lam, 1e-300))
+def _mixture_loglik(c1, c2, lam: float, x: np.ndarray) -> float:
+    l1 = c1.logpdf(x) + np.log(max(lam, 1e-300))
+    l2 = c2.logpdf(x) + np.log(max(1.0 - lam, 1e-300))
     return float(np.logaddexp(l1, l2).sum())
 
 
@@ -350,12 +331,12 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
         c1, c2 = mom(lower), mom(upper)
         lam = 0.5
 
-    ll = _mixture_loglik(family, c1, c2, lam, x)
+    ll = _mixture_loglik(c1, c2, lam, x)
     degenerate = False
     for _ in range(max_iter):
         # E-step
-        l1 = _component_loglik(family, c1, x) + np.log(max(lam, 1e-300))
-        l2 = _component_loglik(family, c2, x) + np.log(max(1.0 - lam, 1e-300))
+        l1 = c1.logpdf(x) + np.log(max(lam, 1e-300))
+        l2 = c2.logpdf(x) + np.log(max(1.0 - lam, 1e-300))
         norm = np.logaddexp(l1, l2)
         g1 = np.exp(l1 - norm)
         g2 = 1.0 - g1
@@ -376,7 +357,7 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
         c2 = improved(c2, mle(x, g2, c2), g2)
         lam = lam_new
 
-        ll_new = _mixture_loglik(family, c1, c2, lam, x)
+        ll_new = _mixture_loglik(c1, c2, lam, x)
         if ll_new < ll - 1e-8 * max(1.0, abs(ll)):
             raise FittingError("EM log-likelihood decreased; numerical failure")
         if abs(ll_new - ll) < tol * max(1.0, abs(ll)):

@@ -239,11 +239,14 @@ def _gl_nodes(n: int):
     return nodes, weights
 
 
-def _panel(f, a: float, b: float, n: int = 64) -> float:
+def _panels(f, bounds, n: int = 64) -> list[float]:
+    """n-node Gauss-Legendre sums over each (a, b) in `bounds`, from one
+    call of `f` on all their nodes."""
     nodes, weights = _gl_nodes(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return float(half * np.dot(weights, f(mid + half * nodes)))
+    scales = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in bounds]
+    values = f(np.concatenate([mid + half * nodes for mid, half in scales]))
+    return [float(half * np.dot(weights, values[i * n:(i + 1) * n]))
+            for i, (_, half) in enumerate(scales)]
 
 
 def adaptive_integral(f, a: float, b: float, tol: float = QUAD_TOL,
@@ -251,22 +254,26 @@ def adaptive_integral(f, a: float, b: float, tol: float = QUAD_TOL,
     """Adaptive 64-node Gauss-Legendre with interval bisection.
 
     `f` must accept a vector of abscissae and return a vector of values.
+    An interval on the stack carries its own panel and its two half panels;
+    splitting it evaluates the four quarter panels in one call of `f`, so an
+    interval accepted at once costs a single call.
     """
     if b <= a:
         return 0.0
-    stack = [(a, b, _panel(f, a, b), 0)]
+    mid = 0.5 * (a + b)
+    stack = [(a, b, 0, *_panels(f, ((a, b), (a, mid), (mid, b))))]
     total = 0.0
     while stack:
-        lo, hi, whole, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid)
-        right = _panel(f, mid, hi)
+        lo, hi, depth, whole, left, right = stack.pop()
         if depth >= max_depth or abs(left + right - whole) <= max(
                 tol, tol * abs(left + right)):
             total += left + right
         else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
+            mid = 0.5 * (lo + hi)
+            q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+            ll, lr, rl, rr = _panels(f, ((lo, q1), (q1, mid), (mid, q3), (q3, hi)))
+            stack.append((lo, mid, depth + 1, left, ll, lr))
+            stack.append((mid, hi, depth + 1, right, rl, rr))
     return total
 
 
@@ -276,27 +283,39 @@ def adaptive_integral(f, a: float, b: float, tol: float = QUAD_TOL,
 
 def _conditional_slice_density(model: CompositeModel, ct: np.ndarray):
     """Vectorized s -> f_c(ct, s) for a fixed CT-based descriptor vector."""
+    with np.errstate(all="ignore"):
+        log_f = model.f_c.slice_log_density(ct)
+
     def f(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        pts = np.column_stack([np.tile(ct, (s.size, 1)), s])
         with np.errstate(all="ignore"):
-            return np.exp(model.f_c.log_density(pts))
+            return np.exp(log_f(np.atleast_1d(np.asarray(s, dtype=float))))
     return f
 
 
-def marginal_composite_ct(model: CompositeModel, ct) -> float:
-    """f_c marginalized over the composition coordinate by quadrature."""
+def marginal_composite_ct(model: CompositeModel, ct, density=None) -> float:
+    """f_c marginalized over the composition coordinate by quadrature.
+
+    `density` is `_conditional_slice_density(model, ct)` when the caller has
+    already built it.
+    """
     ct = np.asarray(ct, dtype=float).ravel()
-    f = _conditional_slice_density(model, ct)
+    f = density or _conditional_slice_density(model, ct)
     return adaptive_integral(f, model.epsilon, 1.0 - model.epsilon, tol=QUAD_TOL)
 
 
-def conditional_median(model: CompositeModel, ct) -> float:
-    """Median of f_c(x7 | ct) via bisection on the quadrature-backed CDF."""
+def conditional_median(model: CompositeModel, ct, z: float | None = None,
+                       density=None) -> float:
+    """Median of f_c(x7 | ct) via bisection on the quadrature-backed CDF.
+
+    `z` (the normaliser `marginal_composite_ct(model, ct)`) and `density`
+    (`_conditional_slice_density(model, ct)`) are computed here unless the
+    caller already has them.
+    """
     ct = np.asarray(ct, dtype=float).ravel()
-    f = _conditional_slice_density(model, ct)
+    f = density or _conditional_slice_density(model, ct)
     a, b = model.epsilon, 1.0 - model.epsilon
-    z = adaptive_integral(f, a, b, tol=QUAD_TOL)
+    if z is None:
+        z = adaptive_integral(f, a, b, tol=QUAD_TOL)
     if z <= 0.0 or not np.isfinite(z):
         raise FittingError("conditional composition density has no mass")
     lo, hi = a, b
@@ -328,7 +347,9 @@ def predict_vfvm(model: CompositeModel, ct) -> Prediction:
     with np.errstate(all="ignore"):
         like_v = model.n_v / n * float(np.exp(model.f_v.log_density(ct[None, :]))[0])
         like_nv = model.n_nv / n * float(np.exp(model.f_nv.log_density(ct[None, :]))[0])
-    like_c = model.n_c / n * marginal_composite_ct(model, ct)
+    density = _conditional_slice_density(model, ct)
+    z = marginal_composite_ct(model, ct, density)
+    like_c = model.n_c / n * z
 
     if like_v <= 0.0 and like_nv <= 0.0 and like_c <= 0.0:
         return Prediction(value=None, label="out_of_support")
@@ -336,7 +357,7 @@ def predict_vfvm(model: CompositeModel, ct) -> Prediction:
         return Prediction(value=1.0, label="valuable")
     if like_nv > max(like_c, like_v):
         return Prediction(value=0.0, label="non_valuable")
-    med = conditional_median(model, ct)
+    med = conditional_median(model, ct, z, density)
     return Prediction(value=med, label="composite", conditional_median=med)
 
 

@@ -19,10 +19,10 @@ import scipy
 
 from . import __version__
 from .copulas import PairCopula
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, StructuralError
 from .marginals import BetaParams, GammaParams, MixtureModel
 from .model import CompositeModel
-from .vine import ArchimedeanModel, RVineModel, RVineStructure
+from .vine import ArchimedeanModel, RVineModel, RVineStructure, validate_structure
 
 SCHEMA_VERSION = 1
 
@@ -89,6 +89,9 @@ def _engine_from(doc: dict):
                     or sorted(edge.conditioning) != stored["conditioning"]):
                 raise ParseError("model document edge sets are inconsistent "
                                  "with its tree structure")
+        problem = validate_structure(model.structure)
+        if problem is not None:
+            raise StructuralError(f"model document vine is invalid: {problem}")
         return model
     if doc["type"] == "archimedean":
         return ArchimedeanModel(doc["family"], doc["theta"], marginals)

@@ -22,6 +22,7 @@ generator.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -211,6 +212,9 @@ class RVineModel:
     def log_density(self, x):
         return vine_log_density(self, x)
 
+    def slice_log_density(self, head):
+        return vine_slice_log_density(self, head)
+
     def sample(self, n: int, seed) -> np.ndarray:
         return vine_sample(self, n, seed)
 
@@ -243,6 +247,28 @@ class ArchimedeanModel:
             logc = _arch_log_density(self.family, self.theta, u)
             logm = sum(m.log_density(x[:, i]) for i, m in enumerate(self.marginals))
         return logc + logm
+
+    def slice_log_density(self, head):
+        """s -> log f(head, s) with the fixed marginals evaluated once; the
+        terms and their order are those of `log_density`."""
+        head = np.asarray(head, dtype=float).ravel()
+        last = self.d - 1
+        if head.size != last:
+            raise ArgumentError(f"expected {last} fixed coordinates")
+        cols = [head[i:i + 1] for i in range(last)]
+        tail = self.marginals[last]
+        with np.errstate(all="ignore"):
+            head_u = [_cl(m.cdf(c)) for m, c in zip(self.marginals, cols)]
+            head_logm = sum(m.log_density(c) for m, c in zip(self.marginals, cols))
+
+        def log_f(s):
+            s = np.asarray(s, dtype=float)
+            with np.errstate(all="ignore"):
+                u = np.column_stack(np.broadcast_arrays(*head_u, _cl(tail.cdf(s))))
+                logc = _arch_log_density(self.family, self.theta, u)
+                return logc + (head_logm + tail.log_density(s))
+
+        return log_f
 
     def sample(self, n: int, seed) -> np.ndarray:
         u = _arch_sample_uniform(self.family, self.theta, self.d, n, seed)
@@ -385,7 +411,6 @@ class _ConditionalCache:
     """
 
     def __init__(self, model: RVineModel, u: np.ndarray):
-        self.u = u
         self.memo: dict[tuple[int, frozenset[int]], np.ndarray] = {
             (i, frozenset()): u[:, i] for i in range(u.shape[1])}
         self.by_constraint: dict[tuple[int, frozenset[int]],
@@ -394,11 +419,27 @@ class _ConditionalCache:
             lam = edge.constraint
             for var in edge.conditioned:
                 self.by_constraint[(var, lam)] = (edge, cop)
+        self.base: _ConditionalCache | None = None
+        self.free: int | None = None
+
+    def with_column(self, var: int, column: np.ndarray) -> "_ConditionalCache":
+        """A cache that adds the column of `var`, which this one lacks.
+
+        Values that involve `var` are memoized in the new cache.  All others
+        are looked up in this one, so they are computed once however many
+        columns are passed here.
+        """
+        out = copy.copy(self)
+        out.memo = {(var, frozenset()): column}
+        out.base, out.free = self, var
+        return out
 
     def value(self, var: int, cond: frozenset[int]) -> np.ndarray:
         key = (var, cond)
         if key in self.memo:
             return self.memo[key]
+        if self.base is not None and var != self.free and self.free not in cond:
+            return self.base.value(var, cond)
         hit = self.by_constraint.get((var, cond | {var}))
         if hit is None:
             raise StructuralError(
@@ -434,6 +475,53 @@ def vine_log_density(model: RVineModel, x) -> np.ndarray | float:
         uk = cache.value(k, edge.conditioning)
         total = total + pair_log_density(cop, uj, uk)
     return float(total[0]) if scalar else total
+
+
+def vine_slice_log_density(model: RVineModel, head):
+    """s -> log f(head, s): the density along the last variable, others fixed.
+
+    Every term that does not involve the last variable is evaluated once,
+    as a length-1 array: the fixed marginals and each pair density whose
+    constraint set excludes it here, each conditional F(var | S) with var
+    and S free of it on first use.  A call evaluates the rest and adds the
+    same terms in the same order as `vine_log_density`, so the two agree bit
+    for bit on the points (head, s).
+    """
+    head = np.asarray(head, dtype=float).ravel()
+    last = model.d - 1
+    if head.size != last:
+        raise ArgumentError(f"expected {last} fixed coordinates")
+    margs = model.marginals
+    cols = [head[i:i + 1] for i in range(last)]
+    u = np.column_stack([_cl(m.cdf(c)) for m, c in zip(margs, cols)])
+    with np.errstate(divide="ignore"):
+        head_total = sum(m.log_density(c) for m, c in zip(margs, cols))
+    fixed = _ConditionalCache(model, u)
+    terms = []   # (edge, copula, log-density if fixed else None), in edge order
+    for edge, cop in model.edge_items():
+        if cop.family == "independence":
+            continue
+        const = None
+        if last not in edge.constraint:
+            j, k = edge.conditioned
+            const = pair_log_density(cop, fixed.value(j, edge.conditioning),
+                                     fixed.value(k, edge.conditioning))
+        terms.append((edge, cop, const))
+
+    def log_f(s):
+        s = np.asarray(s, dtype=float)
+        cache = fixed.with_column(last, _cl(margs[last].cdf(s)))
+        with np.errstate(divide="ignore"):
+            total = head_total + margs[last].log_density(s)
+        for edge, cop, term in terms:
+            if term is None:
+                j, k = edge.conditioned
+                term = pair_log_density(cop, cache.value(j, edge.conditioning),
+                                        cache.value(k, edge.conditioning))
+            total = total + term
+        return total
+
+    return log_f
 
 
 # ---------------------------------------------------------------------------

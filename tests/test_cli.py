@@ -68,6 +68,35 @@ class TestPersistence:
             load_model(bad)
 
 
+    def test_loaded_truncation_cache_is_fresh(self, fitted_model_path):
+        rat = load_model(fitted_model_path).f_c.marginals[-1]
+        lo, hi = rat.truncation
+        assert rat._cdf_lo == rat._raw_cdf(lo)
+        assert rat._mass == float(rat._raw_cdf(hi) - rat._raw_cdf(lo))
+
+    def test_invalid_vine_document_is_data_error(self, tmp_path, small_dataset,
+                                                 fitted_model_path, capsys):
+        from orevine.vine import RVineStructure
+        data_path, _ = small_dataset
+        doc = json.loads(Path(fitted_model_path).read_text())
+        sub = doc["submodels"]["composite"]
+        # tree 1 joins the same two variables six times; the stored edge
+        # sets are rewritten to match, so only the vine check can catch it
+        sub["tree_edges"][0] = [[0, 1]] * len(sub["tree_edges"][0])
+        structure = RVineStructure.from_tree_edges(sub["d"], sub["tree_edges"])
+        for stored, edge in zip(sub["edges"], structure.edges):
+            stored["conditioned"] = list(edge.conditioned)
+            stored["conditioning"] = sorted(edge.conditioning)
+        bad = tmp_path / "bad_vine.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(bad), "--data", str(data_path),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "tree 1: edge (0, 1) creates a cycle" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliFitPredict:
     def test_fit_writes_model_and_report(self, tmp_path, small_dataset):
         data_path, _ = small_dataset
@@ -119,6 +148,25 @@ class TestCliFitPredict:
         rc = main(["predict", "--model", str(fitted_model_path),
                    "--data", str(bad), "--out", str(tmp_path / "p.csv")])
         assert rc == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_ct_cell_is_data_error(self, tmp_path, small_dataset,
+                                              fitted_model_path, capsys, cell):
+        data_path, _ = small_dataset
+        lines = Path(data_path).read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[5] = cell          # the flat column of CSV line 5
+        lines[4] = ",".join(fields)
+        bad = tmp_path / "bad_cells.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(fitted_model_path),
+                   "--data", str(bad), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "line 5" in err and "flat" in err
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
 
     def test_fitting_failure_exit_code(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -128,7 +128,33 @@ def make_labeled_dataset(n=12, seed=0):
     return Dataset(np.arange(1, n + 1, dtype=np.int64), matrix, COLUMNS)
 
 
+def _ids_fit(dataset, engine, epsilon, candidates, min_rows, template):
+    return frozenset(dataset.ids.tolist())
+
+
+def _predict_failing_without_id_4(model, ct):
+    if 4 not in model:
+        raise ValueError("fold without id 4")
+    return 0.5
+
+
 class TestLooCv:
+    def test_raising_fold_leaves_no_workers(self):
+        import multiprocessing
+        import time
+
+        ds = make_labeled_dataset(9)
+        # the caller keeps the traceback (and with it loo_cv's frame) alive,
+        # so garbage collection cannot stand in for shutting the pool down
+        with pytest.raises(ValueError, match="fold without id 4") as excinfo:
+            loo_cv(ds, parallelism=2, fit_fn=_ids_fit,
+                   predict_fn=_predict_failing_without_id_4)
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
+        assert excinfo.traceback
+
     def test_refits_once_per_row(self):
         ds = make_labeled_dataset(9)
         calls = {"fit": 0}

@@ -8,9 +8,6 @@ from orevine.marginals import (
     GammaParams,
     MixtureModel,
     fit_mixture_em,
-    mixture_cdf,
-    mixture_density,
-    mixture_quantile,
 )
 
 
@@ -28,11 +25,11 @@ class TestDensity:
     def test_pure_exponential_at_origin(self):
         # lambda = 1, gamma(1, 1) is Exp(1); density at 0+ is 1
         m = gamma_mix(1.0, 1.0, 5.0, 2.0, 1.0)
-        assert mixture_density(m, 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert m.density(1e-12) == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_beta(self):
         m = beta_mix(1.0, 1.0, 1.0, 1.0, 0.37)
-        assert mixture_density(m, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert m.density(0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_direct_formula(self):
         # independent high-precision evaluation of the mixture formula
@@ -42,67 +39,67 @@ class TestDensity:
         expected = (lam * sp_gamma(a=2, scale=1).pdf(2.0)
                     + (1 - lam) * sp_gamma(a=5, scale=0.5).pdf(2.0))
         m = gamma_mix(2.0, 1.0, 5.0, 0.5, lam)
-        assert mixture_density(m, 2.0) == pytest.approx(expected, rel=1e-12)
+        assert m.density(2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_integrates_to_one(self):
         # midpoint quadrature with 1e4 panels over the effective support
         m = gamma_mix(2.0, 1.5, 7.0, 0.8, 0.4)
         hi = m.quantile(1 - 1e-9)
         xs = (np.arange(10_000) + 0.5) * (hi / 10_000)
-        total = mixture_density(m, xs).sum() * hi / 10_000
+        total = m.density(xs).sum() * hi / 10_000
         assert total == pytest.approx(1.0, abs=1e-3)
 
         b = beta_mix(2.0, 8.0, 8.0, 2.0, 0.5)
         xs = (np.arange(10_000) + 0.5) / 10_000
-        assert mixture_density(b, xs).sum() / 10_000 == pytest.approx(1.0, abs=1e-3)
+        assert b.density(xs).sum() / 10_000 == pytest.approx(1.0, abs=1e-3)
 
     def test_truncated_density_renormalizes(self):
         m = beta_mix(2.0, 5.0, 5.0, 2.0, 0.5, truncation=(0.01, 0.99))
-        assert mixture_density(m, 0.001) == 0.0
-        assert mixture_density(m, 0.999) == 0.0
+        assert m.density(0.001) == 0.0
+        assert m.density(0.999) == 0.0
         xs = (np.arange(10_000) + 0.5) * 0.98 / 10_000 + 0.01
-        total = mixture_density(m, xs).sum() * 0.98 / 10_000
+        total = m.density(xs).sum() * 0.98 / 10_000
         assert total == pytest.approx(1.0, abs=1e-3)
 
 
 class TestCdfQuantile:
     def test_uniform_cdf(self):
         m = beta_mix(1.0, 1.0, 1.0, 1.0, 0.5)
-        assert mixture_cdf(m, 0.3) == pytest.approx(0.3, abs=1e-12)
+        assert m.cdf(0.3) == pytest.approx(0.3, abs=1e-12)
 
     def test_exponential_cdf(self):
         m = gamma_mix(1.0, 1.0, 1.0, 1.0, 0.5)
-        assert mixture_cdf(m, np.log(2.0)) == pytest.approx(0.5, abs=1e-12)
+        assert m.cdf(np.log(2.0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_cdf_matches_quadrature(self):
         m = gamma_mix(2.0, 1.0, 6.0, 0.7, 0.35)
         for x in (0.5, 2.0, 5.0):
-            ref, _ = integrate.quad(lambda t: mixture_density(m, t), 0, x,
+            ref, _ = integrate.quad(lambda t: m.density(t), 0, x,
                                     epsabs=1e-12, epsrel=1e-12)
-            assert mixture_cdf(m, x) == pytest.approx(ref, abs=1e-6)
+            assert m.cdf(x) == pytest.approx(ref, abs=1e-6)
 
     def test_cdf_monotone_and_limits(self):
         m = beta_mix(2.0, 3.0, 6.0, 2.0, 0.6)
         xs = np.linspace(0, 1, 501)
-        cdf = mixture_cdf(m, xs)
+        cdf = m.cdf(xs)
         assert np.all(np.diff(cdf) >= -1e-15)
         assert cdf[0] == pytest.approx(0.0, abs=1e-9)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_quantile(self):
         m = beta_mix(1.0, 1.0, 1.0, 1.0, 0.5)
-        assert mixture_quantile(m, 0.3) == pytest.approx(0.3, abs=1e-9)
+        assert m.quantile(0.3) == pytest.approx(0.3, abs=1e-9)
 
     def test_exponential_quantile(self):
         m = gamma_mix(1.0, 1.0, 1.0, 1.0, 0.5)
-        assert mixture_quantile(m, 0.5) == pytest.approx(np.log(2.0), abs=1e-9)
+        assert m.quantile(0.5) == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_quantile_rejects_bad_p(self):
         m = beta_mix(1.0, 1.0, 1.0, 1.0, 0.5)
         with pytest.raises(ArgumentError):
-            mixture_quantile(m, 0.0)
+            m.quantile(0.0)
         with pytest.raises(ArgumentError):
-            mixture_quantile(m, 1.0)
+            m.quantile(1.0)
 
     def test_quantile_cdf_round_trip(self):
         rng = np.random.default_rng(42)
@@ -119,6 +116,32 @@ class TestCdfQuantile:
         m = beta_mix(2.0, 5.0, 5.0, 2.0, 0.5, truncation=(0.01, 0.99))
         q = m.quantile(np.array([1e-6, 0.5, 1 - 1e-6]))
         assert np.all(q >= 0.01) and np.all(q <= 0.99)
+
+
+class TestTruncationCache:
+    """The truncated mass and F(lo) are computed once, at construction."""
+
+    @staticmethod
+    def assert_fresh(m):
+        lo, hi = m.truncation
+        assert m._cdf_lo == m._raw_cdf(lo)
+        assert m._mass == float(m._raw_cdf(hi) - m._raw_cdf(lo))
+
+    def test_cached_at_construction(self):
+        m = beta_mix(2.0, 5.0, 5.0, 2.0, 0.3, truncation=(0.01, 0.99))
+        self.assert_fresh(m)
+        assert m.cdf(0.99) == 1.0
+        assert not hasattr(beta_mix(2.0, 5.0, 5.0, 2.0, 0.3), "_mass")
+
+    def test_pickle_round_trip(self):
+        import pickle
+        m = gamma_mix(2.0, 1.0, 6.0, 0.7, 0.35, truncation=(0.5, 4.0))
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m
+        self.assert_fresh(back)
+        xs = np.linspace(0.0, 5.0, 41)
+        assert np.array_equal(back.cdf(xs), m.cdf(xs))
+        assert np.array_equal(back.density(xs), m.density(xs))
 
 
 class TestEm:

@@ -177,9 +177,12 @@ class TestPredict:
         model = tiny_composite(rat_dependent=True)
         rng = np.random.default_rng(9)
         for _ in range(10):
-            p = predict_vfvm(model, rng.uniform(0.25, 0.75, 2))
+            ct = rng.uniform(0.25, 0.75, 2)
+            p = predict_vfvm(model, ct)
             if p.label == "composite":
                 assert model.epsilon < p.value < 1 - model.epsilon
+                # predict hands its slice and normaliser on; same median
+                assert p.value == conditional_median(model, ct)
             else:
                 assert p.value in (0.0, 1.0)
 

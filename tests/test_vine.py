@@ -6,11 +6,14 @@ from scipy import stats
 
 from orevine.copulas import PairCopula, fit_pair, kendall_tau
 from orevine.errors import ArgumentError, FittingError
-from orevine.marginals import BetaParams, MixtureModel, fit_mixture_em
+from orevine.marginals import BetaParams, GammaParams, MixtureModel, fit_mixture_em
+from orevine.synth import benchmark_truth
 from orevine.vine import (
+    ARCHIMEDEAN_FAMILIES,
     ArchimedeanModel,
     RVineModel,
     RVineStructure,
+    dvine_structure,
     fit_archimedean,
     fit_sequential,
     validate_structure,
@@ -400,3 +403,95 @@ class TestArchimedean:
             mc = float(np.mean(np.exp(
                 _arch_log_density(family, theta, pts)))) * (b - a) ** d
             assert mc == pytest.approx(mass, rel=0.02), family
+
+
+SLICE_EPS = 0.01
+# s at and beside the truncation ends, outside it and outside [0, 1], plus
+# an interior sweep
+SLICE_S = np.concatenate([
+    [SLICE_EPS, 1 - SLICE_EPS, 0.005, 0.995, 0.0, 1.0, -0.25, 1.25],
+    np.linspace(SLICE_EPS, 1 - SLICE_EPS, 57)[1:-1]])
+SLICE_CTS = (
+    np.array([1.3, 0.8, 2.1, 0.35, 0.6, 0.72]),
+    np.array([0.02, 4.5, 0.3, 0.97, 0.05, 0.5]),
+    # out of support: a negative gamma coordinate and a beta one above 1
+    np.array([-1.0, 0.8, 2.1, 1.5, 0.6, 0.72]),
+)
+
+
+def slice_marginals():
+    """Six CT marginals (gamma, then beta) and a truncated composition one."""
+    gamma = [MixtureModel("gamma", GammaParams(a, 0.6), GammaParams(a + 3.0, 0.4), 0.4)
+             for a in (2.0, 3.0, 4.0)]
+    beta = [MixtureModel("beta", BetaParams(p, 3.0), BetaParams(3.0, p), 0.55)
+            for p in (2.0, 4.0, 6.0)]
+    rat = MixtureModel("beta", BetaParams(2.0, 5.0), BetaParams(5.0, 2.0), 0.3,
+                       truncation=(SLICE_EPS, 1 - SLICE_EPS))
+    return tuple(gamma + beta + [rat])
+
+
+def all_rotation_copulas(n):
+    """Four families cycling over all four rotations, every fifth edge
+    independent."""
+    theta = {"clayton": 1.2, "gumbel": 1.5, "joe": 1.4, "frank": 3.0}
+    fams = tuple(theta)
+    out = []
+    for i in range(n):
+        if i % 5 == 4:
+            out.append(PairCopula("independence"))
+        else:
+            fam = fams[i % 4]
+            out.append(PairCopula(fam, (0, 90, 180, 270)[(i // 4) % 4], theta[fam]))
+    return tuple(out)
+
+
+def assert_slice_matches(model, ct, s=SLICE_S):
+    log_f = model.slice_log_density(ct)
+    with np.errstate(all="ignore"):
+        got = log_f(s)
+        ref = model.log_density(np.column_stack([np.tile(ct, (s.size, 1)), s]))
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
+class TestSliceLogDensity:
+    """The hoisted slice s -> log f(ct, s) against the full density, bit for bit."""
+
+    @pytest.mark.parametrize("order", [range(7), [0, 1, 2, 6, 3, 4, 5],
+                                       [6, 5, 4, 3, 2, 1, 0]])
+    def test_rvine_bit_identical(self, order):
+        structure = dvine_structure(list(order))
+        copulas = all_rotation_copulas(len(structure.edges))
+        assert {c.rotation for c in copulas if c.family != "independence"} == {
+            0, 90, 180, 270}
+        model = RVineModel(structure, copulas, slice_marginals())
+        for ct in SLICE_CTS:
+            assert_slice_matches(model, ct)
+
+    def test_rvine_out_of_support_ct_is_minus_inf(self):
+        model = RVineModel(dvine_structure(list(range(7))),
+                           all_rotation_copulas(21), slice_marginals())
+        with np.errstate(all="ignore"):
+            out = model.slice_log_density(SLICE_CTS[2])(SLICE_S)
+        assert np.all(out == -np.inf)
+
+    @pytest.mark.parametrize("family", ARCHIMEDEAN_FAMILIES)
+    def test_archimedean_bit_identical(self, family):
+        theta = 3.0 if family == "frank" else 1.4
+        model = ArchimedeanModel(family, theta, slice_marginals())
+        for ct in SLICE_CTS:
+            assert_slice_matches(model, ct)
+
+    def test_benchmark_truth_composite_class(self):
+        f_c = benchmark_truth().f_c
+        rng = np.random.default_rng(5)
+        for row in f_c.sample(20, seed=3):
+            assert_slice_matches(f_c, row[:6], np.sort(rng.uniform(0.0, 1.0, 64)))
+
+    def test_wrong_length_rejected(self):
+        model = ArchimedeanModel("frank", 3.0, slice_marginals())
+        with pytest.raises(ArgumentError):
+            model.slice_log_density(np.ones(7))
+        rvine = RVineModel(dvine_structure(list(range(7))),
+                           all_rotation_copulas(21), slice_marginals())
+        with pytest.raises(ArgumentError):
+            rvine.slice_log_density(np.ones(5))
