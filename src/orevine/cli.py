@@ -149,6 +149,27 @@ def _fit_scores(model, dataset, engine) -> list[ScoreReport]:
                         aic=aic_c, bic=bic_c)]
 
 
+def _check_cells(ds: Dataset, path, rat: bool) -> None:
+    """Reject the first bad cell, in CSV order, with its line and column.
+
+    The six CT descriptors must be finite.  With `rat`, a composition cell
+    must also lie in [0, 1] unless it is missing (NaN, read from an empty
+    cell), which the model and the evaluation check on their own.
+    """
+    bad = np.zeros(ds.matrix.shape, dtype=bool)
+    bad[:, :6] = ~np.isfinite(ds.matrix[:, :6])
+    if rat:
+        value = ds.matrix[:, 6]
+        bad[:, 6] = np.isinf(value) | (value < 0.0) | (value > 1.0)
+    hits = np.argwhere(bad)
+    if hits.size:
+        i, j = hits[0]
+        rule = ("the composition must lie in [0, 1]" if j == 6
+                else "CT descriptors must be finite")
+        raise ParseError(f"{path}: line {i + 2}: {ds.columns[j]} cell is "
+                         f"{float(ds.matrix[i, j])!r}; {rule}")
+
+
 def _run_descriptors(args) -> int:
     volume = read_volume(args.volume)
     labels = read_labels(args.labels)
@@ -163,6 +184,7 @@ def _run_descriptors(args) -> int:
 
 def _run_fit(args) -> int:
     ds = Dataset.from_csv(args.data)
+    _check_cells(ds, args.data, rat=True)
     candidates = tuple(args.candidates) if args.candidates else None
     model = fit_composite(ds, engine=args.engine, epsilon=args.epsilon,
                           atom_width=args.atom_width, candidates=candidates,
@@ -181,11 +203,7 @@ def _run_fit(args) -> int:
 def _run_predict(args) -> int:
     model = load_model(args.model)
     ds = Dataset.from_csv(args.data)
-    bad = np.argwhere(~np.isfinite(ds.matrix[:, :6]))
-    if bad.size:
-        i, j = bad[0]
-        raise ParseError(f"{args.data}: line {i + 2}: {ds.columns[j]} cell is "
-                         f"{float(ds.matrix[i, j])!r}; CT descriptors must be finite")
+    _check_cells(ds, args.data, rat=False)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("id,value,label\n")
         for i in range(len(ds)):
@@ -200,6 +218,7 @@ def _run_predict(args) -> int:
 def _run_evaluate(args) -> int:
     model = load_model(args.model)
     ds = Dataset.from_csv(args.data)
+    _check_cells(ds, args.data, rat=True)
     result = loo_cv(ds, engine=model.engine, epsilon=model.epsilon,
                     parallelism=args.parallelism, fast=args.fast_loo)
     scores = [result.report_all, result.report_composite]

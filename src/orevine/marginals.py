@@ -201,11 +201,14 @@ def _beta_mom(x: np.ndarray, w: np.ndarray | None = None) -> BetaParams:
     return BetaParams(float(p), float(q))
 
 
-def _weighted_gamma_mle(x: np.ndarray, w: np.ndarray, start: GammaParams) -> GammaParams:
-    """Maximize the w-weighted gamma log-likelihood (Newton on the shape)."""
+def _weighted_gamma_mle(x: np.ndarray, lx: np.ndarray, w: np.ndarray) -> GammaParams:
+    """Maximize the w-weighted gamma log-likelihood (Newton on the shape).
+
+    `lx` is log(x), computed once per EM run by the caller.
+    """
     wsum = w.sum()
     mean_x = float((w * x).sum() / wsum)
-    mean_lx = float((w * np.log(x)).sum() / wsum)
+    mean_lx = float((w * lx).sum() / wsum)
     s = np.log(mean_x) - mean_lx
     if s <= 1e-12:  # zero-variance weighting; push towards a spike
         alpha = 1e6
@@ -213,7 +216,9 @@ def _weighted_gamma_mle(x: np.ndarray, w: np.ndarray, start: GammaParams) -> Gam
         alpha = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
         for _ in range(40):
             g = np.log(alpha) - special.digamma(alpha) - s
-            gp = 1.0 / alpha - special.polygamma(1, alpha)
+            # zeta(2, a) is the trigamma function, bit-equal to polygamma(1, a)
+            # without that wrapper's array round trip
+            gp = 1.0 / alpha - special.zeta(2.0, alpha)
             step = g / gp
             new = alpha - step
             if new <= 0:
@@ -222,24 +227,28 @@ def _weighted_gamma_mle(x: np.ndarray, w: np.ndarray, start: GammaParams) -> Gam
                 alpha = new
                 break
             alpha = new
-    alpha = float(np.clip(alpha, 1e-3, 1e6))
-    beta = float(np.clip(mean_x / alpha, 1e-12, 1e12))
+    alpha = float(min(max(alpha, 1e-3), 1e6))
+    beta = float(min(max(mean_x / alpha, 1e-12), 1e12))
     return GammaParams(alpha, beta)
 
 
-def _weighted_beta_mle(x: np.ndarray, w: np.ndarray, start: BetaParams) -> BetaParams:
-    """Maximize the w-weighted beta log-likelihood (2-D Newton with damping)."""
+def _weighted_beta_mle(lx: np.ndarray, l1mx: np.ndarray, w: np.ndarray,
+                       start: BetaParams) -> BetaParams:
+    """Maximize the w-weighted beta log-likelihood (2-D Newton with damping).
+
+    `lx` and `l1mx` are log(x) and log1p(-x), computed once per EM run.
+    """
     wsum = w.sum()
-    c1 = float((w * np.log(x)).sum() / wsum)
-    c2 = float((w * np.log1p(-x)).sum() / wsum)
+    c1 = float((w * lx).sum() / wsum)
+    c2 = float((w * l1mx).sum() / wsum)
     p, q = start.p, start.q
     for _ in range(60):
         common = special.digamma(p + q)
         g1 = special.digamma(p) - common - c1
         g2 = special.digamma(q) - common - c2
-        tri = special.polygamma(1, p + q)
-        j11 = special.polygamma(1, p) - tri
-        j22 = special.polygamma(1, q) - tri
+        tri = special.zeta(2.0, p + q)
+        j11 = special.zeta(2.0, p) - tri
+        j22 = special.zeta(2.0, q) - tri
         det = j11 * j22 - tri * tri
         if not np.isfinite(det) or abs(det) < 1e-300:
             break
@@ -254,15 +263,9 @@ def _weighted_beta_mle(x: np.ndarray, w: np.ndarray, start: BetaParams) -> BetaP
             p, q = p_new, q_new
             break
         p, q = p_new, q_new
-    p = float(np.clip(p, 1e-3, 1e7))
-    q = float(np.clip(q, 1e-3, 1e7))
+    p = float(min(max(p, 1e-3), 1e7))
+    q = float(min(max(q, 1e-3), 1e7))
     return BetaParams(p, q)
-
-
-def _mixture_loglik(c1, c2, lam: float, x: np.ndarray) -> float:
-    l1 = c1.logpdf(x) + np.log(max(lam, 1e-300))
-    l2 = c2.logpdf(x) + np.log(max(1.0 - lam, 1e-300))
-    return float(np.logaddexp(l1, l2).sum())
 
 
 def _order_components(model: MixtureModel) -> MixtureModel:
@@ -307,7 +310,6 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
             f"need at least 10 in-support samples to fit a {family} mixture, got {x.size}")
 
     mom = _gamma_mom if family == "gamma" else _beta_mom
-    mle = _weighted_gamma_mle if family == "gamma" else _weighted_beta_mle
 
     # Zero-variance data cannot support a two-component fit; return a spike.
     if np.var(x) < 1e-20 * max(1.0, np.mean(x) ** 2):
@@ -331,13 +333,46 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
         c1, c2 = mom(lower), mom(upper)
         lam = 0.5
 
-    ll = _mixture_loglik(c1, c2, lam, x)
+    # log(x) (and log1p(-x)) once per run; each component log-density below
+    # adds the same terms in the same order as GammaParams/BetaParams.logpdf,
+    # whose support masks are no-ops on the filtered/clamped x
+    lx = np.log(x)
+    if family == "gamma":
+        def logpdf(c):
+            return ((c.alpha - 1.0) * lx - x / c.beta
+                    - c.alpha * np.log(c.beta) - special.gammaln(c.alpha))
+
+        def mle(w, start):
+            return _weighted_gamma_mle(x, lx, w)
+    else:
+        l1mx = np.log1p(-x)
+
+        def logpdf(c):
+            return (c.p - 1.0) * lx + (c.q - 1.0) * l1mx - special.betaln(c.p, c.q)
+
+        def mle(w, start):
+            return _weighted_beta_mle(lx, l1mx, w, start)
+
+    def joint(d1, d2, lam):
+        """Weighted component-1 log-density and the log mixture density."""
+        l1 = d1 + np.log(max(lam, 1e-300))
+        return l1, np.logaddexp(l1, d2 + np.log(max(1.0 - lam, 1e-300)))
+
+    def improved(old, d_old, resp):
+        """M-step with guarded acceptance (keeps EM monotone): an update that
+        lowers the component's weighted objective is dropped."""
+        new = mle(resp, old)
+        d_new = logpdf(new)
+        q_old = float((resp * d_old).sum())
+        q_new = float((resp * d_new).sum())
+        return (new, d_new) if q_new >= q_old else (old, d_old)
+
+    d1, d2 = logpdf(c1), logpdf(c2)   # log-densities of the current components
+    l1, norm = joint(d1, d2, lam)
+    ll = float(norm.sum())
     degenerate = False
     for _ in range(max_iter):
-        # E-step
-        l1 = c1.logpdf(x) + np.log(max(lam, 1e-300))
-        l2 = c2.logpdf(x) + np.log(max(1.0 - lam, 1e-300))
-        norm = np.logaddexp(l1, l2)
+        # E-step, from the terms of the current log-likelihood
         g1 = np.exp(l1 - norm)
         g2 = 1.0 - g1
 
@@ -347,17 +382,12 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
             lam = float(np.clip(lam_new, 0.0, 1.0))
             break
 
-        # M-step with guarded acceptance per component (keeps EM monotone)
-        def improved(params_old, params_new, resp):
-            q_old = float((resp * params_old.logpdf(x)).sum())
-            q_new = float((resp * params_new.logpdf(x)).sum())
-            return params_new if q_new >= q_old else params_old
-
-        c1 = improved(c1, mle(x, g1, c1), g1)
-        c2 = improved(c2, mle(x, g2, c2), g2)
+        c1, d1 = improved(c1, d1, g1)
+        c2, d2 = improved(c2, d2, g2)
         lam = lam_new
 
-        ll_new = _mixture_loglik(c1, c2, lam, x)
+        l1, norm = joint(d1, d2, lam)
+        ll_new = float(norm.sum())
         if ll_new < ll - 1e-8 * max(1.0, abs(ll)):
             raise FittingError("EM log-likelihood decreased; numerical failure")
         if abs(ll_new - ll) < tol * max(1.0, abs(ll)):

@@ -168,6 +168,32 @@ class TestCliFitPredict:
         assert not out.exists()
         assert not Path(str(out) + ".manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    @pytest.mark.parametrize("column, cell", [
+        ("flat", "nan"), ("flat", "inf"), ("rat", "2"), ("rat", "-inf")])
+    def test_bad_training_cell_is_data_error(self, tmp_path, small_dataset,
+                                             fitted_model_path, capsys,
+                                             command, column, cell):
+        data_path, _ = small_dataset
+        lines = Path(data_path).read_text().splitlines()
+        fields = lines[6].split(",")
+        fields[lines[0].split(",").index(column)] = cell   # CSV line 7
+        lines[6] = ",".join(fields)
+        bad = tmp_path / "bad_cells.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if command == "fit":
+            argv = ["fit", "--data", str(bad), "--out", str(out_dir / "m.json"),
+                    "--report-prefix", str(out_dir / "scores")]
+        else:
+            argv = ["evaluate", "--model", str(fitted_model_path), "--data",
+                    str(bad), "--out-prefix", str(out_dir / "eval"), "--fast-loo"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "line 7" in err and f"{column} cell" in err
+        assert list(out_dir.iterdir()) == []
+
     def test_fitting_failure_exit_code(self, tmp_path):
         rng = np.random.default_rng(0)
         from orevine.descriptors import COLUMNS

@@ -238,6 +238,47 @@ class TestKendallTau:
         with pytest.raises(ArgumentError):
             kendall_tau([1.0], [2.0])
 
+    @staticmethod
+    def enumerate_pairs(y, y2):
+        """O(n^2) oracle: the defining sum over all pairs i < j."""
+        y, y2 = np.asarray(y, dtype=float), np.asarray(y2, dtype=float)
+        n = y.size
+        total = 0
+        for i in range(n):
+            total += int(np.sum(np.sign(y[i] - y[i + 1:]) * np.sign(y2[i] - y2[i + 1:])))
+        return 2.0 * total / (n * (n - 1))
+
+    @pytest.mark.parametrize("y, y2", [([1.0, 2.0], [5.0, 3.0]),
+                                       ([1.0, 2.0], [3.0, 5.0]),
+                                       ([1.0, 1.0], [3.0, 5.0])])
+    def test_two_observations(self, y, y2):
+        assert kendall_tau(y, y2) == self.enumerate_pairs(y, y2)
+
+    def test_all_ties(self):
+        assert kendall_tau(np.full(7, 2.0), np.full(7, -1.0)) == 0.0
+
+    def test_one_constant_column(self):
+        rng = np.random.default_rng(5)
+        y2 = rng.normal(size=40)
+        assert kendall_tau(np.full(40, 0.5), y2) == 0.0
+        assert kendall_tau(y2, np.full(40, 0.5)) == 0.0
+
+    def test_large_with_heavy_ties(self):
+        rng = np.random.default_rng(3000)
+        n = 3000
+        y = rng.integers(0, 25, n).astype(float)
+        y2 = np.where(rng.random(n) < 0.5, y, rng.integers(0, 6, n)).astype(float)
+        y2[::7] = -0.0   # signed zeros tie with 0.0
+        assert kendall_tau(y, y2) == self.enumerate_pairs(y, y2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        y = np.arange(5.0)
+        with pytest.raises(ArgumentError, match="finite"):
+            kendall_tau(np.r_[y[:4], bad], y)
+        with pytest.raises(ArgumentError, match="finite"):
+            kendall_tau(y, np.r_[bad, y[1:]])
+
 
 class TestIndependenceTest:
     def test_zero_tau(self):
