@@ -226,9 +226,10 @@ def _golden_fit(case):
 
 
 class TestEmGolden:
-    """Exact EM results, recorded from the plain per-iteration implementation
-    (every log-density re-evaluated from x, polygamma(1, .) in the Newton
-    steps); the hoisted EM must reproduce them bit for bit."""
+    """Exact EM results, recorded from a reference run that evaluated every
+    component log-density through GammaParams/BetaParams.logpdf and used
+    polygamma(1, .) in the Newton steps; a faster EM must reproduce them bit
+    for bit (recorded with numpy 2.4 and scipy 1.17)."""
 
     GOLDEN = {
         "gamma": (("3.3164152511267737", "0.3548392322769839",
