@@ -30,15 +30,8 @@ from .errors import (
     SchemaError,
     StructuralError,
 )
-from .evaluation import (
-    ScoreReport,
-    count_parameters,
-    information_criteria,
-    loo_cv,
-    render_report,
-    scores_to_json,
-)
-from .model import composite_log_density, fit_composite, partition_dataset, predict_vfvm
+from .evaluation import fit_scores, loo_cv, render_report, scores_to_json
+from .model import fit_composite, predict_vfvm
 from .persist import load_model, save_model, write_manifest
 from .synth import generate_scene, load_scene_spec
 from .voxel import (
@@ -135,36 +128,22 @@ def _manifest_for(args: argparse.Namespace, anchor: str) -> None:
                    seed=getattr(args, "seed", None))
 
 
-def _fit_scores(model, dataset, engine) -> list[ScoreReport]:
-    ll = float(np.sum(composite_log_density(model, dataset.matrix)))
-    k, _ = count_parameters(model)
-    aic, bic = information_criteria(ll, k, len(dataset))
-    _, _, d_c = partition_dataset(dataset, model.epsilon)
-    ll_c = float(np.sum(model.f_c.log_density(d_c.matrix)))
-    k_c, _ = count_parameters(model.f_c)
-    aic_c, bic_c = information_criteria(ll_c, k_c, max(len(d_c), 1))
-    return [ScoreReport(engine, "all", ll=ll, k=k, n=len(dataset), aic=aic,
-                        bic=bic),
-            ScoreReport(engine, "composite_only", ll=ll_c, k=k_c, n=len(d_c),
-                        aic=aic_c, bic=bic_c)]
-
-
 def _check_cells(ds: Dataset, path, rat: bool) -> None:
     """Reject the first bad cell, in CSV order, with its line and column.
 
-    The six CT descriptors must be finite.  With `rat`, a composition cell
-    must also lie in [0, 1] unless it is missing (NaN, read from an empty
-    cell), which the model and the evaluation check on their own.
+    The six CT descriptors must be finite.  With `rat`, every row must also
+    carry a composition in [0, 1]: a missing value (NaN, read from an empty
+    or a literal `nan` cell) is rejected like an out-of-range one.
     """
     bad = np.zeros(ds.matrix.shape, dtype=bool)
     bad[:, :6] = ~np.isfinite(ds.matrix[:, :6])
     if rat:
         value = ds.matrix[:, 6]
-        bad[:, 6] = np.isinf(value) | (value < 0.0) | (value > 1.0)
+        bad[:, 6] = ~((value >= 0.0) & (value <= 1.0))
     hits = np.argwhere(bad)
     if hits.size:
         i, j = hits[0]
-        rule = ("the composition must lie in [0, 1]" if j == 6
+        rule = ("the composition must be given and lie in [0, 1]" if j == 6
                 else "CT descriptors must be finite")
         raise ParseError(f"{path}: line {i + 2}: {ds.columns[j]} cell is "
                          f"{float(ds.matrix[i, j])!r}; {rule}")
@@ -190,7 +169,7 @@ def _run_fit(args) -> int:
                           atom_width=args.atom_width, candidates=candidates,
                           min_rows=args.min_rows, em_tol=args.em_tol)
     save_model(args.out, model)
-    scores = _fit_scores(model, ds, args.engine)
+    scores = fit_scores(model, ds, args.engine)
     text = render_report(scores)
     if args.report_prefix:
         Path(args.report_prefix + ".txt").write_text(text)

@@ -1,20 +1,29 @@
 """Bivariate pair copulas: Frank, Joe, Clayton, Gumbel, independence.
 
 Every family supports CDF, density, the conditional CDF h(u|v) = dC/dv and
-its inverse, plus rotations by 90/180/270 degrees.  The rotation convention
-is pinned as
+its inverse, plus rotations by 90/180/270 degrees.  A rotated copula is its
+base family at reflected arguments.  `ROTATION_TABLE` holds one row per
+rotation: u is reflected for 90 and 180, v for 180 and 270, and the two
+arguments swap for 90 and 270.  The convention is pinned as
 
     c90(u, v)  = c(v, 1 - u)
     c180(u, v) = c(1 - u, 1 - v)
     c270(u, v) = c(1 - v, u)
 
 which corresponds to (U, V) = (1 - B, A), (1 - A, 1 - B) and (B, 1 - A) for
-a base pair (A, B).  All four base families are exchangeable, so rotated
-CDFs and h-functions reduce to base-family calls:
+a base pair (A, B).  The argument order is part of the result: the Gumbel,
+Joe and Frank-series densities are symmetric, but not bit for bit.  The
+CDF follows from the reflections by inclusion-exclusion.  All four base
+families are exchangeable, so the h-functions need no swap:
 
     C90(u, v)  = v - C(v, 1 - u)          h90(u|v)  = 1 - h(1 - u | v)
     C180(u, v) = u + v - 1 + C(1-u, 1-v)  h180(u|v) = 1 - h(1 - u | 1 - v)
     C270(u, v) = u - C(1 - v, u)          h270(u|v) = h(u | 1 - v)
+
+The conditional CDF of the second argument, h2(v|u) = dC(u, v)/du, is h of
+the transposed copula c(v, u).  Transposing swaps the two reflections of a
+row, so h2 of rotation 90 is h of rotation 270 and the other way round;
+0 and 180 are their own transposes.  The inverses use the same rows.
 
 Densities are evaluated in log space; Frank uses an independence-limit
 series branch for |theta| < 1e-5.  Kendall's tau follows the plain
@@ -30,7 +39,14 @@ import numpy as np
 from .errors import ArgumentError
 
 FAMILIES = ("independence", "frank", "clayton", "gumbel", "joe")
-ROTATIONS = (0, 90, 180, 270)
+# rotation -> (reflect u, reflect v, swap the base family's arguments)
+ROTATION_TABLE = {
+    0: (False, False, False),
+    90: (True, False, True),
+    180: (True, True, False),
+    270: (False, True, True),
+}
+ROTATIONS = tuple(ROTATION_TABLE)
 
 # admissible parameter search ranges per family
 THETA_RANGE = {
@@ -246,20 +262,32 @@ def _bisect_h(family: str, theta: float, p, v):
 # public rotation-aware operations
 # ---------------------------------------------------------------------------
 
+def _base_args(rotation: int, u, v):
+    """The base-family arguments at the point (u, v) of a rotated copula."""
+    reflect_u, reflect_v, swap = ROTATION_TABLE[rotation]
+    a = 1.0 - u if reflect_u else u
+    b = 1.0 - v if reflect_v else v
+    return (b, a) if swap else (a, b)
+
+
 def pair_cdf(cop: PairCopula, u, v):
     """C(u, v) with grounded margins; accepts scalars or arrays in [0, 1]."""
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
     v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
-    uc, vc = _clamp(u), _clamp(v)
-    fam, th = cop.family, cop.theta
-    if cop.rotation == 0:
-        out = _base_cdf(fam, th, uc, vc) if fam != "independence" else u * v
-    elif cop.rotation == 90:
-        out = v - _base_cdf(fam, th, vc, 1.0 - uc)
-    elif cop.rotation == 180:
-        out = u + v - 1.0 + _base_cdf(fam, th, 1.0 - uc, 1.0 - vc)
+    reflect_u, reflect_v, _ = ROTATION_TABLE[cop.rotation]
+    if cop.family == "independence" and not (reflect_u or reflect_v):
+        out = u * v      # unclamped, so exact next to the boundary
     else:
-        out = u - _base_cdf(fam, th, 1.0 - vc, uc)
+        c = _base_cdf(cop.family, cop.theta,
+                      *_base_args(cop.rotation, _clamp(u), _clamp(v)))
+        if reflect_u and reflect_v:
+            out = u + v - 1.0 + c
+        elif reflect_u:
+            out = v - c
+        elif reflect_v:
+            out = u - c
+        else:
+            out = c
     out = np.clip(out, 0.0, 1.0)
     # exact margins on the boundary
     out = np.where(u == 0.0, 0.0, out)
@@ -271,17 +299,8 @@ def pair_cdf(cop: PairCopula, u, v):
 
 def pair_log_density(cop: PairCopula, u, v):
     """log c(u, v); boundary inputs are clamped to the interior."""
-    u = _clamp(u)
-    v = _clamp(v)
-    fam, th = cop.family, cop.theta
-    if cop.rotation == 0:
-        out = _base_log_density(fam, th, u, v)
-    elif cop.rotation == 90:
-        out = _base_log_density(fam, th, v, 1.0 - u)
-    elif cop.rotation == 180:
-        out = _base_log_density(fam, th, 1.0 - u, 1.0 - v)
-    else:
-        out = _base_log_density(fam, th, 1.0 - v, u)
+    out = _base_log_density(cop.family, cop.theta,
+                            *_base_args(cop.rotation, _clamp(u), _clamp(v)))
     return out if out.ndim else float(out)
 
 
@@ -291,89 +310,63 @@ def pair_density(cop: PairCopula, u, v):
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-def pair_h(cop: PairCopula, u, cond):
-    """Conditional CDF h(u | cond) = dC(u, v)/dv evaluated at v = cond."""
+def _h(cop: PairCopula, reflect_u: bool, reflect_v: bool, u, cond):
+    """h(u | cond) of the base family reflected as the two flags say."""
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
     uc = _clamp(u)
     vc = _clamp(cond)
-    fam, th = cop.family, cop.theta
-    if cop.rotation == 0:
-        out = _base_h(fam, th, uc, vc)
-    elif cop.rotation == 90:
-        out = 1.0 - _base_h(fam, th, 1.0 - uc, vc)
-    elif cop.rotation == 180:
-        out = 1.0 - _base_h(fam, th, 1.0 - uc, 1.0 - vc)
-    else:
-        out = _base_h(fam, th, uc, 1.0 - vc)
+    out = _base_h(cop.family, cop.theta, 1.0 - uc if reflect_u else uc,
+                  1.0 - vc if reflect_v else vc)
+    if reflect_u:
+        out = 1.0 - out
     out = np.clip(out, 0.0, 1.0)
     out = np.where(u == 0.0, 0.0, out)
     out = np.where(u == 1.0, 1.0, out)
     return out if out.ndim else float(out)
 
 
-def pair_h2(cop: PairCopula, v, cond):
-    """Conditional CDF of the second argument: dC(u, v)/du at u = cond.
-
-    For the unrotated (exchangeable) families this coincides with
-    pair_h(cop, v, cond); rotations break exchangeability, so vine
-    bookkeeping must pick the correct direction explicitly.
-    """
-    v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
-    vc = _clamp(v)
-    uc = _clamp(cond)
-    fam, th = cop.family, cop.theta
-    if cop.rotation == 0:
-        out = _base_h(fam, th, vc, uc)
-    elif cop.rotation == 90:
-        out = _base_h(fam, th, vc, 1.0 - uc)
-    elif cop.rotation == 180:
-        out = 1.0 - _base_h(fam, th, 1.0 - vc, 1.0 - uc)
-    else:
-        out = 1.0 - _base_h(fam, th, 1.0 - vc, uc)
-    out = np.clip(out, 0.0, 1.0)
-    out = np.where(v == 0.0, 0.0, out)
-    out = np.where(v == 1.0, 1.0, out)
-    return out if out.ndim else float(out)
-
-
-def pair_h2_inverse(cop: PairCopula, p, cond):
-    """Solve pair_h2(cop, v, cond) = p for v."""
-    p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise ArgumentError("h-inverse probabilities must lie in (0, 1)")
-    pc = _clamp(p)
-    uc = _clamp(cond)
-    fam, th = cop.family, cop.theta
-    if cop.rotation == 0:
-        out = _base_h_inverse(fam, th, pc, uc)
-    elif cop.rotation == 90:
-        out = _base_h_inverse(fam, th, pc, 1.0 - uc)
-    elif cop.rotation == 180:
-        out = 1.0 - _base_h_inverse(fam, th, 1.0 - pc, 1.0 - uc)
-    else:
-        out = 1.0 - _base_h_inverse(fam, th, 1.0 - pc, uc)
-    out = np.clip(out, DENSITY_CLAMP, 1.0 - DENSITY_CLAMP)
-    return out if out.ndim else float(out)
-
-
-def pair_h_inverse(cop: PairCopula, p, cond):
-    """Solve h(u | cond) = p for u; |h(result|cond) - p| < 1e-9."""
+def _h_inverse(cop: PairCopula, reflect_u: bool, reflect_v: bool, p, cond):
+    """Solve _h(cop, reflect_u, reflect_v, u, cond) = p for u."""
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ArgumentError("h-inverse probabilities must lie in (0, 1)")
     pc = _clamp(p)
     vc = _clamp(cond)
-    fam, th = cop.family, cop.theta
-    if cop.rotation == 0:
-        out = _base_h_inverse(fam, th, pc, vc)
-    elif cop.rotation == 90:
-        out = 1.0 - _base_h_inverse(fam, th, 1.0 - pc, vc)
-    elif cop.rotation == 180:
-        out = 1.0 - _base_h_inverse(fam, th, 1.0 - pc, 1.0 - vc)
-    else:
-        out = _base_h_inverse(fam, th, pc, 1.0 - vc)
+    out = _base_h_inverse(cop.family, cop.theta, 1.0 - pc if reflect_u else pc,
+                          1.0 - vc if reflect_v else vc)
+    if reflect_u:
+        out = 1.0 - out
     out = np.clip(out, DENSITY_CLAMP, 1.0 - DENSITY_CLAMP)
     return out if out.ndim else float(out)
+
+
+def pair_h(cop: PairCopula, u, cond):
+    """Conditional CDF h(u | cond) = dC(u, v)/dv evaluated at v = cond."""
+    reflect_u, reflect_v, _ = ROTATION_TABLE[cop.rotation]
+    return _h(cop, reflect_u, reflect_v, u, cond)
+
+
+def pair_h2(cop: PairCopula, v, cond):
+    """Conditional CDF of the second argument: dC(u, v)/du at u = cond.
+
+    This is pair_h of the transposed copula, whose table row swaps the two
+    reflections.  Rotations 90 and 270 are not exchangeable, so vine
+    bookkeeping must pick the correct direction explicitly.
+    """
+    reflect_u, reflect_v, _ = ROTATION_TABLE[cop.rotation]
+    return _h(cop, reflect_v, reflect_u, v, cond)
+
+
+def pair_h2_inverse(cop: PairCopula, p, cond):
+    """Solve pair_h2(cop, v, cond) = p for v."""
+    reflect_u, reflect_v, _ = ROTATION_TABLE[cop.rotation]
+    return _h_inverse(cop, reflect_v, reflect_u, p, cond)
+
+
+def pair_h_inverse(cop: PairCopula, p, cond):
+    """Solve h(u | cond) = p for u; |h(result|cond) - p| < 1e-9."""
+    reflect_u, reflect_v, _ = ROTATION_TABLE[cop.rotation]
+    return _h_inverse(cop, reflect_u, reflect_v, p, cond)
 
 
 # ---------------------------------------------------------------------------

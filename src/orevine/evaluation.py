@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -103,6 +103,23 @@ def prediction_errors(predictions, truth) -> tuple[float, float]:
     return float(np.mean(np.abs(err))), float(np.mean(err ** 2))
 
 
+def fit_scores(model: CompositeModel, dataset: Dataset,
+               engine: str) -> list[ScoreReport]:
+    """LL/AIC/BIC of a fitted composite model on every row of `dataset` and,
+    through f_c, on its composite rows only."""
+    ll = float(np.sum(composite_log_density(model, dataset.matrix)))
+    k, _ = count_parameters(model)
+    aic, bic = information_criteria(ll, k, len(dataset))
+    _, _, d_c = partition_dataset(dataset, model.epsilon)
+    ll_c = float(np.sum(model.f_c.log_density(d_c.matrix)))
+    k_c, _ = count_parameters(model.f_c)
+    aic_c, bic_c = information_criteria(ll_c, k_c, max(len(d_c), 1))
+    return [ScoreReport(engine, "all", ll=ll, k=k, n=len(dataset), aic=aic,
+                        bic=bic),
+            ScoreReport(engine, "composite_only", ll=ll_c, k=k_c, n=len(d_c),
+                        aic=aic_c, bic=bic_c)]
+
+
 # ---------------------------------------------------------------------------
 # leave-one-out cross-validation
 # ---------------------------------------------------------------------------
@@ -160,8 +177,8 @@ def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
            min_rows: int = 30, fit_fn=None, predict_fn=None) -> LooResult:
     """Leave-one-out validation of the composition predictor.
 
-    Returns fit scores (LL/AIC/BIC of the full-data model) combined with
-    LOO MAE/MSE, over all rows and over the composite rows only.  Folds
+    Returns the `fit_scores` of the full-data model combined with LOO
+    MAE/MSE, over all rows and over the composite rows only.  Folds
     whose refit degenerates (or whose prediction has no support) are
     excluded and counted.  Results do not depend on `parallelism`.
     """
@@ -201,26 +218,17 @@ def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
         mae_c = mse_c = float("nan")
 
     if isinstance(full, CompositeModel):
-        ll_all = float(np.sum(composite_log_density(full, dataset.matrix)))
-        k_all, _ = count_parameters(full)
+        report_all, report_c = fit_scores(full, dataset, engine)
     else:  # injected fit functions may return arbitrary models
-        ll_all, k_all = float("nan"), 0
-    aic_all, bic_all = information_criteria(ll_all, k_all, n)
-    report_all = ScoreReport(engine=engine, subset="all", ll=ll_all, k=k_all,
-                             n=n, aic=aic_all, bic=bic_all, mae=mae_all,
-                             mse=mse_all, excluded_folds=excluded)
-
-    _, _, d_c = partition_dataset(dataset, epsilon)
-    if isinstance(full, CompositeModel):
-        ll_c = float(np.sum(full.f_c.log_density(d_c.matrix)))
-        k_c, _ = count_parameters(full.f_c)
-    else:
-        ll_c, k_c = float("nan"), 0
-    aic_c, bic_c = information_criteria(ll_c, k_c, max(len(d_c), 1))
-    report_c = ScoreReport(engine=engine, subset="composite_only", ll=ll_c,
-                           k=k_c, n=len(d_c), aic=aic_c, bic=bic_c, mae=mae_c,
-                           mse=mse_c,
-                           excluded_folds=int(composite_mask.sum() - c_valid.sum()))
+        nan = float("nan")
+        n_c = len(partition_dataset(dataset, epsilon)[2])
+        report_all, report_c = (
+            ScoreReport(engine, subset, ll=nan, k=0, n=rows, aic=nan, bic=nan)
+            for subset, rows in (("all", n), ("composite_only", n_c)))
+    report_all = replace(report_all, mae=mae_all, mse=mse_all,
+                         excluded_folds=excluded)
+    report_c = replace(report_c, mae=mae_c, mse=mse_c,
+                       excluded_folds=int(composite_mask.sum() - c_valid.sum()))
 
     return LooResult(report_all=report_all, report_composite=report_c,
                      ids=dataset.ids.copy(), truths=truths,

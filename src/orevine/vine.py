@@ -281,18 +281,17 @@ class ArchimedeanModel:
 # ---------------------------------------------------------------------------
 
 def fit_sequential(data, marginals, candidates=DEFAULT_CANDIDATES,
-                   min_rows: int = 30, pseudo: str = "parametric",
+                   min_rows: int = 30,
                    template: RVineModel | None = None) -> RVineModel:
     """Fit an R-vine to descriptor columns.
 
     Level 1 pseudo-observations come from the fitted parametric marginal
-    CDFs (rank mode available via pseudo="ranks").  Each tree is the
-    maximum spanning tree of |tau| over proximity-feasible candidate
-    edges (greedy, ties broken by the lexicographically smallest edge
-    key), each edge copula is chosen by an independence pre-test followed
-    by per-family maximum likelihood, and transformed observations feed
-    the next level.  Kendall taus are computed once per level on the
-    cached conditional pseudo-observations.
+    CDFs.  Each tree is the maximum spanning tree of |tau| over
+    proximity-feasible candidate edges (greedy, ties broken by the
+    lexicographically smallest edge key), each edge copula is chosen by an
+    independence pre-test followed by per-family maximum likelihood, and
+    transformed observations feed the next level.  Kendall taus are
+    computed once per level on the cached conditional pseudo-observations.
 
     When `template` is given, its structure and per-edge families are
     reused and only the copula parameters are re-estimated (fast refits).
@@ -305,43 +304,29 @@ def fit_sequential(data, marginals, candidates=DEFAULT_CANDIDATES,
     if len(marginals) != d:
         raise ArgumentError(f"expected {d} marginals for {d} columns")
 
-    if pseudo == "parametric":
-        u = np.column_stack([_cl(marginals[i].cdf(x[:, i])) for i in range(d)])
-    elif pseudo == "ranks":
-        from .copulas import pseudo_observations
-        u = pseudo_observations(x)
-    else:
-        raise ArgumentError(f"unknown pseudo-observation mode {pseudo!r}")
-
+    cache = _ConditionalCache(u=np.column_stack(
+        [_cl(marginals[i].cdf(x[:, i])) for i in range(d)]))
     if template is not None:
-        return _refit_template(template, u, marginals)
+        return _refit_template(template, cache, marginals)
 
-    store: dict[tuple[int, frozenset[int]], np.ndarray] = {
-        (i, frozenset({i})): u[:, i] for i in range(d)}
-
-    frames: list[dict] = [{"lam": frozenset({i}), "ends": None} for i in range(d)]
-    tree_edges: list[list[tuple[int, int]]] = []
+    # (constraint set, joined previous-level nodes) of each current node
+    frames: list[tuple[frozenset[int], tuple[int, int] | None]] = [
+        (frozenset({i}), None) for i in range(d)]
+    levels: list[tuple[VineEdge, ...]] = []
     copulas: list[PairCopula] = []
 
     for level in range(1, d):
         cands = []
         for ia, ib in itertools.combinations(range(len(frames)), 2):
-            if level >= 2:
-                shared = set(frames[ia]["ends"]) & set(frames[ib]["ends"])
-                if len(shared) != 1:
-                    continue
-            lam_a, lam_b = frames[ia]["lam"], frames[ib]["lam"]
-            conditioned = tuple(sorted(lam_a ^ lam_b))
-            conditioning = frozenset(lam_a & lam_b)
-            j, k = conditioned
-            uj = store[(j, conditioning | {j})]
-            uk = store[(k, conditioning | {k})]
-            tau = kendall_tau(uj, uk)
-            key = (conditioned, tuple(sorted(conditioning)))
-            cands.append({"ia": ia, "ib": ib, "j": j, "k": k, "tau": tau,
-                          "S": conditioning, "key": key, "uj": uj, "uk": uk})
+            (lam_a, ends_a), (lam_b, ends_b) = frames[ia], frames[ib]
+            if level >= 2 and len(set(ends_a) & set(ends_b)) != 1:
+                continue
+            edge = VineEdge(level, (ia, ib), tuple(sorted(lam_a ^ lam_b)),
+                            frozenset(lam_a & lam_b))
+            uj, uk = (cache.value(var, edge.conditioning) for var in edge.conditioned)
+            cands.append((edge, uj, uk, kendall_tau(uj, uk)))
 
-        cands.sort(key=lambda c: (-abs(c["tau"]), c["key"]))
+        cands.sort(key=lambda c: (-abs(c[3]), c[0].key()))
         parent = list(range(len(frames)))
 
         def find(z):
@@ -352,7 +337,7 @@ def fit_sequential(data, marginals, candidates=DEFAULT_CANDIDATES,
 
         chosen = []
         for c in cands:
-            ra, rb = find(c["ia"]), find(c["ib"])
+            ra, rb = find(c[0].nodes[0]), find(c[0].nodes[1])
             if ra == rb:
                 continue
             parent[ra] = rb
@@ -361,40 +346,27 @@ def fit_sequential(data, marginals, candidates=DEFAULT_CANDIDATES,
                 break
         if len(chosen) != len(frames) - 1:
             raise StructuralError(f"level {level}: feasible edge set is disconnected")
-        chosen.sort(key=lambda c: c["key"])
+        chosen.sort(key=lambda c: c[0].key())
 
-        new_frames = []
-        raw_edges = []
-        for c in chosen:
-            cop = _fit_pair_with_tau(c["uj"], c["uk"], c["tau"], candidates)
+        for edge, uj, uk, tau in chosen:
+            cop = _fit_pair_with_tau(uj, uk, tau, candidates)
             copulas.append(cop)
-            lam = c["S"] | {c["j"], c["k"]}
-            store[(c["j"], lam)] = _cl(pair_h(cop, c["uj"], c["uk"]))
-            store[(c["k"], lam)] = _cl(pair_h2(cop, c["uk"], c["uj"]))
-            raw_edges.append((c["ia"], c["ib"]))
-            new_frames.append({"lam": lam, "ends": (c["ia"], c["ib"])})
-        tree_edges.append(raw_edges)
-        frames = new_frames
+            cache.add_edge(edge, cop)
+        levels.append(tuple(edge for edge, *_ in chosen))
+        frames = [(edge.constraint, edge.nodes) for edge in levels[-1]]
 
-    structure = RVineStructure.from_tree_edges(d, tree_edges)
-    return RVineModel(structure, tuple(copulas), marginals)
+    return RVineModel(RVineStructure(d, tuple(levels)), tuple(copulas), marginals)
 
 
-def _refit_template(template: RVineModel, u: np.ndarray, marginals) -> RVineModel:
+def _refit_template(template: RVineModel, cache: _ConditionalCache,
+                    marginals) -> RVineModel:
     """Keep structure + families, re-estimate copula parameters only."""
-    store: dict[tuple[int, frozenset[int]], np.ndarray] = {
-        (i, frozenset({i})): u[:, i] for i in range(template.d)}
     new_cops = []
     for edge, cop in template.edge_items():
-        j, k = edge.conditioned
-        s = edge.conditioning
-        uj = store[(j, s | {j})]
-        uk = store[(k, s | {k})]
-        new = refit_theta(cop, uj, uk)
+        new = refit_theta(cop, *(cache.value(var, edge.conditioning)
+                                 for var in edge.conditioned))
         new_cops.append(new)
-        lam = edge.constraint
-        store[(j, lam)] = _cl(pair_h(new, uj, uk))
-        store[(k, lam)] = _cl(pair_h2(new, uk, uj))
+        cache.add_edge(edge, new)
     return RVineModel(template.structure, tuple(new_cops), tuple(marginals))
 
 
@@ -403,24 +375,34 @@ def _refit_template(template: RVineModel, u: np.ndarray, marginals) -> RVineMode
 # ---------------------------------------------------------------------------
 
 class _ConditionalCache:
-    """Memoized conditional CDF values F_{var | S} over known u columns.
+    """Memoized conditional CDF values F(var | S): the vine's h-function
+    recursion, shared by fitting, density evaluation and sampling.
 
-    Lookup follows the vine recursion: the edge with constraint set
-    S union {var} and var in its conditioned pair supplies the value via
-    the appropriate h-function of its own (recursively obtained) inputs.
+    Base columns F(var | {}) come from `add_column`.  An edge registered
+    with `add_edge` supplies F(var | S) for either var of its conditioned
+    pair when S together with var is the edge's constraint set, through the
+    h-function of its copula applied to its own (recursively obtained)
+    inputs.  Values are computed on first use.
     """
 
-    def __init__(self, model: RVineModel, u: np.ndarray):
-        self.memo: dict[tuple[int, frozenset[int]], np.ndarray] = {
-            (i, frozenset()): u[:, i] for i in range(u.shape[1])}
+    def __init__(self, model: RVineModel | None = None, u: np.ndarray | None = None):
+        self.memo: dict[tuple[int, frozenset[int]], np.ndarray] = {}
         self.by_constraint: dict[tuple[int, frozenset[int]],
                                  tuple[VineEdge, PairCopula]] = {}
-        for edge, cop in model.edge_items():
-            lam = edge.constraint
-            for var in edge.conditioned:
-                self.by_constraint[(var, lam)] = (edge, cop)
         self.base: _ConditionalCache | None = None
         self.free: int | None = None
+        for i in range(0 if u is None else u.shape[1]):
+            self.add_column(i, u[:, i])
+        for edge, cop in (() if model is None else model.edge_items()):
+            self.add_edge(edge, cop)
+
+    def add_column(self, var: int, column: np.ndarray) -> None:
+        self.memo[(var, frozenset())] = column
+
+    def add_edge(self, edge: VineEdge, cop: PairCopula) -> None:
+        lam = edge.constraint
+        for var in edge.conditioned:
+            self.by_constraint[(var, lam)] = (edge, cop)
 
     def with_column(self, var: int, column: np.ndarray) -> "_ConditionalCache":
         """A cache that adds the column of `var`, which this one lacks.
@@ -430,7 +412,8 @@ class _ConditionalCache:
         columns are passed here.
         """
         out = copy.copy(self)
-        out.memo = {(var, frozenset()): column}
+        out.memo = {}
+        out.add_column(var, column)
         out.base, out.free = self, var
         return out
 
@@ -443,7 +426,8 @@ class _ConditionalCache:
         hit = self.by_constraint.get((var, cond | {var}))
         if hit is None:
             raise StructuralError(
-                f"conditional F_[{var} | {sorted(cond)}] is not reachable in this vine")
+                f"conditional F_[{var} | {sorted(cond)}] is not reachable in this vine"
+                if cond else f"variable {var} has no column yet")
         edge, cop = hit
         j, k = edge.conditioned
         uj = self.value(j, edge.conditioning)
@@ -589,47 +573,21 @@ def vine_sample(model: RVineModel, n: int, seed) -> np.ndarray:
     w = rng.uniform(COND_CLAMP, 1.0 - COND_CLAMP, size=(n, model.d))
     columns, last = _elimination_columns(model)
 
-    u = np.empty((n, model.d))
-    u[:, last] = w[:, last]
-    known = {last}
-    cache: dict[tuple[int, frozenset[int]], np.ndarray] = {
-        (last, frozenset()): u[:, last]}
-    # lazy conditional evaluator over progressively known columns
-    by_constraint = {}
-    for edge, cop in model.edge_items():
-        for var in edge.conditioned:
-            by_constraint[(var, edge.constraint)] = (edge, cop)
-
-    def cond_value(var: int, cond: frozenset[int]) -> np.ndarray:
-        key = (var, cond)
-        if key in cache:
-            return cache[key]
-        if not cond:
-            if var not in known:
-                raise StructuralError(f"variable {var} needed before it is sampled")
-            cache[key] = u[:, var]
-            return cache[key]
-        edge, cop = by_constraint[(var, cond | {var})]
-        j, k = edge.conditioned
-        uj = cond_value(j, edge.conditioning)
-        uk = cond_value(k, edge.conditioning)
-        out = _cl(pair_h(cop, uj, uk)) if var == j else _cl(pair_h2(cop, uk, uj))
-        cache[key] = out
-        return out
-
+    # a column the recursion asks for before it is sampled raises StructuralError
+    cache = _ConditionalCache(model)
+    cache.add_column(last, w[:, last])
     for var, col, partners in reversed(columns):
         t = w[:, var]
         for (edge, cop), q in zip(reversed(col), reversed(partners)):
-            cond = cond_value(q, edge.conditioning)
+            cond = cache.value(q, edge.conditioning)
             if var == edge.conditioned[0]:
                 t = pair_h_inverse(cop, _cl(t), cond)
             else:
                 t = pair_h2_inverse(cop, _cl(t), cond)
-        u[:, var] = t
-        known.add(var)
-        cache[(var, frozenset())] = u[:, var]
+        cache.add_column(var, t)
 
-    cols = [model.marginals[i].quantile(_cl(u[:, i])) for i in range(model.d)]
+    cols = [model.marginals[i].quantile(_cl(cache.value(i, frozenset())))
+            for i in range(model.d)]
     return np.column_stack(cols)
 
 

@@ -170,7 +170,8 @@ class TestCliFitPredict:
 
     @pytest.mark.parametrize("command", ["fit", "evaluate"])
     @pytest.mark.parametrize("column, cell", [
-        ("flat", "nan"), ("flat", "inf"), ("rat", "2"), ("rat", "-inf")])
+        ("flat", "nan"), ("flat", "inf"), ("rat", "2"), ("rat", "-inf"),
+        ("rat", ""), ("rat", "nan")])
     def test_bad_training_cell_is_data_error(self, tmp_path, small_dataset,
                                              fitted_model_path, capsys,
                                              command, column, cell):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,7 +13,10 @@ from orevine.copulas import (
     pair_cdf,
     pair_density,
     pair_h,
+    pair_h2,
+    pair_h2_inverse,
     pair_h_inverse,
+    pair_log_density,
     pseudo_observations,
 )
 from orevine.errors import ArgumentError
@@ -356,3 +360,137 @@ class TestGridIntegral:
         uu, vv = np.meshgrid(grid, grid)
         total = pair_density(cop, uu.ravel(), vv.ravel()).sum() / (n * n)
         assert total == pytest.approx(1.0, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: the exact bytes of every rotation-aware operation
+# ---------------------------------------------------------------------------
+
+# 41 even steps plus points next to the boundary; the two 5e-6 Frank values
+# take the independence-limit series branch
+GOLDEN_GRID = np.unique(np.r_[np.linspace(0.0, 1.0, 41),
+                              1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12])
+GOLDEN_THETAS = {"independence": (None,), "frank": (4.0, -3.5, 5e-6, -5e-6),
+                 "clayton": (2.0, 25.0), "gumbel": (2.5, 15.0),
+                 "joe": (1.8, 12.0)}
+
+
+def golden_digests(cop: PairCopula) -> tuple[str, ...]:
+    """SHA-256 prefixes of the float64 bytes of pair_cdf, pair_log_density,
+    pair_h and pair_h2 on the grid x grid points, then of pair_h_inverse and
+    pair_h2_inverse on (grid interior) x grid."""
+    uu, vv = (a.ravel() for a in np.meshgrid(GOLDEN_GRID, GOLDEN_GRID))
+    inner = GOLDEN_GRID[(GOLDEN_GRID > 0.0) & (GOLDEN_GRID < 1.0)]
+    pp, cc = (a.ravel() for a in np.meshgrid(inner, GOLDEN_GRID))
+    with np.errstate(all="ignore"):
+        outs = (pair_cdf(cop, uu, vv), pair_log_density(cop, uu, vv),
+                pair_h(cop, uu, vv), pair_h2(cop, uu, vv),
+                pair_h_inverse(cop, pp, cc), pair_h2_inverse(cop, pp, cc))
+    return tuple(hashlib.sha256(np.asarray(o, dtype=np.float64).tobytes())
+                 .hexdigest()[:16] for o in outs)
+
+
+# generated with the switch-per-function implementation that the rotation
+# table replaced; any change here is a change of output bits
+GOLDEN_DIGESTS = {
+    ('independence', None, 0): ('20cfba38c04abdba', '9dd76d9311e87123', '6fb2d4799cb159b5',
+        '6fb2d4799cb159b5', 'bd065b4512b65a5e', 'bd065b4512b65a5e'),
+    ('independence', None, 90): ('b42e9797ee81ed5b', '9dd76d9311e87123', '68d47fdd35ec9496',
+        '6fb2d4799cb159b5', '876c5ca8732c025c', 'bd065b4512b65a5e'),
+    ('independence', None, 180): ('fe7719573fa3f66f', '9dd76d9311e87123', '68d47fdd35ec9496',
+        '68d47fdd35ec9496', '876c5ca8732c025c', '876c5ca8732c025c'),
+    ('independence', None, 270): ('128cf5b11bd23297', '9dd76d9311e87123', '6fb2d4799cb159b5',
+        '68d47fdd35ec9496', 'bd065b4512b65a5e', '876c5ca8732c025c'),
+    ('frank', 4.0, 0): ('58af0c2d6fc5204b', '5df1795841fabbde', '43391418d6dd1a1d',
+        '43391418d6dd1a1d', '599f3a740ae19f82', '599f3a740ae19f82'),
+    ('frank', 4.0, 90): ('fe4494fe8ccabe7e', '964df7baae331d37', '8e64ffffb5307154',
+        'ed3697098252d9fa', '6e991ead94b10dde', '39dadfcddcb3aeab'),
+    ('frank', 4.0, 180): ('9628dc027ff4a184', 'bef87afec2e1c0b3', 'ea416c788d9349bc',
+        'ea416c788d9349bc', '71f2f5f52c0b704e', '71f2f5f52c0b704e'),
+    ('frank', 4.0, 270): ('a17ddf2088603a61', '10e3908e89acfd9b', 'ed3697098252d9fa',
+        '8e64ffffb5307154', '39dadfcddcb3aeab', '6e991ead94b10dde'),
+    ('frank', -3.5, 0): ('e48c021873c0a21f', '91fd4bdeb124ef41', '38c685d0a8e9d6ca',
+        '38c685d0a8e9d6ca', 'fe1e650da1dc71c7', 'fe1e650da1dc71c7'),
+    ('frank', -3.5, 90): ('91493fcdd6e46cce', '9178a5007a056ebc', '6d88135d03b0c797',
+        'a28b1bee5b21fda7', '84a7e1bfe5e5e5c4', '59016b416fa76c46'),
+    ('frank', -3.5, 180): ('b41c9e29597c7e96', '14f9985eafb58d31', 'bed40f4632d1ea9f',
+        'bed40f4632d1ea9f', '2eaf30461266efbd', '2eaf30461266efbd'),
+    ('frank', -3.5, 270): ('7c9052ebfb2b2fa8', '90454b1056df2c77', 'a28b1bee5b21fda7',
+        '6d88135d03b0c797', '59016b416fa76c46', '84a7e1bfe5e5e5c4'),
+    ('frank', 5e-06, 0): ('aece51a54c8bb91c', '050b6bcd4f225de8', 'fd5e91404c0841f8',
+        'fd5e91404c0841f8', '9126e954342a69b6', '9126e954342a69b6'),
+    ('frank', 5e-06, 90): ('e45bd39cc3fc196c', 'ee7a4bf5e35528d5', '7ec3559b57973604',
+        '6388d7eaa4fbe7c0', '70357e5cd3e0f9fb', '22a7baf4dbc6bd0f'),
+    ('frank', 5e-06, 180): ('815a51181e44439c', '0b49b3d2a57222c9', '3c6a897e3d958513',
+        '3c6a897e3d958513', '51e8ef8e9b9ae5e2', '51e8ef8e9b9ae5e2'),
+    ('frank', 5e-06, 270): ('6bf917b83ff50492', 'c5c93dfc5221c490', '6388d7eaa4fbe7c0',
+        '7ec3559b57973604', '22a7baf4dbc6bd0f', '70357e5cd3e0f9fb'),
+    ('frank', -5e-06, 0): ('964f43a599906698', '8210b6e75b5da7cd', '6388d7eaa4fbe7c0',
+        '6388d7eaa4fbe7c0', '22a7baf4dbc6bd0f', '22a7baf4dbc6bd0f'),
+    ('frank', -5e-06, 90): ('1bdea0a89d57d6e3', 'a64f4bf510a17546', '3c6a897e3d958513',
+        'fd5e91404c0841f8', '51e8ef8e9b9ae5e2', '9126e954342a69b6'),
+    ('frank', -5e-06, 180): ('26d3fac2b222634f', 'c474fc2c846971ca', '7ec3559b57973604',
+        '7ec3559b57973604', '70357e5cd3e0f9fb', '70357e5cd3e0f9fb'),
+    ('frank', -5e-06, 270): ('a286e8691c8b69ad', 'b934a8322b2e1a7e', 'fd5e91404c0841f8',
+        '3c6a897e3d958513', '9126e954342a69b6', '51e8ef8e9b9ae5e2'),
+    ('clayton', 2.0, 0): ('11d7d260aa7d1292', 'b1c5b752a6ac8101', 'c75be455ae8bcc95',
+        'c75be455ae8bcc95', 'cdbdbe2511607231', 'cdbdbe2511607231'),
+    ('clayton', 2.0, 90): ('eb5f1075dcf39f3d', 'f0859b2da061831e', '26b8e522d658085a',
+        'fcc049e6c8f7056f', '7851d043ea6fbb1b', '6f1626f1b3a8523c'),
+    ('clayton', 2.0, 180): ('68d26b743c7e1922', '1d08d40f23cb1b39', '92268fd93be86716',
+        '92268fd93be86716', '5030769dc12296e3', '5030769dc12296e3'),
+    ('clayton', 2.0, 270): ('62a6c2937bae2a3b', '23f029a293ef3e2b', 'fcc049e6c8f7056f',
+        '26b8e522d658085a', '6f1626f1b3a8523c', '7851d043ea6fbb1b'),
+    ('clayton', 25.0, 0): ('aeba18fb07af0b8d', 'b90379113342e579', 'ded37486359ab402',
+        'ded37486359ab402', 'ba94f3b7897eb6fe', 'ba94f3b7897eb6fe'),
+    ('clayton', 25.0, 90): ('6ee5e455259e26a3', '6f87f64bb773c3d3', 'c8fc55cd46196a92',
+        'b2fa32dccc83c6af', '229cf34fe468913a', 'c2e1e930bbc9d5ba'),
+    ('clayton', 25.0, 180): ('7416d6aa94b346b8', 'd922d60e8828bd2e', 'ccd4b30ad59b6e1b',
+        'ccd4b30ad59b6e1b', 'cbc6af2188f0d0f4', 'cbc6af2188f0d0f4'),
+    ('clayton', 25.0, 270): ('bae91623b14d70a1', 'b15af1cff4b23c81', 'b2fa32dccc83c6af',
+        'c8fc55cd46196a92', 'c2e1e930bbc9d5ba', '229cf34fe468913a'),
+    ('gumbel', 2.5, 0): ('2cb5dcc560b2107c', 'bc0c756a002bdde8', '3c8d884946b2fa21',
+        '3c8d884946b2fa21', 'f87288916ab5c651', 'f87288916ab5c651'),
+    ('gumbel', 2.5, 90): ('3e44ff1d4e7d3988', '3f385b9160589e36', 'cd085a54b46410c4',
+        'af4c374003ed6233', '32eef98d236a1ea0', '1e2fce9c976757d7'),
+    ('gumbel', 2.5, 180): ('934eb0d2f7d0f573', 'f988d9e5aa50a8a6', '5948cc71046a4d48',
+        '5948cc71046a4d48', 'fb4bc339e180869e', 'fb4bc339e180869e'),
+    ('gumbel', 2.5, 270): ('4453c5211c45213c', '1f950abb9c283ef7', 'af4c374003ed6233',
+        'cd085a54b46410c4', '1e2fce9c976757d7', '32eef98d236a1ea0'),
+    ('gumbel', 15.0, 0): ('80c6fe46d80c1787', 'ea4ca159bfe3a90e', 'ca4a2c849480babb',
+        'ca4a2c849480babb', '6626d9853789ef46', '6626d9853789ef46'),
+    ('gumbel', 15.0, 90): ('a4292470a80642db', '9b95e4403d8d006f', 'ec988b4d34344fef',
+        'e9e85523189c0715', 'eae2a28ed61d946b', 'eda16a884c9de3a8'),
+    ('gumbel', 15.0, 180): ('1362c406b233b985', '4d04a6c01d824638', '196215acf9f5c7b6',
+        '196215acf9f5c7b6', 'b717a1dbc34f3eb8', 'b717a1dbc34f3eb8'),
+    ('gumbel', 15.0, 270): ('dec39e9c174ebda7', '0646fe50b15abbe1', 'e9e85523189c0715',
+        'ec988b4d34344fef', 'eda16a884c9de3a8', 'eae2a28ed61d946b'),
+    ('joe', 1.8, 0): ('e0b78e512f21592e', '791d4452dce623c5', 'a5afbbaabe9111c5',
+        'a5afbbaabe9111c5', '0772504868ded1fd', '0772504868ded1fd'),
+    ('joe', 1.8, 90): ('d04d76aef4f17689', '594d947d71d08ce0', 'df848395ebeef73f',
+        'c18beb28799ca43a', 'db9d890fe776615b', '051e1a67e07748a3'),
+    ('joe', 1.8, 180): ('a12da5b006c2fcdf', '030a0c961ee3922e', '7ecd8eda33424384',
+        '7ecd8eda33424384', 'a8fbd74f4f0f693c', 'a8fbd74f4f0f693c'),
+    ('joe', 1.8, 270): ('9ecfd1a0f098e91b', '63179349db314198', 'c18beb28799ca43a',
+        'df848395ebeef73f', '051e1a67e07748a3', 'db9d890fe776615b'),
+    ('joe', 12.0, 0): ('0cccdaa4711bf50e', 'ac62324f56761f12', 'bc8ce49e184ef0ac',
+        'bc8ce49e184ef0ac', '7c6d02949a7308f8', '7c6d02949a7308f8'),
+    ('joe', 12.0, 90): ('f2abccf9375230cc', '7a0d23592fcb7589', '69f8ea19a26298e3',
+        '301b7fdd9acb5c4e', 'e9fd1670a6a4293b', 'efc6531b7c3858b5'),
+    ('joe', 12.0, 180): ('6a6554aa511f9d0c', '0a18ff292d267d0b', '3a65bb8578f66e16',
+        '3a65bb8578f66e16', 'f34cc0a4811c9c32', 'f34cc0a4811c9c32'),
+    ('joe', 12.0, 270): ('561ed8e5bce5c9b3', 'f32cab3ae9ca49ab', '301b7fdd9acb5c4e',
+        '69f8ea19a26298e3', 'efc6531b7c3858b5', 'e9fd1670a6a4293b'),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("family,theta,rotation", [
+        (family, theta, rotation) for family, thetas in GOLDEN_THETAS.items()
+        for theta in thetas for rotation in ROTATIONS])
+    def test_operations_bit_identical(self, family, theta, rotation):
+        names = ("pair_cdf", "pair_log_density", "pair_h", "pair_h2",
+                 "pair_h_inverse", "pair_h2_inverse")
+        got = golden_digests(PairCopula(family, rotation, theta))
+        want = GOLDEN_DIGESTS[(family, theta, rotation)]
+        assert [n for n, g, w in zip(names, got, want) if g != w] == []

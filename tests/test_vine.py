@@ -1,11 +1,12 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from orevine.copulas import PairCopula, fit_pair, kendall_tau
-from orevine.errors import ArgumentError, FittingError
+from orevine.copulas import PairCopula, fit_pair, kendall_tau, pair_h2
+from orevine.errors import ArgumentError, FittingError, StructuralError
 from orevine.marginals import BetaParams, GammaParams, MixtureModel, fit_mixture_em
 from orevine.synth import benchmark_truth
 from orevine.vine import (
@@ -304,6 +305,26 @@ class TestSampling:
             assert ts == pytest.approx(tf, abs=0.04), edge.conditioned
 
 
+    def test_conditional_cache_needs_every_column(self):
+        # sampling adds the columns one at a time; a conditional that needs a
+        # column not added yet is a structural error, not a wrong value
+        from orevine.vine import _ConditionalCache
+
+        cop12 = PairCopula("frank", 0, 3.0)
+        model = path_vine_3(PairCopula("clayton", 0, 2.0), cop12,
+                            PairCopula("gumbel", 90, 1.5))
+        u1, u2 = np.array([0.3, 0.6]), np.array([0.8, 0.1])
+        cache = _ConditionalCache(model)
+        cache.add_column(1, u1)
+        cache.add_column(2, u2)
+        assert np.array_equal(cache.value(2, frozenset({1})),
+                              np.clip(pair_h2(cop12, u2, u1), 1e-12, 1 - 1e-12))
+        with pytest.raises(StructuralError, match="variable 0 has no column"):
+            cache.value(0, frozenset({1}))
+        cache.add_column(0, np.array([0.5, 0.9]))
+        assert np.all(np.isfinite(cache.value(0, frozenset({1}))))
+
+
 class TestArchimedean:
     def test_d2_coincides_with_unrotated_fit_pair(self):
         rng = np.random.default_rng(42)
@@ -495,3 +516,97 @@ class TestSliceLogDensity:
                            all_rotation_copulas(21), slice_marginals())
         with pytest.raises(ArgumentError):
             rvine.slice_log_density(np.ones(5))
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: fit, template refit and draws of a forked vine
+# ---------------------------------------------------------------------------
+
+def forked_vine_runs() -> dict:
+    """Sample 1200 rows from a forked 5-dim vine (variable 1 has three
+    neighbours in tree 1) whose copulas use all four rotations, fit a vine to
+    them, refit its parameters on the first 800 rows, and draw from the fit.
+
+    Returns every fitted (family, rotation, repr(theta)), the fitted level-1
+    edges and SHA-256 digests of the float64 bytes of the training sample,
+    the fit's log-density on it and the draw.
+    """
+    structure = RVineStructure.from_tree_edges(5, [
+        [(0, 1), (1, 2), (1, 3), (3, 4)], [(0, 1), (1, 2), (2, 3)],
+        [(0, 1), (1, 2)], [(0, 1)]])
+    cops = (PairCopula("clayton", 0, 3.0), PairCopula("gumbel", 90, 2.0),
+            PairCopula("clayton", 180, 4.0), PairCopula("clayton", 270, 2.5),
+            PairCopula("frank", 0, 5.0), PairCopula("gumbel", 0, 1.6),
+            PairCopula("independence"), PairCopula("clayton", 90, 1.0),
+            PairCopula("independence"), PairCopula("independence"))
+    gen = RVineModel(structure, cops, tuple(uniform_marginal() for _ in range(5)))
+
+    def digest(a):
+        return hashlib.sha256(np.asarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+    def copulas(model):
+        return [(c.family, c.rotation, repr(c.theta)) for c in model.pair_copulas]
+
+    x = vine_sample(gen, 1200, seed=11)
+    fit = fit_sequential(x, gen.marginals)
+    refit = fit_sequential(x[:800], gen.marginals, template=fit)
+    return {"data": digest(x),
+            "tree1": [e.conditioned for e in fit.structure.levels[0]],
+            "fit": copulas(fit),
+            "log_density": digest(vine_log_density(fit, x)),
+            "refit": copulas(refit),
+            "draw": digest(vine_sample(fit, 400, seed=4))}
+
+
+# generated with the implementation before the conditional-CDF recursion was
+# merged into one cache; any change here is a change of output bits
+GOLDEN_FORKED_VINE = {
+    'data': 'e7040738fc4a2b67e27aa16cd26dbb4f996e41cf3f4ec0c184a0fc224c841381',
+    'tree1': [
+        (0, 1),
+        (1, 2),
+        (1, 3),
+        (3, 4),
+    ],
+    'fit': [
+        ('clayton', 0, '3.114546343798593'),
+        ('gumbel', 90, '2.0460434921510773'),
+        ('clayton', 180, '4.147490187722769'),
+        ('clayton', 270, '2.5884294197705624'),
+        ('frank', 90, '-4.876692157992335'),
+        ('independence', 0, 'None'),
+        ('gumbel', 0, '1.6233393012400759'),
+        ('clayton', 90, '1.0159377417679798'),
+        ('independence', 0, 'None'),
+        ('independence', 0, 'None'),
+    ],
+    'log_density': 'dc22d0285621b67f137ff6a01f4e092841b475b203a4478e03bebe8e252cfffa',
+    'refit': [
+        ('clayton', 0, '3.1354467802756503'),
+        ('gumbel', 90, '1.9720584244800765'),
+        ('clayton', 180, '4.14435379144304'),
+        ('clayton', 270, '2.716570031747356'),
+        ('frank', 90, '-4.864597629289928'),
+        ('independence', 0, 'None'),
+        ('gumbel', 0, '1.6583088347333683'),
+        ('clayton', 90, '0.9995860475314502'),
+        ('independence', 0, 'None'),
+        ('independence', 0, 'None'),
+    ],
+    'draw': 'cc0f9b7ac7b5b99436c19dd11a1c636f875f9f3f37b038e81283c56f9ea647ea',
+}
+
+
+class TestGoldenForkedVine:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return forked_vine_runs()
+
+    def test_fit_uses_every_rotation(self, runs):
+        assert {rot for _, rot, _ in runs["fit"]} == {0, 90, 180, 270}
+        assert runs["tree1"] == [(0, 1), (1, 2), (1, 3), (3, 4)]
+
+    @pytest.mark.parametrize("key", ["data", "tree1", "fit", "log_density",
+                                     "refit", "draw"])
+    def test_bit_identical(self, runs, key):
+        assert runs[key] == GOLDEN_FORKED_VINE[key]
