@@ -11,12 +11,14 @@ shape.  Percentiles follow the linear-interpolation convention.
 
 The box search is exact for degenerate (rank <= 2) voxel sets via rotating
 calipers and otherwise scans a coarse Euler-angle grid over the convex-hull
-vertices with deterministic local refinement.
+vertices with deterministic local refinement.  The grid's rotations are
+built once per process and scored in batches of bounded size.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,6 +33,10 @@ from .voxel import LabelVolume, VoxelVolume, register_phase_slices
 CSV_HEADER = ["id", "med", "iqr", "vol", "elo", "flat", "sphe", "rat"]
 COLUMNS = ("med", "iqr", "vol", "elo", "flat", "sphe", "rat")
 BBOX_COARSE_STEP_DEG = 6.0
+# Cap on the elements of one coarse-scan projection batch (512 KiB of
+# float64; larger batches ran no faster and raised peak memory); a batch
+# holds at least one rotation whatever the number of points.
+_BBOX_BATCH_ELEMENTS = 2 ** 16
 
 # 13 direction families for the Crofton-style surface estimate
 _DIRECTIONS = [
@@ -188,6 +194,54 @@ def _rotation_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return rz1 @ ry @ rz2
 
 
+def _rz_stack(t: np.ndarray) -> np.ndarray:
+    c, s, z, o = np.cos(t), np.sin(t), np.zeros_like(t), np.ones_like(t)
+    return np.array([[c, -s, z], [s, c, z], [z, z, o]]).transpose(2, 0, 1)
+
+
+def _ry_stack(t: np.ndarray) -> np.ndarray:
+    c, s, z, o = np.cos(t), np.sin(t), np.zeros_like(t), np.ones_like(t)
+    return np.array([[c, z, s], [z, o, z], [-s, z, c]]).transpose(2, 0, 1)
+
+
+@functools.cache
+def _euler_grid():
+    """The coarse search's rotations and the angle axes they are built from.
+
+    Rotations are stacked in (alpha, beta, gamma) order, shape (n, 3, 3),
+    each bit-equal to `_rotation_zyz` of its angles; built once per process
+    and read-only, since every caller shares them.
+    """
+    step = np.deg2rad(BBOX_COARSE_STEP_DEG)
+    alphas = np.arange(0.0, np.pi, step)
+    betas = np.arange(0.0, np.pi / 2 + 1e-9, step)
+    gammas = np.arange(0.0, np.pi, step)
+    rots = (_rz_stack(alphas)[:, None, None] @ _ry_stack(betas)[None, :, None]
+            @ _rz_stack(gammas)[None, None, :]).reshape(-1, 3, 3)
+    for shared in (rots, alphas, betas, gammas):
+        shared.flags.writeable = False
+    return rots, (alphas, betas, gammas)
+
+
+def _coarse_scan(hull_pts: np.ndarray):
+    """Grid volume minimum: (volume, start angles), first minimum in grid order.
+
+    Projects the hull on a batch of grid rotations at a time, the batch
+    sized to `_BBOX_BATCH_ELEMENTS`; the `kin` einsum layout keeps each
+    projected coordinate bit-equal to a per-rotation projection.
+    """
+    rots, angle_axes = _euler_grid()
+    per_batch = max(1, _BBOX_BATCH_ELEMENTS // (3 * hull_pts.shape[0]))
+    vols = np.empty(rots.shape[0])
+    for start in range(0, rots.shape[0], per_batch):
+        proj = np.einsum("kij,nj->kin", rots[start:start + per_batch], hull_pts)
+        ext = proj.max(axis=2) - proj.min(axis=2) + 1.0
+        vols[start:start + per_batch] = ext.prod(axis=1)
+    k = int(np.argmin(vols))
+    idx = np.unravel_index(k, tuple(len(a) for a in angle_axes))
+    return vols[k], np.array([a[i] for a, i in zip(angle_axes, idx)])
+
+
 def _extents(points: np.ndarray, rot: np.ndarray) -> np.ndarray:
     proj = points @ rot.T
     return proj.max(axis=0) - proj.min(axis=0)
@@ -264,29 +318,16 @@ def min_volume_bbox(particle: np.ndarray, spacing: float = 1.0) -> BoundingBox:
         except QhullError:
             hull_pts = centered
 
-        step = np.deg2rad(BBOX_COARSE_STEP_DEG)
-        alphas = np.arange(0.0, np.pi, step)
-        betas = np.arange(0.0, np.pi / 2 + 1e-9, step)
-        gammas = np.arange(0.0, np.pi, step)
-        best = (np.inf, None)
-        for a in alphas:
-            for b in betas:
-                rots = np.stack([_rotation_zyz(a, b, g) for g in gammas])
-                proj = np.einsum("kij,nj->kni", rots, hull_pts)
-                ext = proj.max(axis=1) - proj.min(axis=1) + 1.0
-                vols = ext.prod(axis=1)
-                k = int(np.argmin(vols))
-                if vols[k] < best[0]:
-                    best = (vols[k], (a, b, gammas[k]))
+        best_vol, start = _coarse_scan(hull_pts)
 
         def objective(angles):
             ext = _extents(hull_pts, _rotation_zyz(*angles)) + 1.0
             return float(ext.prod())
 
-        res = optimize.minimize(objective, np.array(best[1]), method="Nelder-Mead",
+        res = optimize.minimize(objective, start, method="Nelder-Mead",
                                 options={"xatol": 1e-6, "fatol": 1e-10,
                                          "maxiter": 400})
-        angles = res.x if res.fun <= best[0] else np.array(best[1])
+        angles = res.x if res.fun <= best_vol else start
         rot = _rotation_zyz(*angles)
         proj = hull_pts @ rot.T
         axes = proj.max(axis=0) - proj.min(axis=0) + 1.0
@@ -379,32 +420,6 @@ def compute_descriptors(particle: np.ndarray, volume: VoxelVolume) -> Descriptor
         med=float(med), iqr=float(q3 - q1), vol=vol_voxels, area=float(area),
         elo=float(box.a2 / box.a1), flat=float(box.a3 / box.a2),
         sphe=float(sphericity), rat=None)
-
-
-def mineral_ratio(particle: np.ndarray, slices, dims) -> float | None:
-    """Valuable-phase fraction over the particle's slice intersection.
-
-    Returns None when the particle meets no slice voxel with a detected
-    phase (absence is a value, not an error).
-    """
-    pts = np.asarray(particle, dtype=np.int64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        return None
-    inside = set(np.ravel_multi_index(pts.T, dims).tolist())
-    seen: dict[int, int] = {}
-    for sl in slices:
-        sl.check_inside(dims)
-        if sl.coords.size == 0:
-            continue
-        linear = np.ravel_multi_index(sl.coords.T, dims)
-        for idx, ph in zip(linear.tolist(), sl.phases.tolist()):
-            if idx in inside and idx not in seen:
-                seen[idx] = ph
-    n_v = sum(1 for p in seen.values() if p == 1)
-    n_nv = sum(1 for p in seen.values() if p == 2)
-    if n_v + n_nv == 0:
-        return None
-    return n_v / (n_v + n_nv)
 
 
 def build_dataset(labels: LabelVolume, volume: VoxelVolume, slices,

@@ -12,6 +12,7 @@ that balances the two weight sums.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -359,26 +360,45 @@ def _write_grid(path: Path, values: np.ndarray, spacing: float, dtype: str,
 
 
 def _read_grid(path: Path):
+    """Voxel values and spacing of a container or raw-plus-sidecar file.
+
+    Every fault in the file (header, dims, byte count) raises ParseError
+    naming the file that holds it.
+    """
     path = Path(path)
     data = path.read_bytes()
     if data[:4] == _CONTAINER_MAGIC:
+        source = path
         hlen = int.from_bytes(data[4:12], "little")
-        header = json.loads(data[12:12 + hlen])
+        text = data[12:12 + hlen]
         raw = data[12 + hlen:]
     else:
-        sidecar = Path(str(path) + ".json")
-        if not sidecar.exists():
-            raise ParseError(f"missing sidecar header {sidecar}")
-        header = json.loads(sidecar.read_text())
+        source = Path(str(path) + ".json")
+        if not source.exists():
+            raise ParseError(f"missing sidecar header {source}")
+        text = source.read_bytes()
         raw = data
+    try:
+        header = json.loads(text)
+    except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
+        raise ParseError(f"{source}: volume header is not JSON: {exc}") from exc
     try:
         dims = tuple(header["dims"])
         dtype = header["dtype"]
         spacing = float(header.get("spacing", 1.0))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed volume header: {exc}") from exc
-    if dtype not in _DTYPES:
-        raise ParseError(f"unsupported dtype {dtype!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{source}: malformed volume header: {exc}") from exc
+    if len(dims) != 3 or not all(type(d) is int and d >= 0 for d in dims):
+        raise ParseError(f"{source}: dims must be three non-negative integers, "
+                         f"got {list(dims)}")
+    if not math.isfinite(spacing):
+        raise ParseError(f"{source}: spacing must be finite, got {spacing}")
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise ParseError(f"{source}: unsupported dtype {dtype!r}")
+    need = np.dtype(_DTYPES[dtype]).itemsize * math.prod(dims)
+    if len(raw) != need:
+        raise ParseError(f"{path}: {len(raw)} bytes of voxel data, but dims "
+                         f"{list(dims)} of {dtype} need {need}")
     values = np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(dims).copy()
     return values, spacing
 
@@ -390,7 +410,10 @@ def write_volume(path, volume: VoxelVolume, container: bool = False,
 
 def read_volume(path) -> VoxelVolume:
     values, spacing = _read_grid(path)
-    return VoxelVolume(values.astype(float), spacing)
+    try:
+        return VoxelVolume(values.astype(float), spacing)
+    except ArgumentError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_labels(path, labels: LabelVolume, container: bool = False) -> None:
@@ -399,7 +422,10 @@ def write_labels(path, labels: LabelVolume, container: bool = False) -> None:
 
 def read_labels(path) -> LabelVolume:
     values, spacing = _read_grid(path)
-    return LabelVolume(values.astype(np.uint32), spacing)
+    try:
+        return LabelVolume(values.astype(np.uint32), spacing)
+    except ArgumentError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_phase_slice(path, sl: PhaseSlice) -> None:

@@ -23,7 +23,6 @@ from orevine.copulas import (
 from orevine.descriptors import (
     compute_descriptors,
     min_volume_bbox,
-    mineral_ratio,
     surface_area,
 )
 from orevine.evaluation import loo_cv
@@ -47,7 +46,12 @@ from orevine.vine import (
     vine_log_density,
     vine_sample,
 )
-from orevine.voxel import LabelVolume, VoxelVolume, compute_weight_map
+from orevine.voxel import (
+    LabelVolume,
+    VoxelVolume,
+    compute_weight_map,
+    register_phase_slices,
+)
 
 GRID_THETAS = {
     "clayton": (0.3, 0.8, 1.2),
@@ -299,9 +303,10 @@ def test_criterion_08_descriptor_suite():
         spec = SceneSpec(dims=dims, particles=particles,
                          phase_planes=((2, 8),), seed=int(rng.integers(1e6)))
         volume, lab, slices = generate_scene(spec)
+        registration = register_phase_slices(lab, slices)
         for pid in range(1, lab.n_particles + 1):
             coords = lab.particle_voxels(pid)
-            got = mineral_ratio(coords, slices, lab.dims)
+            got = registration.mineral_ratio(pid)
             # brute force: walk the slice voxels and count phases
             coord_set = {tuple(c) for c in coords}
             n_v = n_nv = 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,20 @@ from orevine.descriptors import Dataset
 from orevine.model import fit_composite, predict_vfvm
 from orevine.persist import load_model, save_model
 from orevine.synth import Primitive, SceneSpec, benchmark_truth, generate_composite_dataset
+from orevine.voxel import LabelVolume, VoxelVolume, write_labels, write_volume
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# SHA-256 of the synth dataset CSV and of the `descriptors --include-unmatched`
+# CSV per fixture scene, written by the per-(alpha, beta) coarse box scan that
+# the batched one replaced
+FIXTURE_CSV_DIGESTS = {
+    "demo_scene": (
+        "2cf3338242ca9111cbd9bcbc4e907266104b70b4f7a8bd13e7651995939d8815",
+        "6d59738a8cfa9c7d529b8c2cfc2cdd70d3416b650f13c2fec6bf2fd599293e64"),
+    "six_particles": (
+        "118d92413ce680c1edadb40579637a3bedd272c7ca47c129a697e3a68a1aec34",
+        "14a8e38dd3c452debfff3c042e659b7da9f30a77c6a3f48089fc8e5ae5d1f172"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +270,98 @@ class TestCliSynthWeights:
         first = read_no_manifest(out)
         assert main(cmd) == 0
         assert read_no_manifest(out) == first
+
+
+def write_raw_grid(path, values, dtype):
+    """A raw grid plus sidecar, bypassing the in-memory volume checks."""
+    Path(path).write_bytes(values.astype(np.dtype(dtype).newbyteorder("<")).tobytes())
+    Path(str(path) + ".json").write_text(json.dumps(
+        {"dims": list(values.shape), "dtype": dtype, "spacing": 1.0}))
+
+
+def truncate_raw(d):
+    raw = d / "vol.raw"
+    raw.write_bytes(raw.read_bytes()[:-4])
+    return raw
+
+
+def short_dims(d):
+    sidecar = d / "vol.raw.json"
+    doc = json.loads(sidecar.read_text())
+    doc["dims"] = doc["dims"][:2]
+    sidecar.write_text(json.dumps(doc))
+    return sidecar
+
+
+def nan_spacing(d):
+    sidecar = d / "vol.raw.json"
+    doc = json.loads(sidecar.read_text())
+    doc["spacing"] = float("nan")
+    sidecar.write_text(json.dumps(doc))
+    return sidecar
+
+
+def sidecar_not_json(d):
+    sidecar = d / "vol.raw.json"
+    sidecar.write_text("{dims: [6, 6, 6]")
+    return sidecar
+
+
+def container_header_not_json(d):
+    raw = d / "vol.raw"
+    write_volume(raw, VoxelVolume(np.ones((6, 6, 6))), container=True)
+    data = bytearray(raw.read_bytes())
+    data[12] = ord("#")          # first byte of the JSON header
+    raw.write_bytes(bytes(data))
+    return raw
+
+
+def nan_voxel(d):
+    values = np.ones((6, 6, 6))
+    values[2, 3, 4] = np.nan
+    write_raw_grid(d / "vol.raw", values, "float32")
+    return d / "vol.raw"
+
+
+def label_gap(d):
+    labels = np.zeros((6, 6, 6))
+    labels[1:3, 1:3, 1:3] = 1
+    labels[4:6, 4:6, 4:6] = 3   # no particle 2
+    write_raw_grid(d / "lab.raw", labels, "uint32")
+    return d / "lab.raw"
+
+
+class TestCliDescriptors:
+    @pytest.mark.parametrize("fault", [truncate_raw, short_dims, nan_spacing,
+                                       sidecar_not_json, container_header_not_json,
+                                       nan_voxel, label_gap],
+                             ids=lambda f: f.__name__)
+    def test_bad_volume_file_is_data_error(self, tmp_path, capsys, fault):
+        labels = np.zeros((6, 6, 6), dtype=np.uint32)
+        labels[1:4, 1:4, 1:4] = 1
+        write_volume(tmp_path / "vol.raw", VoxelVolume(np.ones((6, 6, 6))))
+        write_labels(tmp_path / "lab.raw", LabelVolume(labels))
+        bad_file = fault(tmp_path)
+        out = tmp_path / "desc.csv"
+        rc = main(["descriptors", "--volume", str(tmp_path / "vol.raw"),
+                   "--labels", str(tmp_path / "lab.raw"), "--out", str(out)])
+        assert rc == 3
+        assert f"error: {bad_file}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scene", sorted(FIXTURE_CSV_DIGESTS))
+    def test_fixture_descriptor_csv_golden(self, tmp_path, scene):
+        prefix = str(tmp_path / scene)
+        assert main(["synth", "--spec", str(FIXTURES / f"{scene}.json"),
+                     "--out-prefix", prefix]) == 0
+        out = tmp_path / "desc.csv"
+        phases = sorted(str(p) for p in tmp_path.glob(f"{scene}_phase_*.json"))
+        assert main(["descriptors", "--volume", prefix + "_volume.raw",
+                     "--labels", prefix + "_labels.raw", "--phases", *phases,
+                     "--include-unmatched", "--out", str(out)]) == 0
+        digests = tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                        for p in (prefix + "_dataset.csv", out))
+        assert digests == FIXTURE_CSV_DIGESTS[scene]
 
 
 class TestCliEvaluate:

@@ -1,17 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
+from orevine import descriptors
 from orevine.descriptors import (
     Dataset,
     build_dataset,
     compute_descriptors,
     min_volume_bbox,
-    mineral_ratio,
     surface_area,
     _rotation_zyz,
 )
 from orevine.errors import ParseError, StructuralError
-from orevine.voxel import LabelVolume, PhaseSlice, VoxelVolume
+from orevine.synth import Primitive, SceneSpec, generate_scene
+from orevine.voxel import LabelVolume, PhaseSlice, VoxelVolume, register_phase_slices
 
 
 def digital_ball(r, center=(0, 0, 0)):
@@ -24,6 +28,73 @@ def digital_ball(r, center=(0, 0, 0)):
 
 def block(nx, ny, nz):
     return np.argwhere(np.ones((nx, ny, nz), dtype=bool))
+
+
+def synth_particle(prim, dims=(30, 30, 30)):
+    """One primitive rasterised by `generate_scene`, as voxel coordinates."""
+    _, labels, _ = generate_scene(SceneSpec(dims=dims, particles=(prim,)))
+    return labels.particle_voxels(1)
+
+
+def ellipsoid(semi, angles_deg):
+    rot = _rotation_zyz(*np.deg2rad(angles_deg))
+    lim = int(np.ceil(max(semi))) + 1
+    g = np.arange(-lim, lim + 1)
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    keep = (((pts @ rot) / np.asarray(semi)) ** 2).sum(axis=1) <= 1.0
+    return pts[keep]
+
+
+def shell(n, seed):
+    """n points on an ellipsoid surface, so nearly all are hull vertices."""
+    d = np.random.default_rng(seed).normal(size=(n, 3))
+    return d / np.linalg.norm(d, axis=1, keepdims=True) * (9.0, 6.0, 4.0)
+
+
+# repr of a1, a2, a3 and the SHA-256 prefix of the rotation's float64 bytes,
+# generated with the per-(alpha, beta) coarse scan this batched one replaced
+BBOX_GOLDEN = {
+    "ball": (lambda: digital_ball(4),
+             "8.348469228349579 8.071067811865746 7.928203230279437 3df5b0d8e361a7ad"),
+    # near-tied grid volumes: a BLAS matmul projection picks another start here
+    "ball_synth": (lambda: synth_particle(Primitive("ball", (10.0, 10.5, 10.0),
+                                                    radius=5.16), (20, 20, 20)),
+                   "11.000000000000215 10.192388155425522 10.192388155425377 "
+                   "b1fe8e96732073d3"),
+    "box_a": (lambda: synth_particle(Primitive("box", (15.0, 15.0, 15.0),
+                                               size=(11.0, 6.5, 4.0),
+                                               angles=(30.0, 40.0, 75.0))),
+              "11.946042563522003 7.400516857610065 4.93155005415746 69be81582c5f6707"),
+    "box_b": (lambda: synth_particle(Primitive("box", (15.0, 15.0, 15.0),
+                                               size=(7.0, 7.0, 5.5),
+                                               angles=(200.0, 100.0, 330.0))),
+              "7.977514907595449 7.879922480181046 6.40898723026654 b7ecd5f984bf24be"),
+    "plate": (lambda: synth_particle(Primitive("plate", (15.0, 15.0, 15.0),
+                                               size=(14.0, 9.0, 2.5),
+                                               angles=(120.0, 65.0, 10.0))),
+              "14.971311859200094 9.896591644631307 3.417706323648593 9ead313117252f20"),
+    "ellipsoid": (lambda: ellipsoid((8.0, 5.0, 3.0), (25.0, 50.0, 160.0)),
+                  "16.556355661330883 9.000039987689277 6.6570368649169716 "
+                  "4657a2ecda4b2b9f"),
+    "cloud60": (lambda: np.random.default_rng(12).integers(0, 15, size=(60, 3)),
+                "15.0 14.999999999999998 14.999999999999996 40b8b7278b74a2e1"),
+    "shell": (lambda: shell(400, 5),
+              "18.932797036173316 12.850543663711775 8.990300799645528 a16b068f3b1608f6"),
+}
+QHULL_FALLBACK_GOLDEN = ("10.333333333333595 10.333333333333558 10.333333333333528 "
+                         "a21d17663c1673f4")
+
+
+def bbox_fingerprint(box):
+    digest = hashlib.sha256(np.ascontiguousarray(box.rotation).tobytes())
+    return f"{box.a1!r} {box.a2!r} {box.a3!r} {digest.hexdigest()[:16]}"
+
+
+def splits_alpha_row(n_points):
+    """Whether one alpha's beta x gamma rotations need several batches."""
+    _, (_, betas, gammas) = descriptors._euler_grid()
+    per_batch = descriptors._BBOX_BATCH_ELEMENTS // (3 * n_points)
+    return per_batch < len(betas) * len(gammas)
 
 
 class TestBoundingBox:
@@ -95,6 +166,36 @@ class TestBoundingBox:
         turned = min_volume_bbox(rasterize(half, rot))
         assert turned.a2 / turned.a1 == pytest.approx(elo0, rel=0.02)
         assert turned.a3 / turned.a2 == pytest.approx(flat0, rel=0.02)
+
+
+class TestBoundingBoxGolden:
+    def test_grid_equals_scalar_rotations(self):
+        rots, (alphas, betas, gammas) = descriptors._euler_grid()
+        assert (len(alphas), len(betas), len(gammas)) == (30, 16, 30)
+        want = np.stack([_rotation_zyz(a, b, g)
+                         for a in alphas for b in betas for g in gammas])
+        assert rots.dtype == want.dtype and rots.shape == want.shape
+        assert rots.tobytes() == want.tobytes()
+        assert not any(a.flags.writeable for a in (rots, alphas, betas, gammas))
+        assert descriptors._euler_grid()[0] is rots
+
+    @pytest.mark.parametrize("name", sorted(BBOX_GOLDEN))
+    def test_golden_box(self, name):
+        build, golden = BBOX_GOLDEN[name]
+        assert bbox_fingerprint(min_volume_bbox(build())) == golden
+
+    def test_large_hull_splits_alpha_row(self):
+        pts = shell(400, 5)
+        assert splits_alpha_row(len(ConvexHull(pts).vertices))
+
+    def test_qhull_fallback_golden(self, monkeypatch):
+        # the fallback projects every voxel, here in several batches per alpha
+        def no_hull(points):
+            raise QhullError("forced")
+        monkeypatch.setattr(descriptors, "ConvexHull", no_hull)
+        pts = digital_ball(5)
+        assert splits_alpha_row(len(pts))
+        assert bbox_fingerprint(min_volume_bbox(pts)) == QHULL_FALLBACK_GOLDEN
 
 
 class TestSurfaceArea:
@@ -200,6 +301,13 @@ class TestComputeDescriptors:
             assert 0.0 < d.sphe <= 1.05
 
 
+def particle_ratio(particle, slices, dims):
+    """Mineral ratio of one particle through the registration build_dataset runs."""
+    labels = np.zeros(dims, dtype=np.uint32)
+    labels[tuple(np.asarray(particle).T)] = 1
+    return register_phase_slices(LabelVolume(labels), slices).mineral_ratio(1)
+
+
 class TestMineralRatio:
     def test_three_quarters(self):
         dims = (4, 4, 2)
@@ -207,13 +315,13 @@ class TestMineralRatio:
         coords = particle.copy()
         phases = np.array([1, 1, 1, 2])
         sl = PhaseSlice(coords, phases)
-        assert mineral_ratio(particle, [sl], dims) == pytest.approx(0.75)
+        assert particle_ratio(particle, [sl], dims) == pytest.approx(0.75)
 
     def test_absent_when_no_intersection(self):
         dims = (4, 4, 2)
         particle = np.array([[0, 0, 0]])
         sl = PhaseSlice(np.array([[3, 3, 1]]), np.array([1]))
-        assert mineral_ratio(particle, [sl], dims) is None
+        assert particle_ratio(particle, [sl], dims) is None
 
     def test_union_across_two_slices(self):
         dims = (6, 6, 3)
@@ -225,8 +333,8 @@ class TestMineralRatio:
         a_ph[:5] = 1
         b_ph = np.zeros(36, dtype=int)
         b_ph[:15] = 2
-        ratio = mineral_ratio(particle, [PhaseSlice(a_coords, a_ph),
-                                         PhaseSlice(b_coords, b_ph)], dims)
+        ratio = particle_ratio(particle, [PhaseSlice(a_coords, a_ph),
+                                          PhaseSlice(b_coords, b_ph)], dims)
         assert ratio == pytest.approx(5.0 / 20.0)
 
     def test_in_unit_interval_randomized(self):
@@ -236,7 +344,7 @@ class TestMineralRatio:
             particle = np.unique(rng.integers(0, 8, size=(30, 3)) % [8, 8, 4], axis=0)
             coords = np.array([[i, j, 1] for i in range(8) for j in range(8)])
             phases = rng.integers(0, 3, size=64)
-            r = mineral_ratio(particle, [PhaseSlice(coords, phases)], dims)
+            r = particle_ratio(particle, [PhaseSlice(coords, phases)], dims)
             if r is not None:
                 assert 0.0 <= r <= 1.0
 

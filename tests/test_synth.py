@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orevine.descriptors import build_dataset, mineral_ratio
+from orevine.descriptors import build_dataset
 from orevine.errors import ArgumentError
 from orevine.model import partition_dataset
 from orevine.synth import (
@@ -11,6 +11,7 @@ from orevine.synth import (
     generate_composite_dataset,
     generate_scene,
 )
+from orevine.voxel import register_phase_slices
 
 
 def ball_spec(vfvm=0.75, seed=3):
@@ -27,8 +28,7 @@ class TestGenerateScene:
         spec = ball_spec(vfvm=0.75)
         volume, labels, slices = generate_scene(spec)
         assert labels.n_particles == 1
-        coords = labels.particle_voxels(1)
-        ratio = mineral_ratio(coords, slices, labels.dims)
+        ratio = register_phase_slices(labels, slices).mineral_ratio(1)
         assert ratio == pytest.approx(0.75, abs=0.05)
 
     def test_empty_spec(self):
