@@ -226,17 +226,28 @@ def _euler_grid():
 def _coarse_scan(hull_pts: np.ndarray):
     """Grid volume minimum: (volume, start angles), first minimum in grid order.
 
-    Projects the hull on a batch of grid rotations at a time, the batch
+    Projects the hull on a batch of grid rotation rows at a time, the batch
     sized to `_BBOX_BATCH_ELEMENTS`; the `kin` einsum layout keeps each
-    projected coordinate bit-equal to a per-rotation projection.
+    projected coordinate bit-equal to a per-rotation projection.  Row 2 of
+    Rz(alpha) Ry(beta) Rz(gamma) does not depend on alpha (in the grid it is
+    bit-equal across the alphas), so the z-extent is projected once per
+    (beta, gamma) pair and multiplied in last, as `prod` over the three
+    extents would.
     """
     rots, angle_axes = _euler_grid()
-    per_batch = max(1, _BBOX_BATCH_ELEMENTS // (3 * hull_pts.shape[0]))
-    vols = np.empty(rots.shape[0])
-    for start in range(0, rots.shape[0], per_batch):
-        proj = np.einsum("kij,nj->kin", rots[start:start + per_batch], hull_pts)
-        ext = proj.max(axis=2) - proj.min(axis=2) + 1.0
-        vols[start:start + per_batch] = ext.prod(axis=1)
+    per_batch = max(1, _BBOX_BATCH_ELEMENTS // (2 * hull_pts.shape[0]))
+
+    def extents(rows):
+        out = np.empty(rows.shape[:2])
+        for start in range(0, rows.shape[0], per_batch):
+            proj = np.einsum("kij,nj->kin", rows[start:start + per_batch], hull_pts)
+            out[start:start + per_batch] = proj.max(axis=2) - proj.min(axis=2) + 1.0
+        return out
+
+    n_alpha = len(angle_axes[0])
+    ext_z = extents(rots[:rots.shape[0] // n_alpha, 2:])[:, 0]
+    ext_xy = extents(rots[:, :2])
+    vols = ext_xy[:, 0] * ext_xy[:, 1] * np.tile(ext_z, n_alpha)
     k = int(np.argmin(vols))
     idx = np.unravel_index(k, tuple(len(a) for a in angle_axes))
     return vols[k], np.array([a[i] for a, i in zip(angle_axes, idx)])

@@ -25,7 +25,9 @@ from .errors import ArgumentError, FittingError
 
 BETA_CLAMP = 1e-6          # beta-family data clamped to [BETA_CLAMP, 1 - BETA_CLAMP]
 COLLAPSE_WEIGHT = 1e-6     # mixing weight below which a component is considered dead
-QUANTILE_FTOL = 1e-9
+TABLE_POINTS = 4097        # largest cdf table that seeds the quantile root estimate
+NEWTON_STEPS = 3           # root steps before an element falls back to plain bisection
+WINDOW = 2.0 ** -40        # relative half-width of the checked quantile window
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,22 @@ class MixtureModel:
         return np.clip(scaled, 0.0, 1.0)
 
     def quantile(self, p):
-        """Inverse CDF by bracketed bisection, |F(x) - p| < 1e-9."""
+        """Inverse CDF by bisection.
+
+        Each element's bracket [lo, hi] starts at the support (an infinite
+        upper end starts at the larger component mean + 1 and doubles until
+        cdf(hi) >= p) and is halved at `mid`, lo moving up where
+        cdf(mid) < p, until the widest bracket is below
+        1e-14 * max(1, max |hi|).  The result is the bracket midpoint: the
+        stop rule bounds the bracket width, not |F(x) - p|.
+
+        A level needs only the sign of cdf(mid) - p.  Only a mid inside the
+        element's checked window (a, b) around the root (`_root_window`)
+        calls `cdf`; a mid at or below a is below p and one at or above b is
+        not, as the cdf is non-decreasing.  `cdf` is elementwise, so calling
+        it on the subset of elements that need it gives the levels and the
+        result of plain bisection bit for bit.
+        """
         p = np.asarray(p, dtype=float)
         if np.any((p <= 0.0) | (p >= 1.0)):
             raise ArgumentError("quantile probabilities must lie in (0, 1)")
@@ -156,22 +173,73 @@ class MixtureModel:
         lo = np.full(p.shape, lo_s)
         if np.isinf(hi_s):
             hi = np.full(p.shape, max(self.comp1.mean, self.comp2.mean) + 1.0)
+            # an element that has reached cdf(hi) >= p keeps its hi, so only
+            # the short ones are evaluated again
+            short = np.arange(p.size)
             while True:
-                short = self.cdf(hi) < p
-                if not np.any(short):
+                short = short[self.cdf(hi[short]) < p[short]]
+                if not short.size:
                     break
                 hi[short] *= 2.0
         else:
             hi = np.full(p.shape, hi_s)
+        a, b = self._root_window(p, lo_s, float(np.max(hi)))
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < p
+            below = mid <= a
+            need = np.flatnonzero((mid > a) & (mid < b))
+            if need.size:
+                below[need] = self.cdf(mid[need]) < p[need]
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
             if np.max(hi - lo) < 1e-14 * max(1.0, np.max(np.abs(hi))):
                 break
         out = 0.5 * (lo + hi)
         return float(out[0]) if scalar else out
+
+    def _root_window(self, p, lo, top):
+        """Per element, a window (a, b) around the root of cdf(x) = p,
+        checked to hold cdf(a) < p <= cdf(b).
+
+        The root estimate r interpolates p in a cdf table over [lo, top] and
+        takes one Newton step.  The table has one point per value, at most
+        TABLE_POINTS: each point costs a cdf evaluation, and a finer table
+        saves less than that on the values' later steps.  The check
+        evaluates `cdf` at r -+ w, w = WINDOW * max(1, |r|).  The computed
+        cdf is monotone only up to rounding, so the check also asks the
+        chord through the two values to cross p within w/2 of r: both ends
+        then lie about w/2 or more from the root, where the cdf differs from
+        p by far more than its rounding error.  Where the check fails, that
+        crossing is the next Newton step, taken from the check's own cdf
+        values, and the check runs again, up to NEWTON_STEPS steps in all; a
+        step that is not finite keeps the previous r.  An element whose last
+        check fails gets (-inf, inf), so bisection calls `cdf` at every one
+        of its levels.
+        """
+        xs = np.linspace(lo, top, min(TABLE_POINTS, p.size + 1))
+        r = np.interp(p, self.cdf(xs), xs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = (self.cdf(r) - p) / self.density(r)
+        r = np.where(np.isfinite(step), r - step, r)
+        a = np.full(p.shape, -np.inf)
+        b = np.full(p.shape, np.inf)
+        todo = np.arange(p.size)
+        for steps in range(1, NEWTON_STEPS + 1):
+            x, q = r[todo], p[todo]
+            w = WINDOW * np.maximum(1.0, np.abs(x))
+            f_lo, f_hi = self.cdf(x - w), self.cdf(x + w)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t = (q - f_lo) / (f_hi - f_lo)     # the chord crosses p at x + (2t - 1) w
+                cross = x + (2.0 * t - 1.0) * w
+            ok = (f_lo < q) & (q <= f_hi) & (t >= 0.25) & (t <= 0.75)
+            a[todo[ok]] = x[ok] - w[ok]
+            b[todo[ok]] = x[ok] + w[ok]
+            todo, cross = todo[~ok], cross[~ok]
+            if not todo.size or steps == NEWTON_STEPS:
+                break
+            moved = np.isfinite(cross)
+            r[todo[moved]] = cross[moved]
+        return a, b
 
 
 # ---------------------------------------------------------------------------

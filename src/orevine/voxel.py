@@ -422,6 +422,15 @@ def write_labels(path, labels: LabelVolume, container: bool = False) -> None:
 
 def read_labels(path) -> LabelVolume:
     values, spacing = _read_grid(path)
+    if values.dtype.kind == "f":
+        # a float grid must hold the ids exactly: casting would read 1.7 as
+        # id 1 and wrap a negative value
+        bad = ~((values >= 0) & (values <= np.iinfo(np.uint32).max)
+                & (values == np.floor(values)))
+        if bad.any():
+            first = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ParseError(f"{path}: label ids must be non-negative integers, "
+                             f"got {float(values[first]):g} at voxel {first}")
     try:
         return LabelVolume(values.astype(np.uint32), spacing)
     except ArgumentError as exc:

@@ -331,10 +331,27 @@ def label_gap(d):
     return d / "lab.raw"
 
 
+def float_label(d):
+    labels = np.zeros((6, 6, 6))
+    labels[1:4, 1:4, 1:4] = 1.0
+    labels[2, 2, 2] = 1.7       # would read as id 1
+    write_raw_grid(d / "lab.raw", labels, "float32")
+    return d / "lab.raw"
+
+
+def negative_label(d):
+    labels = np.zeros((6, 6, 6))
+    labels[1:4, 1:4, 1:4] = 1.0
+    labels[0, 0, 0] = -1.0      # would wrap to 4294967295
+    write_raw_grid(d / "lab.raw", labels, "float64")
+    return d / "lab.raw"
+
+
 class TestCliDescriptors:
     @pytest.mark.parametrize("fault", [truncate_raw, short_dims, nan_spacing,
                                        sidecar_not_json, container_header_not_json,
-                                       nan_voxel, label_gap],
+                                       nan_voxel, label_gap, float_label,
+                                       negative_label],
                              ids=lambda f: f.__name__)
     def test_bad_volume_file_is_data_error(self, tmp_path, capsys, fault):
         labels = np.zeros((6, 6, 6), dtype=np.uint32)
@@ -348,6 +365,21 @@ class TestCliDescriptors:
         assert rc == 3
         assert f"error: {bad_file}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_integral_float_labels_read_as_ids(self, tmp_path):
+        labels = np.zeros((6, 6, 6), dtype=np.uint32)
+        labels[1:4, 1:4, 1:4] = 1
+        labels[4:6, 4:6, 4:6] = 2
+        write_volume(tmp_path / "vol.raw", VoxelVolume(np.ones((6, 6, 6))))
+        outs = []
+        for dtype in ("uint32", "float32"):
+            write_raw_grid(tmp_path / "lab.raw", labels, dtype)
+            out = tmp_path / f"desc_{dtype}.csv"
+            assert main(["descriptors", "--volume", str(tmp_path / "vol.raw"),
+                         "--labels", str(tmp_path / "lab.raw"),
+                         "--include-unmatched", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and outs[0].count(b"\n") == 3
 
     @pytest.mark.parametrize("scene", sorted(FIXTURE_CSV_DIGESTS))
     def test_fixture_descriptor_csv_golden(self, tmp_path, scene):

@@ -93,7 +93,7 @@ def bbox_fingerprint(box):
 def splits_alpha_row(n_points):
     """Whether one alpha's beta x gamma rotations need several batches."""
     _, (_, betas, gammas) = descriptors._euler_grid()
-    per_batch = descriptors._BBOX_BATCH_ELEMENTS // (3 * n_points)
+    per_batch = descriptors._BBOX_BATCH_ELEMENTS // (2 * n_points)
     return per_batch < len(betas) * len(gammas)
 
 
@@ -178,6 +178,28 @@ class TestBoundingBoxGolden:
         assert rots.tobytes() == want.tobytes()
         assert not any(a.flags.writeable for a in (rots, alphas, betas, gammas))
         assert descriptors._euler_grid()[0] is rots
+
+    def test_grid_z_row_independent_of_alpha(self):
+        rots, (alphas, _, _) = descriptors._euler_grid()
+        z_rows = rots.reshape(len(alphas), -1, 3, 3)[:, :, 2]
+        assert z_rows.tobytes() == np.tile(z_rows[0], (len(alphas), 1, 1)).tobytes()
+
+    @pytest.mark.parametrize("n_points", [4, 60, 400, 1500])
+    def test_coarse_scan_equals_full_projection(self, n_points):
+        """All three rows projected for every rotation, volumes as `prod`."""
+        pts = np.random.default_rng(n_points).normal(size=(n_points, 3)) * (9, 4, 2)
+        assert splits_alpha_row(n_points) == (n_points >= 400)
+        rots, angle_axes = descriptors._euler_grid()
+        vols = []
+        for chunk in np.split(rots, len(angle_axes[0])):
+            proj = np.einsum("kij,nj->kin", chunk, pts)
+            vols.append((proj.max(axis=2) - proj.min(axis=2) + 1.0).prod(axis=1))
+        vols = np.concatenate(vols)
+        k = int(np.argmin(vols))
+        idx = np.unravel_index(k, tuple(len(a) for a in angle_axes))
+        vol, start = descriptors._coarse_scan(pts)
+        assert repr(vol) == repr(vols[k])
+        assert start.tobytes() == np.array([a[i] for a, i in zip(angle_axes, idx)]).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BBOX_GOLDEN))
     def test_golden_box(self, name):

@@ -259,3 +259,114 @@ class TestEmGolden:
         assert repr(m.lam) == lam
         assert m.degenerate is degenerate
         assert m.truncation == ((0.01, 0.99) if case == "truncated" else None)
+
+
+def bisection_quantile(model, p):
+    """`MixtureModel.quantile` as plain bisection, with a full-length `cdf`
+    call at every level: the reference whose bits the windowed bisection
+    must reproduce."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    lo_s, hi_s = model.support
+    lo = np.full(p.shape, lo_s)
+    if np.isinf(hi_s):
+        hi = np.full(p.shape, max(model.comp1.mean, model.comp2.mean) + 1.0)
+        while True:
+            short = model.cdf(hi) < p
+            if not np.any(short):
+                break
+            hi[short] *= 2.0
+    else:
+        hi = np.full(p.shape, hi_s)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = model.cdf(mid) < p
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.max(hi - lo) < 1e-14 * max(1.0, np.max(np.abs(hi))):
+            break
+    return 0.5 * (lo + hi)
+
+
+def quantile_case(case):
+    from orevine.synth import benchmark_truth
+
+    truth = benchmark_truth()
+    if case == "rat":                      # f_c's composition marginal
+        return truth.f_c.marginals[6]
+    if case == "spike":                    # degenerate EM result
+        return fit_mixture_em(np.full(50, 40.0), "gamma")
+    cls = {"vol_v": truth.f_v, "vol_nv": truth.f_nv, "vol_c": truth.f_c}[case]
+    return cls.marginals[2]
+
+
+def draws(seed, n=100_000):
+    """n uniform probabilities, a block within 1e-12 of 0 and of 1, and
+    fixed tail points."""
+    rng = np.random.default_rng(seed)
+    edge = 1e-12 * rng.uniform(0.0, 1.0, 1000)
+    fixed = np.array([1e-15, 1e-12, 1e-10, 1e-6, 0.5])
+    p = np.concatenate([rng.uniform(0.0, 1.0, n), edge, 1.0 - edge, fixed, 1.0 - fixed])
+    return p[(p > 0.0) & (p < 1.0)]
+
+
+def bit_equal(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestQuantileEquivalence:
+    """`quantile` skips the cdf calls whose outcome a checked window around
+    the root already fixes; its draws must be the bits of plain bisection."""
+
+    @pytest.mark.parametrize("case,seed", [("rat", 1), ("vol_v", 2), ("vol_nv", 3),
+                                           ("vol_c", 4), ("spike", 5)])
+    def test_bit_identical_to_bisection(self, case, seed):
+        m = quantile_case(case)
+        p = draws(seed)
+        assert bit_equal(m.quantile(p), bisection_quantile(m, p))
+
+    def test_scalar(self):
+        m = quantile_case("rat")
+        for p in (1e-12, 0.3, 1.0 - 1e-12):
+            got = m.quantile(p)
+            assert isinstance(got, float)
+            assert bit_equal(np.array([got]), bisection_quantile(m, p))
+
+    @pytest.mark.parametrize("n", [2, 31, 450])
+    def test_small_inputs(self, n):
+        """Fewer values build a coarser table (one point per value), so
+        more elements fail the check; the bits stay those of bisection."""
+        rng = np.random.default_rng(n)
+        for case in ("rat", "vol_v", "spike"):
+            m = quantile_case(case)
+            for _ in range(20):
+                p = rng.uniform(1e-12, 1.0 - 1e-12, n)
+                assert bit_equal(m.quantile(p), bisection_quantile(m, p))
+
+    def test_windows_bracket_p(self):
+        m = quantile_case("rat")
+        p = draws(6, n=10_000)
+        a, b = m._root_window(p, *m.support)
+        checked = np.isfinite(a)
+        assert checked.mean() > 0.99
+        assert np.all(b[checked] > a[checked])
+        assert np.all(m.cdf(a[checked]) < p[checked])
+        assert np.all(p[checked] <= m.cdf(b[checked]))
+        assert np.all(np.isinf(b[~checked]))
+
+    def test_failed_check_falls_back(self, monkeypatch):
+        """A wrong root estimate fails the check for the elements it hits,
+        which then bisect with a cdf call at every level: same bits."""
+        m = quantile_case("rat")
+        p = draws(7)
+        true_density = MixtureModel.density
+
+        def wrong_density(self, x):
+            # every third element's Newton steps go nowhere near the root
+            d = true_density(self, x)
+            d[::3] *= 1e-9
+            return d
+
+        monkeypatch.setattr(MixtureModel, "density", wrong_density)
+        a, _ = m._root_window(p, *m.support)
+        assert 0.2 < np.isinf(a).mean() < 0.5
+        assert bit_equal(m.quantile(p), bisection_quantile(m, p))

@@ -610,3 +610,17 @@ class TestGoldenForkedVine:
                                      "refit", "draw"])
     def test_bit_identical(self, runs, key):
         assert runs[key] == GOLDEN_FORKED_VINE[key]
+
+
+class TestGoldenCompositeSample:
+    """SHA-256 of a seeded 10^4-row `CompositeModel.sample` of the benchmark
+    truth, generated while `MixtureModel.quantile` called `cdf` at every
+    bisection level; every sampled golden and acceptance dataset goes
+    through this path, so any change here is a change of output bits."""
+
+    GOLDEN = "0c8482a3cc5acf50e20587ec0d80ac14c9d6b3bb80c652b5f4d6ed695c3ee846"
+
+    def test_bit_identical(self):
+        rows = benchmark_truth().sample(10_000, seed=20261018)
+        assert rows.shape == (10_000, 7) and rows.dtype == np.float64
+        assert hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest() == self.GOLDEN
