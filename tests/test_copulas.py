@@ -18,6 +18,7 @@ from orevine.copulas import (
     pair_h_inverse,
     pair_log_density,
     pseudo_observations,
+    refit_theta,
 )
 from orevine.errors import ArgumentError
 
@@ -494,3 +495,26 @@ class TestGoldenBytes:
         got = golden_digests(PairCopula(family, rotation, theta))
         want = GOLDEN_DIGESTS[(family, theta, rotation)]
         assert [n for n, g, w in zip(names, got, want) if g != w] == []
+
+
+# template refits, generated before the pair fits shared one theta search:
+# name -> (template, generating copula, fitted (family, rotation, repr(theta))).
+# The Clayton template's theta 60 lies above its search range and seeds the
+# search clipped to 50; the Frank template's sign picks the negative half.
+GOLDEN_REFITS = {
+    "clayton_60": (PairCopula("clayton", 0, 60.0), PairCopula("clayton", 0, 8.0),
+                   ("clayton", 0, "7.868707280371434")),
+    "frank_negative": (PairCopula("frank", 90, -3.0), PairCopula("frank", 90, -4.0),
+                       ("frank", 90, "-3.8263672717658794")),
+    "gumbel_270": (PairCopula("gumbel", 270, 1.2), PairCopula("gumbel", 270, 2.0),
+                   ("gumbel", 270, "1.9539390491318949")),
+}
+
+
+class TestGoldenRefit:
+    @pytest.mark.parametrize("seed,name", enumerate(GOLDEN_REFITS, start=80))
+    def test_bit_identical(self, seed, name):
+        template, gen, want = GOLDEN_REFITS[name]
+        u, v = sample_pair(gen, 600, seed=seed)
+        got = refit_theta(template, u, v)
+        assert (got.family, got.rotation, repr(got.theta)) == want
