@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, FittingError
 
 FAMILIES = ("independence", "frank", "clayton", "gumbel", "joe")
 # rotation -> (reflect u, reflect v, swap the base family's arguments)
@@ -55,6 +55,7 @@ THETA_RANGE = {
     "joe": (1.0 + 1e-4, 50.0),
     "frank": (-50.0, 50.0),
 }
+FRANK_MIN_ABS = 1e-4   # Frank's search halves stop this far from zero
 FRANK_SERIES_THRESHOLD = 1e-5
 DENSITY_CLAMP = 1e-10   # boundary inputs pulled to this interior margin
 H_INVERSE_FTOL = 1e-9
@@ -328,7 +329,7 @@ def _h(cop: PairCopula, reflect_u: bool, reflect_v: bool, u, cond):
 def _h_inverse(cop: PairCopula, reflect_u: bool, reflect_v: bool, p, cond):
     """Solve _h(cop, reflect_u, reflect_v, u, cond) = p for u."""
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ArgumentError("h-inverse probabilities must lie in (0, 1)")
     pc = _clamp(p)
     vc = _clamp(cond)
@@ -487,8 +488,7 @@ def _maximize_theta(f, lo: float, hi: float, seeds=(), tol: float = 1e-6):
     """Bracket the maximum on a coarse grid, then golden-section refine."""
     grid = list(np.geomspace(max(lo, 1e-4), hi, 12)) if lo > 0 else \
         list(np.linspace(lo, hi, 15))
-    grid = sorted(set(np.clip(list(grid) + [g for g in seeds if g is not None],
-                              lo, hi)))
+    grid = sorted(set(np.clip(list(grid) + list(seeds), lo, hi)))
     vals = [f(g) for g in grid]
     best = int(np.argmax(vals))
     a = grid[max(best - 1, 0)]
@@ -501,16 +501,69 @@ def _maximize_theta(f, lo: float, hi: float, seeds=(), tol: float = 1e-6):
     return x, fx
 
 
+def _theta_ranges(family: str, sign: int = 0) -> list[tuple[float, float]]:
+    """The search ranges of a family, from THETA_RANGE.  Frank's range is
+    split at zero into its negative and positive halves: both for sign 0,
+    else only the half of that sign."""
+    if family not in THETA_RANGE:
+        raise ArgumentError(f"no theta search for copula family {family!r}")
+    lo, hi = THETA_RANGE[family]
+    if family != "frank":
+        return [(lo, hi)]
+    halves = [(lo, -FRANK_MIN_ABS), (FRANK_MIN_ABS, hi)]
+    return halves if sign == 0 else [halves[1 if sign > 0 else 0]]
+
+
+def _finite_loglik(ll) -> float:
+    """A log-likelihood sum in which every non-finite term scores -1e10."""
+    return float(np.sum(np.where(np.isfinite(ll), ll, -1e10)))
+
+
+def _pair_loglik(family: str, rotation: int, u, v):
+    """theta -> log-likelihood of the rotated family at (u, v).
+
+    The inputs are clamped and mapped to base-family arguments once, so each
+    evaluation is one `_base_log_density` call, bit for bit the sum of
+    `pair_log_density` at the same copula.
+    """
+    a, b = _base_args(rotation, _clamp(u), _clamp(v))
+    return lambda theta: _finite_loglik(_base_log_density(family, float(theta), a, b))
+
+
+def _search_theta(loglik, ranges, seeds=()):
+    """The ML theta over the ranges: (loglik, theta), or None when every
+    range fails.
+
+    Each range is searched by `_maximize_theta` with the seeds that lie in
+    it.  A range whose search raises or ends non-finite is skipped; a later
+    range wins only with a strictly larger log-likelihood.
+    """
+    best = None
+    for lo, hi in ranges:
+        try:
+            theta, ll = _maximize_theta(loglik, lo, hi,
+                                        seeds=[s for s in seeds if lo <= s <= hi])
+        except (FloatingPointError, ValueError):
+            continue
+        if np.isfinite(ll) and (best is None or ll > best[0]):
+            best = (ll, float(theta))
+    return best
+
+
 def fit_pair(u, v, candidates=("frank", "clayton", "gumbel", "joe"),
              rotations=ROTATIONS) -> PairCopula:
     """Select and fit a pair copula by maximum likelihood.
 
     The independence pre-test runs first; when it does not reject, the
     independence copula is returned without any likelihood search.
-    Otherwise every candidate family x rotation is fitted by bounded 1-D
-    maximization of the log-likelihood and the best one wins.  Ties are
-    broken by the fixed candidate order (frank, clayton, gumbel, joe; then
-    rotation ascending).
+    Otherwise every candidate family x rotation gets its ML theta from the
+    shared search (`_search_theta`): each range from `_theta_ranges` (both
+    Frank halves) is scored on a grid seeded with the tau-inverted start
+    and its negation where they fall in it, then refined by golden section.
+    The best fit wins; a later candidate needs a strictly larger
+    log-likelihood, so ties go to the fixed candidate order (frank,
+    clayton, gumbel, joe; then rotation ascending).  When every search
+    fails numerically, an independence copula marked `fallback` is returned.
     """
     u = _clamp(np.asarray(u, dtype=float).ravel())
     v = _clamp(np.asarray(v, dtype=float).ravel())
@@ -520,63 +573,41 @@ def fit_pair(u, v, candidates=("frank", "clayton", "gumbel", "joe"),
 
 
 def refit_theta(cop: PairCopula, u, v) -> PairCopula:
-    """Re-estimate theta keeping family and rotation fixed (fast refits)."""
+    """Re-estimate theta keeping family and rotation fixed (fast refits).
+
+    The shared search of `fit_pair` runs on the family's range, for Frank
+    only the half of the template's sign, seeded with the template theta
+    clipped into that range.  Raises FittingError when the search fails.
+    """
     if cop.family == "independence":
         return cop
-    u = _clamp(np.asarray(u, dtype=float).ravel())
-    v = _clamp(np.asarray(v, dtype=float).ravel())
-
-    def loglik(theta):
-        ll = pair_log_density(PairCopula(cop.family, cop.rotation, float(theta)), u, v)
-        return float(np.sum(np.where(np.isfinite(ll), ll, -1e10)))
-
-    lo, hi = THETA_RANGE[cop.family]
-    if cop.family == "frank":
-        lo, hi = (1e-4, hi) if cop.theta > 0 else (lo, -1e-4)
-    theta, _ = _maximize_theta(loglik, lo, hi, seeds=[cop.theta])
-    return PairCopula(cop.family, cop.rotation, float(theta))
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    ranges = _theta_ranges(cop.family, 1 if cop.theta > 0 else -1)
+    (lo, hi), = ranges
+    found = _search_theta(_pair_loglik(cop.family, cop.rotation, u, v), ranges,
+                          seeds=[float(np.clip(cop.theta, lo, hi))])
+    if found is None:
+        raise FittingError(f"{cop.family} theta refit failed numerically")
+    return PairCopula(cop.family, cop.rotation, found[1])
 
 
 def _fit_pair_with_tau(u, v, tau: float, candidates,
                        rotations=ROTATIONS) -> PairCopula:
-    n = u.size
-    if independence_test(tau, n):
+    if independence_test(tau, u.size):
         return PairCopula("independence")
 
     best: tuple[float, PairCopula] | None = None
     for family in candidates:
         if family == "independence":
             continue
-        lo, hi = THETA_RANGE[family]
-        if family == "frank":
-            search_ranges = [(lo, -1e-4), (1e-4, hi)]
-        else:
-            search_ranges = [(lo, hi)]
+        ranges = _theta_ranges(family)
+        seed = _tau_theta_start(family, tau)
         for rotation in rotations:
-            def loglik(theta, _rot=rotation, _fam=family):
-                cop = PairCopula(_fam, _rot, float(theta))
-                ll = pair_log_density(cop, u, v)
-                ll = np.where(np.isfinite(ll), ll, -1e10)
-                return float(np.sum(ll))
-
-            seed = _tau_theta_start(family, tau)
-            cand_best = None
-            for rlo, rhi in search_ranges:
-                seeds = [s for s in (seed, -seed if seed else None)
-                         if s is not None and rlo <= s <= rhi]
-                try:
-                    theta, ll = _maximize_theta(loglik, rlo, rhi, seeds=seeds)
-                except (FloatingPointError, ValueError):
-                    continue
-                if not np.isfinite(ll):
-                    continue
-                if cand_best is None or ll > cand_best[0]:
-                    cand_best = (ll, theta)
-            if cand_best is None:
-                continue
-            ll, theta = cand_best
-            if best is None or ll > best[0]:
-                best = (ll, PairCopula(family, rotation, float(theta)))
+            found = _search_theta(_pair_loglik(family, rotation, u, v), ranges,
+                                  seeds=(seed, -seed))
+            if found is not None and (best is None or found[0] > best[0]):
+                best = (found[0], PairCopula(family, rotation, found[1]))
 
     if best is None:
         return PairCopula("independence", fallback=True)

@@ -165,7 +165,7 @@ class MixtureModel:
         result of plain bisection bit for bit.
         """
         p = np.asarray(p, dtype=float)
-        if np.any((p <= 0.0) | (p >= 1.0)):
+        if not np.all((p > 0.0) & (p < 1.0)):
             raise ArgumentError("quantile probabilities must lie in (0, 1)")
         scalar = p.ndim == 0
         p = np.atleast_1d(p)

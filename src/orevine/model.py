@@ -360,120 +360,3 @@ def predict_vfvm(model: CompositeModel, ct) -> Prediction:
     med = conditional_median(model, ct, z, density)
     return Prediction(value=med, label="composite", conditional_median=med)
 
-
-# ---------------------------------------------------------------------------
-# K-mineral generalization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiMineralModel:
-    """Per-mineral pure-class densities plus a composite block density.
-
-    `pure` holds K densities over the d CT descriptors; `f_c` is a
-    (d + K - 1)-variate density whose last K - 1 coordinates are the
-    composition fractions of minerals 1..K-1 (the last fraction is implied).
-    """
-
-    pure: tuple[EngineModel, ...]
-    f_c: EngineModel
-    counts: tuple[int, ...]
-    n_c: int
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        k = len(self.pure)
-        if k < 2:
-            raise ArgumentError("need at least two minerals")
-        if len(self.counts) != k:
-            raise ArgumentError("counts must align with pure densities")
-        d = self.pure[0].d
-        if any(m.d != d for m in self.pure):
-            raise ArgumentError("pure densities must share dimension")
-        if self.f_c.d != d + k - 1:
-            raise ArgumentError("composite density has wrong dimension")
-
-    @property
-    def k(self) -> int:
-        return len(self.pure)
-
-    @property
-    def d_ct(self) -> int:
-        return self.pure[0].d
-
-    @property
-    def n(self) -> int:
-        return self.n_c + sum(self.counts)
-
-
-def _composition_grid(model: MultiMineralModel, n_nodes: int = 48):
-    """Nested Gauss-Legendre grid over the composition block intersected
-    with the simplex sum(s) <= 1, with exact per-dimension limits (the
-    integrand stays smooth on every nested cell)."""
-    km1 = model.k - 1
-    if km1 > 3:
-        raise ArgumentError("composition blocks beyond 4 minerals are not supported")
-    eps = model.epsilon
-    nodes, weights = _gl_nodes(n_nodes)
-    pts_out: list[np.ndarray] = []
-    w_out: list[float] = []
-
-    def recurse(prefix, wacc):
-        m = len(prefix)
-        remaining = km1 - m - 1
-        hi = min(1.0 - eps, 1.0 - sum(prefix) - eps * remaining)
-        if hi <= eps:
-            return
-        half = 0.5 * (hi - eps)
-        mid = 0.5 * (hi + eps)
-        for t, w in zip(nodes, weights):
-            s_m = mid + half * t
-            w_m = wacc * w * half
-            if m == km1 - 1:
-                pts_out.append(np.array(prefix + [s_m]))
-                w_out.append(w_m)
-            else:
-                recurse(prefix + [s_m], w_m)
-
-    recurse([], 1.0)
-    return np.array(pts_out), np.array(w_out)
-
-
-def predict_multi(model: MultiMineralModel, ct) -> np.ndarray:
-    """K-component composition prediction.
-
-    Returns the unit vector of mineral i when its weighted likelihood
-    dominates the composite likelihood (>=) and every other mineral (>);
-    otherwise the conditional mean vector of the composition block with the
-    implied final entry.  The output is a probability vector.
-    """
-    ct = np.asarray(ct, dtype=float).ravel()
-    if ct.size != model.d_ct:
-        raise ArgumentError(f"expected a {model.d_ct}-dimensional CT vector")
-    n = model.n
-    with np.errstate(all="ignore"):
-        like = np.array([model.counts[i] / n
-                         * float(np.exp(model.pure[i].log_density(ct[None, :]))[0])
-                         for i in range(model.k)])
-
-    s_grid, w_grid = _composition_grid(model)
-    pts = np.column_stack([np.tile(ct, (s_grid.shape[0], 1)), s_grid])
-    with np.errstate(all="ignore"):
-        dens = np.exp(model.f_c.log_density(pts))
-    z = float(np.dot(w_grid, dens))
-    like_c = model.n_c / n * z
-
-    if like_c <= 0.0 and np.all(like <= 0.0):
-        raise FittingError("all class likelihoods vanish at this point")
-
-    for i in range(model.k):
-        others = np.delete(like, i)
-        if like[i] >= like_c and (others.size == 0 or like[i] > others.max()):
-            out = np.zeros(model.k)
-            out[i] = 1.0
-            return out
-
-    phi = np.array([float(np.dot(w_grid, s_grid[:, m] * dens)) / z
-                    for m in range(model.k - 1)])
-    out = np.concatenate([phi, [1.0 - phi.sum()]])
-    out = np.clip(out, 0.0, None)
-    return out / out.sum()

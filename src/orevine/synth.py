@@ -291,7 +291,3 @@ def benchmark_truth(epsilon: float = 0.01) -> CompositeModel:
 
 def load_scene_spec(path) -> SceneSpec:
     return SceneSpec.from_json(Path(path).read_text())
-
-
-def save_scene_spec(path, spec: SceneSpec) -> None:
-    Path(path).write_text(spec.to_json())

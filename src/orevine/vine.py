@@ -23,6 +23,7 @@ generator.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -30,8 +31,10 @@ import numpy as np
 
 from .copulas import (
     PairCopula,
+    _finite_loglik,
     _fit_pair_with_tau,
-    _maximize_theta,
+    _search_theta,
+    _theta_ranges,
     kendall_tau,
     pair_h,
     pair_h2,
@@ -758,12 +761,21 @@ def _arch_sample_uniform(family: str, theta: float, d: int, n: int, seed) -> np.
     return u
 
 
+def _arch_loglik(family: str, u: np.ndarray, theta) -> float:
+    with np.errstate(all="ignore"):
+        return _finite_loglik(_arch_log_density(family, float(theta), u))
+
+
 def fit_archimedean(data, marginals, candidates=ARCHIMEDEAN_FAMILIES,
                     min_rows: int = 30) -> ArchimedeanModel:
     """Fit the best single-theta d-dimensional Archimedean copula by ML.
 
-    Negative Frank parameters are admissible only in the bivariate case;
-    for d >= 3 every family is searched on its positive range.
+    Every family gets its theta from the search `fit_pair` uses
+    (`copulas._search_theta`), unseeded, on its `THETA_RANGE`.  Negative
+    Frank parameters are admissible only in the bivariate case: for d = 2
+    both Frank halves are searched, for d >= 3 only the positive one.  A
+    later family wins only with a strictly larger log-likelihood, so ties
+    go to the candidate order.
     """
     x = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = x.shape
@@ -774,28 +786,10 @@ def fit_archimedean(data, marginals, candidates=ARCHIMEDEAN_FAMILIES,
 
     best = None
     for family in candidates:
-        if family == "clayton":
-            ranges = [(1e-4, 50.0)]
-        elif family == "frank":
-            ranges = [(-50.0, -1e-4), (1e-4, 50.0)] if d == 2 else [(1e-4, 50.0)]
-        else:
-            ranges = [(1.0 + 1e-4, 50.0)]
-
-        def loglik(th, _fam=family):
-            with np.errstate(all="ignore"):
-                ll = _arch_log_density(_fam, float(th), u)
-            ll = np.where(np.isfinite(ll), ll, -1e10)
-            return float(np.sum(ll))
-
-        for lo, hi in ranges:
-            try:
-                th, ll = _maximize_theta(loglik, lo, hi)
-            except (ValueError, FloatingPointError):
-                continue
-            if not np.isfinite(ll):
-                continue
-            if best is None or ll > best[0]:
-                best = (ll, family, float(th))
+        found = _search_theta(functools.partial(_arch_loglik, family, u),
+                              _theta_ranges(family, 0 if d == 2 else 1))
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], family, found[1])
     if best is None:
         raise FittingError("all Archimedean candidate fits failed numerically")
     return ArchimedeanModel(best[1], best[2], marginals)

@@ -221,6 +221,14 @@ class TestCliFitPredict:
         rc = main(["fit", "--data", str(path), "--out", str(tmp_path / "m.json")])
         assert rc == 4
 
+    @pytest.mark.parametrize("engine", ["rvine", "archimedean"])
+    def test_unknown_candidate_is_argument_error(self, tmp_path, small_dataset, engine):
+        data_path, _ = small_dataset
+        rc = main(["fit", "--data", str(data_path), "--engine", engine,
+                   "--candidates", "frank", "normal", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["predict", "--model", str(tmp_path / "nope.json"),
                    "--data", str(tmp_path / "nope.csv"),

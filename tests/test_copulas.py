@@ -20,6 +20,7 @@ from orevine.copulas import (
     pseudo_observations,
     refit_theta,
 )
+from orevine.copulas import _pair_loglik, _theta_ranges
 from orevine.errors import ArgumentError
 
 # moderate parameters keep the 200x200 midpoint integral test meaningful;
@@ -200,6 +201,17 @@ class TestHInverse:
     def test_rejects_bad_p(self):
         with pytest.raises(ArgumentError):
             pair_h_inverse(PairCopula("independence"), 0.0, 0.5)
+
+    @pytest.mark.parametrize("family,theta", [("independence", None), ("frank", 4.0),
+                                              ("clayton", 2.0), ("gumbel", 2.0),
+                                              ("joe", 2.5)])
+    @pytest.mark.parametrize("inverse", [pair_h_inverse, pair_h2_inverse])
+    def test_rejects_nan_p(self, family, theta, inverse):
+        cop = PairCopula(family, 90, theta)
+        with pytest.raises(ArgumentError):
+            inverse(cop, np.nan, 0.5)
+        with pytest.raises(ArgumentError):
+            inverse(cop, np.array([0.3, np.nan]), np.array([0.5, 0.5]))
 
 
 class TestKendallTau:
@@ -518,3 +530,36 @@ class TestGoldenRefit:
         u, v = sample_pair(gen, 600, seed=seed)
         got = refit_theta(template, u, v)
         assert (got.family, got.rotation, repr(got.theta)) == want
+
+
+class TestPairLoglik:
+    """The hoisted search objective against pair_log_density, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["frank", "clayton", "gumbel", "joe"])
+    @pytest.mark.parametrize("rotation", ROTATIONS)
+    def test_matches_pair_log_density_sum(self, family, rotation):
+        rng = np.random.default_rng(23)
+        u = rng.uniform(0.0, 1.0, 300)
+        v = rng.uniform(0.0, 1.0, 300)
+        # boundary and near-boundary inputs, raw and clamped as the vine does
+        u[:6] = [0.0, 1.0, 1e-13, 1 - 1e-13, 1e-12, 0.5]
+        v[:6] = [0.3, 1.0, 1.0, 1e-12, 0.0, 1 - 1e-12]
+        thetas = [th for lo, hi in _theta_ranges(family)
+                  for th in (lo, hi, np.nextafter(lo, hi), 0.5 * (lo + hi),
+                             lo + 0.37 * (hi - lo), lo + 1e-3 * (hi - lo))]
+        for uu, vv in ((u, v), (np.clip(u, 1e-12, 1 - 1e-12), np.clip(v, 1e-12, 1 - 1e-12))):
+            loglik = _pair_loglik(family, rotation, uu, vv)
+            for theta in thetas:
+                with np.errstate(all="ignore"):
+                    ll = pair_log_density(PairCopula(family, rotation, float(theta)), uu, vv)
+                    got = loglik(theta)
+                want = float(np.sum(np.where(np.isfinite(ll), ll, -1e10)))
+                assert repr(got) == repr(want), theta
+
+    def test_frank_halves(self):
+        assert _theta_ranges("frank") == [(-50.0, -1e-4), (1e-4, 50.0)]
+        assert _theta_ranges("frank", 1) == [(1e-4, 50.0)]
+        assert _theta_ranges("frank", -1) == [(-50.0, -1e-4)]
+        assert _theta_ranges("clayton", -1) == [(1e-4, 50.0)]
+        with pytest.raises(ArgumentError):
+            _theta_ranges("independence")

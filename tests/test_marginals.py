@@ -101,6 +101,17 @@ class TestCdfQuantile:
         with pytest.raises(ArgumentError):
             m.quantile(1.0)
 
+    def test_quantile_rejects_nan(self):
+        from orevine.synth import benchmark_truth
+        # a plain beta, the truncated `rat` beta and the `vol` gamma
+        for m in (beta_mix(1.0, 1.0, 1.0, 1.0, 0.5),
+                  benchmark_truth().f_c.marginals[-1],
+                  benchmark_truth().f_c.marginals[2]):
+            with pytest.raises(ArgumentError):
+                m.quantile(np.nan)
+            with pytest.raises(ArgumentError):
+                m.quantile([np.nan, 0.5])
+
     def test_quantile_cdf_round_trip(self):
         rng = np.random.default_rng(42)
         m = gamma_mix(2.0, 1.0, 9.0, 0.4, 0.45)

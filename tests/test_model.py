@@ -7,14 +7,12 @@ from orevine.errors import ArgumentError, FittingError
 from orevine.marginals import BetaParams, MixtureModel
 from orevine.model import (
     CompositeModel,
-    MultiMineralModel,
     composite_density,
     composite_log_density,
     conditional_median,
     fit_composite,
     marginal_composite_ct,
     partition_dataset,
-    predict_multi,
     predict_vfvm,
 )
 from orevine.synth import benchmark_truth, generate_composite_dataset
@@ -213,71 +211,3 @@ class TestPredict:
             model.epsilon, 1 - model.epsilon, epsabs=1e-10, epsrel=1e-10,
             limit=200)
         assert val == pytest.approx(ref, rel=1e-6)
-
-
-class TestPredictMulti:
-    def multi_from_tiny(self, model):
-        return MultiMineralModel(pure=(model.f_v, model.f_nv), f_c=model.f_c,
-                                 counts=(model.n_v, model.n_nv), n_c=model.n_c,
-                                 epsilon=model.epsilon)
-
-    def test_k2_classification_matches_predict_vfvm(self):
-        model = tiny_composite(rat_dependent=True)
-        multi = self.multi_from_tiny(model)
-        rng = np.random.default_rng(23)
-        for _ in range(15):
-            ct = rng.uniform(0.1, 0.9, 2)
-            p = predict_vfvm(model, ct)
-            vec = predict_multi(multi, ct)
-            if p.label == "valuable":
-                assert np.array_equal(vec, [1.0, 0.0])
-            elif p.label == "non_valuable":
-                assert np.array_equal(vec, [0.0, 1.0])
-            else:
-                assert 0.0 < vec[0] < 1.0
-
-    def test_dominance_returns_unit_vector(self):
-        model = tiny_composite()
-        multi = self.multi_from_tiny(model)
-        vec = predict_multi(multi, np.array([0.95, 0.5]))
-        assert np.array_equal(vec, [1.0, 0.0])
-
-    def test_output_is_probability_vector(self):
-        model = tiny_composite(rat_dependent=True)
-        multi = self.multi_from_tiny(model)
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            vec = predict_multi(multi, rng.uniform(0.2, 0.8, 2))
-            assert np.all(vec >= 0.0)
-            assert abs(vec.sum() - 1.0) < 1e-9
-
-    def test_k3_conditional_mean_matches_monte_carlo(self):
-        # d = 2 CT descriptors, K = 3 minerals -> f_c is 4-dimensional
-        ind = PairCopula("independence")
-        s2 = dvine_structure([0, 1])
-        pure = tuple(RVineModel(s2, (ind,), (beta_m(a, b), beta_m(3, 3)))
-                     for a, b in ((8, 2), (2, 8), (5, 5)))
-        s4 = dvine_structure([2, 0, 1, 3])
-        eps = 0.01
-        f_c = RVineModel(
-            s4,
-            (PairCopula("clayton", 0, 2.0), ind, ind, ind, ind, ind),
-            (beta_m(4, 4), beta_m(3, 3),
-             beta_m(2, 3, truncation=(eps, 1 - eps)),
-             beta_m(3, 2, truncation=(eps, 1 - eps))))
-        multi = MultiMineralModel(pure=pure, f_c=f_c, counts=(100, 100, 100),
-                                  n_c=300, epsilon=eps)
-        ct = np.array([0.5, 0.5])
-        vec = predict_multi(multi, ct)
-
-        # Monte Carlo conditional-mean oracle over the composition block
-        rng = np.random.default_rng(31)
-        s = rng.uniform(eps, 1 - eps, size=(400_000, 2))
-        keep = s.sum(axis=1) <= 1.0
-        s = s[keep]
-        pts = np.column_stack([np.tile(ct, (s.shape[0], 1)), s])
-        w = np.exp(f_c.log_density(pts))
-        phi = np.array([np.sum(w * s[:, 0]), np.sum(w * s[:, 1])]) / np.sum(w)
-        assert vec[0] == pytest.approx(phi[0], abs=1e-3)
-        assert vec[1] == pytest.approx(phi[1], abs=1e-3)
-        assert vec[2] == pytest.approx(1.0 - phi.sum(), abs=2e-3)
