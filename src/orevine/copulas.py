@@ -584,9 +584,8 @@ def refit_theta(cop: PairCopula, u, v) -> PairCopula:
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     ranges = _theta_ranges(cop.family, 1 if cop.theta > 0 else -1)
-    (lo, hi), = ranges
     found = _search_theta(_pair_loglik(cop.family, cop.rotation, u, v), ranges,
-                          seeds=[float(np.clip(cop.theta, lo, hi))])
+                          seeds=[float(np.clip(cop.theta, *ranges[0]))])
     if found is None:
         raise FittingError(f"{cop.family} theta refit failed numerically")
     return PairCopula(cop.family, cop.rotation, found[1])

@@ -20,7 +20,7 @@ from orevine.copulas import (
     pseudo_observations,
     refit_theta,
 )
-from orevine.copulas import _pair_loglik, _theta_ranges
+from orevine.copulas import _pair_loglik, _search_theta, _theta_ranges
 from orevine.errors import ArgumentError
 
 # moderate parameters keep the 200x200 midpoint integral test meaningful;
@@ -563,3 +563,25 @@ class TestPairLoglik:
         assert _theta_ranges("clayton", -1) == [(1e-4, 50.0)]
         with pytest.raises(ArgumentError):
             _theta_ranges("independence")
+
+
+class TestSearchTheta:
+    def test_tie_goes_to_the_first_range(self):
+        ll, theta = _search_theta(lambda t: 0.0, _theta_ranges("frank"))
+        assert ll == 0.0 and theta < 0.0
+
+    def test_failed_ranges_are_skipped(self):
+        def loglik(theta):
+            if theta < 0.0:
+                raise ValueError("negative half fails")
+            return -(theta - 2.0) ** 2
+
+        ll, theta = _search_theta(loglik, _theta_ranges("frank"))
+        assert theta == pytest.approx(2.0, abs=1e-5)
+        assert _search_theta(lambda t: float("nan"), _theta_ranges("frank")) is None
+
+    def test_seeds_are_scored(self):
+        seen = []
+        _search_theta(lambda t: seen.append(t) or 0.0, _theta_ranges("frank"),
+                      seeds=(7.0, -7.0))
+        assert 7.0 in seen and -7.0 in seen
