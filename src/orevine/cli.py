@@ -198,8 +198,11 @@ def _run_evaluate(args) -> int:
     model = load_model(args.model)
     ds = Dataset.from_csv(args.data)
     _check_cells(ds, args.data, rat=True)
+    # the loaded model is the one scored; exact-LOO folds refit with the
+    # default candidates, min_rows and EM tolerance, which it does not record
     result = loo_cv(ds, engine=model.engine, epsilon=model.epsilon,
-                    parallelism=args.parallelism, fast=args.fast_loo)
+                    parallelism=args.parallelism, fast=args.fast_loo,
+                    full=model)
     scores = [result.report_all, result.report_composite]
     text = render_report(scores)
     prefix = args.out_prefix

@@ -174,13 +174,16 @@ def _loo_fold(args):
 
 def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
            parallelism: int = 1, fast: bool = False, candidates=None,
-           min_rows: int = 30, fit_fn=None, predict_fn=None) -> LooResult:
+           min_rows: int = 30, fit_fn=None, predict_fn=None,
+           full=None) -> LooResult:
     """Leave-one-out validation of the composition predictor.
 
     Returns the `fit_scores` of the full-data model combined with LOO
-    MAE/MSE, over all rows and over the composite rows only.  Folds
-    whose refit degenerates (or whose prediction has no support) are
-    excluded and counted.  Results do not depend on `parallelism`.
+    MAE/MSE, over all rows and over the composite rows only.  `full` is
+    the full-data model, fitted here when not given; with `fast` it is the
+    template of every fold's refit.  Folds whose refit degenerates (or
+    whose prediction has no support) are excluded and counted.  Results do
+    not depend on `parallelism`.
     """
     if not dataset.has_rat or np.isnan(dataset.column("rat")).any():
         raise ArgumentError("leave-one-out needs a fully labeled dataset")
@@ -188,7 +191,8 @@ def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
     fit_fn = fit_fn or _default_fit
     predict_fn = predict_fn or predict_vfvm
 
-    full = fit_fn(dataset, engine, epsilon, candidates, min_rows, None)
+    if full is None:
+        full = fit_fn(dataset, engine, epsilon, candidates, min_rows, None)
     template = full if fast else None
 
     jobs = [(i, dataset, engine, epsilon, candidates, min_rows, template,

@@ -8,7 +8,9 @@ with both components from the same family (gamma with shape/scale, or beta
 on (0, 1)).  Parameters are estimated with a guarded EM algorithm whose
 observed-data log-likelihood is non-decreasing by construction: any M-step
 update that fails to improve the weighted complete-data objective is
-rejected in favor of the previous parameters.
+rejected in favor of the previous parameters.  SQUAREM cycles accelerate
+the EM; an extrapolated step is kept only where it scores at least as well
+as the plain EM iterate it would replace.
 
 An optional truncation interval renormalizes the density to a sub-interval
 of the support (used for the composite-class composition marginal).
@@ -16,7 +18,9 @@ of the support (used for the composite-class composition marginal).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -28,6 +32,7 @@ COLLAPSE_WEIGHT = 1e-6     # mixing weight below which a component is considered
 TABLE_POINTS = 4097        # largest cdf table that seeds the quantile root estimate
 NEWTON_STEPS = 3           # root steps before an element falls back to plain bisection
 WINDOW = 2.0 ** -40        # relative half-width of the checked quantile window
+STEP_FLOOR = 0.01          # SQUAREM steps within this of a = -1 are taken as a = -1
 
 
 @dataclass(frozen=True)
@@ -269,10 +274,13 @@ def _beta_mom(x: np.ndarray, w: np.ndarray | None = None) -> BetaParams:
     return BetaParams(float(p), float(q))
 
 
-def _weighted_gamma_mle(x: np.ndarray, lx: np.ndarray, w: np.ndarray) -> GammaParams:
+def _weighted_gamma_mle(x: np.ndarray, lx: np.ndarray, w: np.ndarray,
+                        start: GammaParams | None = None) -> GammaParams:
     """Maximize the w-weighted gamma log-likelihood (Newton on the shape).
 
-    `lx` is log(x), computed once per EM run by the caller.
+    `lx` is log(x), computed once per EM run by the caller.  Newton starts
+    from `start`'s shape, or from the closed-form approximation to the root
+    when `start` is None.
     """
     wsum = w.sum()
     mean_x = float((w * x).sum() / wsum)
@@ -281,7 +289,10 @@ def _weighted_gamma_mle(x: np.ndarray, lx: np.ndarray, w: np.ndarray) -> GammaPa
     if s <= 1e-12:  # zero-variance weighting; push towards a spike
         alpha = 1e6
     else:
-        alpha = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+        if start is None:
+            alpha = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+        else:
+            alpha = start.alpha
         for _ in range(40):
             g = np.log(alpha) - special.digamma(alpha) - s
             # zeta(2, a) is the trigamma function, bit-equal to polygamma(1, a)
@@ -305,20 +316,24 @@ def _weighted_beta_mle(lx: np.ndarray, l1mx: np.ndarray, w: np.ndarray,
     """Maximize the w-weighted beta log-likelihood (2-D Newton with damping).
 
     `lx` and `l1mx` are log(x) and log1p(-x), computed once per EM run.
+    A Newton step evaluates digamma and trigamma once each, on the array
+    (p, q, p + q).
     """
     wsum = w.sum()
     c1 = float((w * lx).sum() / wsum)
     c2 = float((w * l1mx).sum() / wsum)
     p, q = start.p, start.q
     for _ in range(60):
-        common = special.digamma(p + q)
-        g1 = special.digamma(p) - common - c1
-        g2 = special.digamma(q) - common - c2
-        tri = special.zeta(2.0, p + q)
-        j11 = special.zeta(2.0, p) - tri
-        j22 = special.zeta(2.0, q) - tri
+        # Python floats from here on: the same IEEE arithmetic, less overhead
+        args = np.array([p, q, p + q])
+        psi_p, psi_q, common = special.digamma(args).tolist()
+        tri_p, tri_q, tri = special.zeta(2.0, args).tolist()
+        g1 = psi_p - common - c1
+        g2 = psi_q - common - c2
+        j11 = tri_p - tri
+        j22 = tri_q - tri
         det = j11 * j22 - tri * tri
-        if not np.isfinite(det) or abs(det) < 1e-300:
+        if not math.isfinite(det) or abs(det) < 1e-300:
             break
         dp = (g1 * j22 + g2 * tri) / det
         dq = (g2 * j11 + g1 * tri) / det
@@ -336,6 +351,19 @@ def _weighted_beta_mle(lx: np.ndarray, l1mx: np.ndarray, w: np.ndarray,
     return BetaParams(p, q)
 
 
+class _EmState(NamedTuple):
+    """An EM iterate with the arrays the next map reuses."""
+
+    c1: GammaParams | BetaParams
+    c2: GammaParams | BetaParams
+    lam: float
+    d1: np.ndarray              # component log-densities at the data
+    d2: np.ndarray
+    l1: np.ndarray              # d1 + log(lam)
+    norm: np.ndarray            # log mixture density at the data
+    ll: float                   # norm.sum()
+
+
 def _order_components(model: MixtureModel) -> MixtureModel:
     """Resolve label switching: component 1 is the one with the smaller mean."""
     if model.comp1.mean <= model.comp2.mean:
@@ -343,17 +371,44 @@ def _order_components(model: MixtureModel) -> MixtureModel:
     return replace(model, comp1=model.comp2, comp2=model.comp1, lam=1.0 - model.lam)
 
 
+def _coords(s: _EmState) -> list[float]:
+    """An iterate's SQUAREM coordinates: the logs of both components'
+    parameters, then logit(lam).  Five numbers, so plain floats and `math`
+    are cheaper than arrays."""
+    params = [*vars(s.c1).values(), *vars(s.c2).values()]
+    return [math.log(v) for v in params] + [math.log(s.lam) - math.log1p(-s.lam)]
+
+
 def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
                    truncation: tuple[float, float] | None = None,
                    init: MixtureModel | None = None) -> MixtureModel:
-    """Fit a two-component mixture by EM.
+    """Fit a two-component mixture by EM, accelerated by SQUAREM.
 
     Initialization is deterministic: the sample is split at its median and a
     method-of-moments fit of each half seeds the components, with lambda = 0.5
     (or, when `init` is given, that model's parameters, which makes warm
-    restarts on slightly perturbed data cheap).  The observed-data
-    log-likelihood is guaranteed non-decreasing: M-step updates that would
-    lower a component's weighted objective are discarded.
+    restarts on slightly perturbed data cheap).
+
+    One EM map is an E-step and guarded M-steps: a component update that
+    would lower its weighted objective is discarded, so a map never lowers
+    the observed-data log-likelihood ll.  The maps run in SQUAREM cycles
+    (Varadhan & Roland 2008, Scand. J. Statist. 35).  From theta0, a cycle
+    takes two maps, theta1 and theta2, in coordinates theta = (the log of
+    each component parameter, logit lambda).  With r = theta1 - theta0,
+    v = theta2 - theta1 - r and a = min(-|r|/|v|, -1), it tries
+    theta0 - 2 a r + a^2 v, moving a halfway towards -1 (where the step is
+    theta2) while the step scores below ll(theta2).  A step that is not
+    finite, makes invalid components or puts lambda outside (0, 1) falls
+    back to theta2 at once, as does a step within STEP_FLOOR of a = -1.
+    One more map from the accepted step ends the cycle.  Every accepted
+    iterate therefore scores at least the one before; a map that lowers ll
+    by more than rounding raises FittingError.
+
+    A map whose E-step gives a component a weight below COLLAPSE_WEIGHT
+    ends the run with a degenerate model.  `max_iter` counts maps.  The run
+    stops when a whole cycle gains less than tol * max(1, |ll|), or when the
+    first map does: a warm start that is already converged then costs one
+    map, and ends where the plain EM loop would.
 
     Parameters
     ----------
@@ -406,63 +461,100 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
     # whose support masks are no-ops on the filtered/clamped x
     lx = np.log(x)
     if family == "gamma":
+        make = GammaParams
+
         def logpdf(c):
             return ((c.alpha - 1.0) * lx - x / c.beta
                     - c.alpha * np.log(c.beta) - special.gammaln(c.alpha))
 
-        def mle(w, start):
-            return _weighted_gamma_mle(x, lx, w)
+        def mle(w, old, first):
+            # the first M-step's `old` is a moment fit or a warm-start model,
+            # not an M-step result: start Newton from the closed form there
+            return _weighted_gamma_mle(x, lx, w, None if first else old)
     else:
+        make = BetaParams
         l1mx = np.log1p(-x)
 
         def logpdf(c):
             return (c.p - 1.0) * lx + (c.q - 1.0) * l1mx - special.betaln(c.p, c.q)
 
-        def mle(w, start):
-            return _weighted_beta_mle(lx, l1mx, w, start)
+        def mle(w, old, first):
+            return _weighted_beta_mle(lx, l1mx, w, old)
 
-    def joint(d1, d2, lam):
-        """Weighted component-1 log-density and the log mixture density."""
+    def state(c1, c2, lam, d1=None, d2=None) -> _EmState:
+        d1 = logpdf(c1) if d1 is None else d1
+        d2 = logpdf(c2) if d2 is None else d2
         l1 = d1 + np.log(max(lam, 1e-300))
-        return l1, np.logaddexp(l1, d2 + np.log(max(1.0 - lam, 1e-300)))
+        norm = np.logaddexp(l1, d2 + np.log(max(1.0 - lam, 1e-300)))
+        return _EmState(c1, c2, lam, d1, d2, l1, norm, float(norm.sum()))
 
-    def improved(old, d_old, resp):
+    def improved(old, d_old, resp, first):
         """M-step with guarded acceptance (keeps EM monotone): an update that
         lowers the component's weighted objective is dropped."""
-        new = mle(resp, old)
+        new = mle(resp, old, first)
         d_new = logpdf(new)
         q_old = float((resp * d_old).sum())
         q_new = float((resp * d_new).sum())
         return (new, d_new) if q_new >= q_old else (old, d_old)
 
-    d1, d2 = logpdf(c1), logpdf(c2)   # log-densities of the current components
-    l1, norm = joint(d1, d2, lam)
-    ll = float(norm.sum())
+    def extrapolated(s0, s1, s2):
+        """The SQUAREM step from s0 through the maps s1 and s2, or s2."""
+        t0, t1, t2 = _coords(s0), _coords(s1), _coords(s2)
+        r = [b - a for a, b in zip(t0, t1)]
+        v = [c - 2.0 * b + a for a, b, c in zip(t0, t1, t2)]
+        norm_v = math.hypot(*v)
+        if norm_v == 0.0:
+            return s2
+        a = min(-math.hypot(*r) / norm_v, -1.0)
+        while a < -1.0 - STEP_FLOOR:
+            t = [x - 2.0 * a * y + a * a * z for x, y, z in zip(t0, r, v)]
+            try:
+                params = [math.exp(u) for u in t[:4]]
+                lam = 1.0 / (1.0 + math.exp(-t[4]))
+                if not 0.0 < lam < 1.0:
+                    return s2
+                c1, c2 = make(*params[:2]), make(*params[2:])
+            except (OverflowError, ArgumentError):  # not finite, or a parameter vanished
+                return s2
+            with np.errstate(all="ignore"):
+                step = state(c1, c2, lam)
+            if step.ll >= s2.ll:            # false for a NaN log-likelihood
+                return step
+            a = 0.5 * (a - 1.0)
+        return s2
+
+    s = state(c1, c2, lam)
+    cycle = [s]                 # the current cycle's s0 and the maps after it
     degenerate = False
-    for _ in range(max_iter):
+    for it in range(max_iter):
         # E-step, from the terms of the current log-likelihood
-        g1 = np.exp(l1 - norm)
+        g1 = np.exp(s.l1 - s.norm)
         g2 = 1.0 - g1
 
         lam_new = float(np.mean(g1))
         if lam_new < COLLAPSE_WEIGHT or lam_new > 1.0 - COLLAPSE_WEIGHT:
             degenerate = True
-            lam = float(np.clip(lam_new, 0.0, 1.0))
+            s = s._replace(lam=float(np.clip(lam_new, 0.0, 1.0)))
             break
 
-        c1, d1 = improved(c1, d1, g1)
-        c2, d2 = improved(c2, d2, g2)
-        lam = lam_new
-
-        l1, norm = joint(d1, d2, lam)
-        ll_new = float(norm.sum())
-        if ll_new < ll - 1e-8 * max(1.0, abs(ll)):
+        c1, d1 = improved(s.c1, s.d1, g1, it == 0)
+        c2, d2 = improved(s.c2, s.d2, g2, it == 0)
+        new = state(c1, c2, lam_new, d1, d2)
+        if new.ll < s.ll - 1e-8 * max(1.0, abs(s.ll)):
             raise FittingError("EM log-likelihood decreased; numerical failure")
-        if abs(ll_new - ll) < tol * max(1.0, abs(ll)):
-            ll = ll_new
+        if it == 0 and new.ll - s.ll < tol * max(1.0, abs(s.ll)):
+            s = new             # a start the first map leaves within tol
             break
-        ll = ll_new
+        cycle.append(new)
+        if len(cycle) == 3:
+            s = extrapolated(*cycle)
+        elif len(cycle) == 4:   # `new` maps the accepted step: the cycle ends
+            s0, s, cycle = cycle[0], new, [new]
+            if new.ll - s0.ll < tol * max(1.0, abs(s0.ll)):
+                break
+        else:
+            s = new
 
-    model = MixtureModel(family, c1, c2, lam, truncation=truncation,
+    model = MixtureModel(family, s.c1, s.c2, s.lam, truncation=truncation,
                          degenerate=degenerate)
     return _order_components(model)

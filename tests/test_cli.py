@@ -417,6 +417,22 @@ class TestCliEvaluate:
         errors = (tmp_path / "eval_errors.csv").read_text().splitlines()
         assert errors[0] == "id,truth,prediction,error"
 
+    def test_scores_the_given_model(self, tmp_path, small_dataset):
+        """A model fitted with non-default settings is the model scored,
+        not a refit with the defaults."""
+        data_path, _ = small_dataset
+        model = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data_path), "--out", str(model),
+                     "--candidates", "frank", "clayton", "--em-tol", "1e-3",
+                     "--report-prefix", str(tmp_path / "fit")]) == 0
+        assert main(["evaluate", "--model", str(model), "--data", str(data_path),
+                     "--out-prefix", str(tmp_path / "eval"), "--fast-loo"]) == 0
+        fitted, evaluated = (
+            {(r["engine"], r["subset"]): (r["ll"], r["aic"], r["bic"])
+             for r in json.loads((tmp_path / name).read_text())["scores"]}
+            for name in ("fit.json", "eval.json"))
+        assert evaluated == fitted
+
 
 class TestDeterminism:
     def run_twice(self, cmd, out_dir):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
+from orevine import marginals
 from orevine.errors import ArgumentError, FittingError
 from orevine.marginals import (
+    BETA_CLAMP,
+    COLLAPSE_WEIGHT,
     BetaParams,
     GammaParams,
     MixtureModel,
@@ -211,50 +214,55 @@ def _two_gammas():
     return np.concatenate([rng.gamma(2.0, 1.5, 300), rng.gamma(9.0, 0.7, 200)])
 
 
-def _golden_fit(case):
+def _golden_fit(case, fit=fit_mixture_em):
+    """(data, model): a pinned EM case and its fit by `fit`."""
     if case == "gamma":
-        return fit_mixture_em(_two_gammas(), "gamma")
+        data = _two_gammas()
+        return data, fit(data, "gamma")
     if case == "warm":
         data = _two_gammas()
         rng = np.random.default_rng(104)
         moved = data * (1 + 0.01 * rng.standard_normal(data.size))
-        return fit_mixture_em(moved, "gamma", init=fit_mixture_em(data, "gamma"),
-                              tol=1e-6)
+        return moved, fit(moved, "gamma", init=fit(data, "gamma"), tol=1e-6)
     if case == "beta":
         rng = np.random.default_rng(102)
-        return fit_mixture_em(
-            np.concatenate([rng.beta(2, 7, 250), rng.beta(6, 3, 350)]), "beta")
+        data = np.concatenate([rng.beta(2, 7, 250), rng.beta(6, 3, 350)])
+        return data, fit(data, "beta")
     if case == "truncated":
         rng = np.random.default_rng(103)
         data = np.concatenate([rng.beta(1.5, 5, 200), rng.beta(5, 1.5, 200)])
-        return fit_mixture_em(data, "beta", truncation=(0.01, 0.99))
+        return data, fit(data, "beta", truncation=(0.01, 0.99))
     if case == "spike":
-        return fit_mixture_em(np.full(50, 0.3), "beta")
+        data = np.full(50, 0.3)
+        return data, fit(data, "beta")
     # collapse: a warm start whose first component sits far from the data
     init = beta_mix(200.0, 2.0, 2.0, 5.0, 0.01)
     rng = np.random.default_rng(105)
-    return fit_mixture_em(rng.beta(2, 5, 400), "beta", init=init)
+    data = rng.beta(2, 5, 400)
+    return data, fit(data, "beta", init=init)
 
 
 class TestEmGolden:
-    """Exact EM results, recorded from a reference run that evaluated every
-    component log-density through GammaParams/BetaParams.logpdf and used
-    polygamma(1, .) in the Newton steps; a faster EM must reproduce them bit
-    for bit (recorded with numpy 2.4 and scipy 1.17)."""
+    """Exact EM results (recorded with numpy 2.4 and scipy 1.17).  "spike"
+    and "collapse" end before the first map's M-step, and are also the bits
+    of a reference run that evaluated every component log-density through
+    GammaParams/BetaParams.logpdf and used polygamma(1, .) in the Newton
+    steps.  The other four pin the SQUAREM-accelerated EM; TestEmEquivalence
+    checks them against the plain loop."""
 
     GOLDEN = {
-        "gamma": (("3.3164152511267737", "0.3548392322769839",
-                   "4.48887426607888", "1.1338215329677117"),
-                  "0.22553728652317245", False),
-        "beta": (("1.8999250573121822", "5.7722907481489285",
-                  "7.009660436827209", "3.267879602156605"),
-                 "0.4716098642084419", False),
-        "truncated": (("1.646626927091168", "5.649035965035747",
-                       "6.167772972119535", "1.6259802043067848"),
-                      "0.5173797318572084", False),
-        "warm": (("3.3153813849159453", "0.35541309323097736",
-                  "4.47566087800706", "1.137773136254299"),
-                 "0.22560572842143148", False),
+        "gamma": (("3.325988148826122", "0.35261401540713494",
+                   "4.475055915247035", "1.1364087153664946"),
+                  "0.2244969665586222", False),
+        "beta": (("1.9005485876016983", "5.777181193913944",
+                  "7.005518160979758", "3.2669667692846796"),
+                 "0.47142602283557505", False),
+        "truncated": (("1.6464701934819144", "5.6477719970132885",
+                       "6.169321296741985", "1.6261569389102841"),
+                      "0.5174187048104908", False),
+        "warm": (("3.3153530144323224", "0.35518732696031313",
+                  "4.469604624629421", "1.1389997004482766"),
+                 "0.22528329392388705", False),
         "spike": (("1000000.0", "1000000.0", "1000000.0", "1000000.0"),
                   "1.0", True),
         "collapse": (("2.0", "5.0", "200.0", "2.0"), "1.0", True),
@@ -262,7 +270,7 @@ class TestEmGolden:
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_bit_identical(self, case):
-        m = _golden_fit(case)
+        _, m = _golden_fit(case)
         params, lam, degenerate = self.GOLDEN[case]
         got = tuple(repr(float(v)) for c in (m.comp1, m.comp2)
                     for v in vars(c).values())
@@ -270,6 +278,154 @@ class TestEmGolden:
         assert repr(m.lam) == lam
         assert m.degenerate is degenerate
         assert m.truncation == ((0.01, 0.99) if case == "truncated" else None)
+
+
+def plain_em(data, family, max_iter=500, tol=1e-8, truncation=None, init=None):
+    """`fit_mixture_em` as the plain EM loop, one guarded map after another
+    until a map gains less than tol * max(1, |ll|), with the closed-form
+    start for every gamma Newton solve: the reference that the accelerated
+    EM must match or beat in log-likelihood."""
+    x = np.asarray(data, dtype=float).ravel()
+    x = x[x > 0] if family == "gamma" else np.clip(x, BETA_CLAMP, 1.0 - BETA_CLAMP)
+    if np.var(x) < 1e-20 * max(1.0, np.mean(x) ** 2):
+        return fit_mixture_em(data, family, truncation=truncation)   # the spike
+    mom = marginals._gamma_mom if family == "gamma" else marginals._beta_mom
+    if init is not None:
+        c1, c2, lam = init.comp1, init.comp2, min(max(init.lam, 0.01), 0.99)
+    else:
+        med = np.median(x)
+        lower, upper = x[x <= med], x[x > med]
+        if upper.size == 0:
+            lower, upper = x[x < med], x[x >= med]
+        if lower.size == 0 or upper.size == 0:
+            lower = upper = x
+        c1, c2 = mom(lower), mom(upper)
+        lam = 0.5
+    lx = np.log(x)
+    if family == "gamma":
+        def logpdf(c):
+            return ((c.alpha - 1.0) * lx - x / c.beta
+                    - c.alpha * np.log(c.beta) - special.gammaln(c.alpha))
+
+        def mle(w, start):
+            return marginals._weighted_gamma_mle(x, lx, w)
+    else:
+        l1mx = np.log1p(-x)
+
+        def logpdf(c):
+            return (c.p - 1.0) * lx + (c.q - 1.0) * l1mx - special.betaln(c.p, c.q)
+
+        def mle(w, start):
+            return marginals._weighted_beta_mle(lx, l1mx, w, start)
+
+    def joint(d1, d2, lam):
+        l1 = d1 + np.log(max(lam, 1e-300))
+        return l1, np.logaddexp(l1, d2 + np.log(max(1.0 - lam, 1e-300)))
+
+    def improved(old, d_old, resp):
+        new = mle(resp, old)
+        d_new = logpdf(new)
+        keep = float((resp * d_new).sum()) >= float((resp * d_old).sum())
+        return (new, d_new) if keep else (old, d_old)
+
+    d1, d2 = logpdf(c1), logpdf(c2)
+    l1, norm = joint(d1, d2, lam)
+    ll = float(norm.sum())
+    degenerate = False
+    for _ in range(max_iter):
+        g1 = np.exp(l1 - norm)
+        lam_new = float(np.mean(g1))
+        if lam_new < COLLAPSE_WEIGHT or lam_new > 1.0 - COLLAPSE_WEIGHT:
+            degenerate = True
+            lam = float(np.clip(lam_new, 0.0, 1.0))
+            break
+        c1, d1 = improved(c1, d1, g1)
+        c2, d2 = improved(c2, d2, 1.0 - g1)
+        lam = lam_new
+        l1, norm = joint(d1, d2, lam)
+        ll_new = float(norm.sum())
+        assert ll_new >= ll - 1e-8 * max(1.0, abs(ll))
+        if abs(ll_new - ll) < tol * max(1.0, abs(ll)):
+            break
+        ll = ll_new
+    return marginals._order_components(
+        MixtureModel(family, c1, c2, lam, truncation=truncation,
+                     degenerate=degenerate))
+
+
+def em_loglik(model, data):
+    """The log-likelihood the EM maximises: untruncated, on the positive
+    (gamma) or clamped (beta) samples."""
+    x = np.asarray(data, dtype=float).ravel()
+    x = x[x > 0] if model.family == "gamma" else np.clip(x, BETA_CLAMP, 1.0 - BETA_CLAMP)
+    with np.errstate(divide="ignore"):
+        return float(np.logaddexp(np.log(model.lam) + model.comp1.logpdf(x),
+                                  np.log1p(-model.lam) + model.comp2.logpdf(x)).sum())
+
+
+@pytest.fixture
+def count_maps(monkeypatch):
+    """Counts EM maps (two M-step solves each) in `calls["maps"]`."""
+    calls = {"solves": 0}
+    for name in ("_weighted_gamma_mle", "_weighted_beta_mle"):
+        solve = getattr(marginals, name)
+
+        def counted(*args, _solve=solve):
+            calls["solves"] += 1
+            return _solve(*args)
+        monkeypatch.setattr(marginals, name, counted)
+
+    def maps():
+        return calls["solves"] // 2
+    return maps
+
+
+def exact_em_columns():
+    """(data, family, truncation) of the 19 class-marginal EMs of an exact
+    fit of the acceptance-07 set."""
+    from orevine.model import _marginal_family, partition_dataset
+    from orevine.synth import benchmark_truth, generate_composite_dataset
+
+    ds = generate_composite_dataset(benchmark_truth(), 227, 489, 625, seed=42)
+    for part in partition_dataset(ds, 0.01):
+        for j, col in enumerate(part.columns):
+            yield (part.matrix[:, j], _marginal_family(col),
+                   (0.01, 0.99) if col == "rat" else None)
+
+
+class TestEmEquivalence:
+    """SQUAREM cycles change the iterates, not what the EM maximises: every
+    accelerated fit ends no lower in log-likelihood than the plain loop,
+    within the stop tolerance, and in fewer maps."""
+
+    @pytest.mark.parametrize("case", ["gamma", "beta", "truncated", "warm"])
+    def test_pinned_cases(self, case):
+        data, fast = _golden_fit(case)
+        _, plain = _golden_fit(case, fit=plain_em)
+        tol = 1e-6 if case == "warm" else 1e-8
+        ll_plain = em_loglik(plain, data)
+        assert em_loglik(fast, data) >= ll_plain - tol * max(1.0, abs(ll_plain))
+
+    def test_exact_fit_marginals(self, count_maps):
+        fast_maps = plain_maps = 0
+        for data, family, truncation in exact_em_columns():
+            before = count_maps()
+            fast = fit_mixture_em(data, family, truncation=truncation)
+            fast_maps += count_maps() - before
+            before = count_maps()
+            plain = plain_em(data, family, truncation=truncation)
+            plain_maps += count_maps() - before
+            ll_plain = em_loglik(plain, data)
+            assert em_loglik(fast, data) >= ll_plain - 1e-8 * max(1.0, abs(ll_plain))
+        # measured: 3929 maps against 7674
+        assert fast_maps <= 0.55 * plain_maps
+
+    def test_max_iter_counts_maps(self, count_maps):
+        data, family, _ = next(exact_em_columns())
+        for max_iter in (1, 2, 3, 7):
+            before = count_maps()
+            fit_mixture_em(data, family, max_iter=max_iter)
+            assert count_maps() - before == max_iter
 
 
 def bisection_quantile(model, p):
