@@ -8,15 +8,19 @@ d-dimensional Archimedean copula, plus 2 class-proportion degrees of
 freedom for a composite model.
 
 Leave-one-out refits the composite model on every n-1 subset and scores
-the held-out row from its CT-based descriptors.  Exact mode repeats the
-full structure selection per fold; fast mode reuses the full-data vine
-structure and copula families and re-estimates parameters only.  Fold
-results are reduced in row order, so reports are identical for any degree
-of parallelism.
+the held-out row from its CT-based descriptors.  Each class density is
+fitted on its own rows only, so a fold refits only the class that lost its
+row and reuses the full-data fits of the other two; the fold model is the
+same as a `fit_composite` of the fold's rows.  Exact mode repeats the full
+structure selection for that class; fast mode reuses the full-data vine
+structure and copula families and re-estimates parameters only.  Worker
+processes receive the shared state once, and fold results are reduced in
+row order, so reports are identical for any degree of parallelism.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -28,7 +32,10 @@ from .errors import ArgumentError, FittingError
 from .marginals import MixtureModel
 from .model import (
     CompositeModel,
+    check_class_sizes,
+    class_densities,
     composite_log_density,
+    fit_class_part,
     fit_composite,
     partition_dataset,
     predict_vfvm,
@@ -148,16 +155,60 @@ class LooResult:
                              f"{repr(float(pred - self.truths[i]))}\n")
 
 
-def _default_fit(dataset: Dataset, engine: str, epsilon: float, candidates,
-                 min_rows: int, template):
-    return fit_composite(dataset, engine=engine, epsilon=epsilon,
-                         candidates=candidates, min_rows=min_rows,
-                         template=template)
+@dataclass(frozen=True)
+class ClassReuseFit:
+    """The default fold fit of `loo_cv`, called like `fit_fn`.
+
+    `sizes` and `fits` describe each class part of the full data: its row
+    count and its fit, which is a model, the `FittingError` the fit raised,
+    or None for a part under `min_rows`.  A fold misses one row, so exactly
+    one of its class parts is smaller than the full data's; only that part
+    is refitted, and the other two reuse their fits.  Each fold model is
+    therefore the `fit_composite` of the fold's rows, bit for bit.
+    """
+
+    sizes: tuple[int, int, int]
+    fits: tuple
+
+    @classmethod
+    def on(cls, dataset: Dataset, engine: str, epsilon: float, candidates,
+           min_rows: int, template) -> "ClassReuseFit":
+        parts = partition_dataset(dataset, epsilon)
+        fits = []
+        for part, tmpl in zip(parts, class_densities(template)):
+            if len(part) < min_rows:  # every fold fails check_class_sizes
+                fits.append(None)
+                continue
+            try:
+                fits.append(fit_class_part(part, engine, epsilon, candidates,
+                                           min_rows, template=tmpl))
+            except FittingError as exc:
+                fits.append(exc)
+        return cls(tuple(len(part) for part in parts), tuple(fits))
+
+    def __call__(self, dataset: Dataset, engine: str, epsilon: float,
+                 candidates, min_rows: int, template) -> CompositeModel:
+        parts = partition_dataset(dataset, epsilon)
+        check_class_sizes(parts, min_rows)
+        models = []
+        for part, tmpl, size, fit in zip(parts, class_densities(template),
+                                         self.sizes, self.fits):
+            if len(part) != size:
+                fit = fit_class_part(part, engine, epsilon, candidates,
+                                     min_rows, template=tmpl)
+            elif isinstance(fit, FittingError):
+                raise fit.with_traceback(None)
+            models.append(fit)
+        return CompositeModel(*models, n_v=len(parts[0]), n_nv=len(parts[1]),
+                              n_c=len(parts[2]), epsilon=epsilon,
+                              engine=engine)
 
 
-def _loo_fold(args):
-    (i, dataset, engine, epsilon, candidates, min_rows, template,
-     fit_fn, predict_fn) = args
+def _loo_fold(state, i: int):
+    """Refit without row i and predict it; state is (dataset, engine,
+    epsilon, candidates, min_rows, template, fit_fn, predict_fn)."""
+    (dataset, engine, epsilon, candidates, min_rows, template, fit_fn,
+     predict_fn) = state
     mask = np.ones(len(dataset), dtype=bool)
     mask[i] = False
     try:
@@ -172,6 +223,18 @@ def _loo_fold(args):
     return i, float(value)
 
 
+_worker_state = None  # the fold state of a pool worker, set once per process
+
+
+def _init_worker(state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _worker_fold(i: int):
+    return _loo_fold(_worker_state, i)
+
+
 def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
            parallelism: int = 1, fast: bool = False, candidates=None,
            min_rows: int = 30, fit_fn=None, predict_fn=None,
@@ -181,28 +244,41 @@ def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
     Returns the `fit_scores` of the full-data model combined with LOO
     MAE/MSE, over all rows and over the composite rows only.  `full` is
     the full-data model, fitted here when not given; with `fast` it is the
-    template of every fold's refit.  Folds whose refit degenerates (or
-    whose prediction has no support) are excluded and counted.  Results do
-    not depend on `parallelism`.
+    template of every fold's refit.  Without `fit_fn`, each class part of
+    the full data is fitted once (`ClassReuseFit`), and a fold refits only
+    the class that lost its row.  A fold is excluded and counted when its
+    refit or its prediction raises `FittingError`, or when its prediction
+    has no support.  A `FittingError` of a reused class fit excludes every
+    fold that reuses it; a `FittingError` of the fold's own class excludes
+    that fold only.  Any other exception propagates, and no worker process
+    outlives the call.  Results do not depend on `parallelism`.
     """
     if not dataset.has_rat or np.isnan(dataset.column("rat")).any():
         raise ArgumentError("leave-one-out needs a fully labeled dataset")
     n = len(dataset)
-    fit_fn = fit_fn or _default_fit
     predict_fn = predict_fn or predict_vfvm
 
-    if full is None:
+    if full is None and fit_fn is None:
+        full = fit_composite(dataset, engine=engine, epsilon=epsilon,
+                             candidates=candidates, min_rows=min_rows)
+    elif full is None:
         full = fit_fn(dataset, engine, epsilon, candidates, min_rows, None)
     template = full if fast else None
+    if fit_fn is None:
+        fit_fn = ClassReuseFit.on(dataset, engine, epsilon, candidates,
+                                  min_rows, template)
 
-    jobs = [(i, dataset, engine, epsilon, candidates, min_rows, template,
-             fit_fn, predict_fn) for i in range(n)]
+    state = (dataset, engine, epsilon, candidates, min_rows, template, fit_fn,
+             predict_fn)
     if parallelism <= 1:
-        results = list(map(_loo_fold, jobs))
+        results = list(map(functools.partial(_loo_fold, state), range(n)))
     else:
+        # workers receive the shared state once, and each job only its row;
         # leaving the block joins the workers, also when a fold raises
-        with ProcessPoolExecutor(max_workers=parallelism) as executor:
-            results = list(executor.map(_loo_fold, jobs,
+        with ProcessPoolExecutor(max_workers=parallelism,
+                                 initializer=_init_worker,
+                                 initargs=(state,)) as executor:
+            results = list(executor.map(_worker_fold, range(n),
                                         chunksize=max(1, n // (parallelism * 4))))
     predictions = np.full(n, np.nan)
     for i, value in results:

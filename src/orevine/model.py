@@ -160,6 +160,38 @@ def _fit_engine(data: Dataset, marginals, engine: str, candidates=None,
     raise ArgumentError(f"unknown engine {engine!r}")
 
 
+def class_densities(model: "CompositeModel | None") -> tuple:
+    """(f_v, f_nv, f_c) of a composite model, in partition order; three
+    Nones for None."""
+    return (None,) * 3 if model is None else (model.f_v, model.f_nv, model.f_c)
+
+
+def check_class_sizes(parts, min_rows: int) -> None:
+    """Raise FittingError for the first of (D_v, D_nv, D_c) under min_rows."""
+    for name, part in zip(("valuable", "non_valuable", "composite"), parts):
+        if len(part) < min_rows:
+            raise FittingError(
+                f"partition {name} has {len(part)} rows; needs >= {min_rows}")
+
+
+def fit_class_part(part: Dataset, engine: str = "rvine",
+                   epsilon: float = DEFAULT_EPSILON, candidates=None,
+                   min_rows: int = 30, em_tol: float = 1e-8,
+                   template: EngineModel | None = None) -> EngineModel:
+    """Fit one class density (marginals, then the engine's copula) to the
+    rows of one partition.
+
+    With `template` given, the EM starts from its marginals and the copula
+    keeps its structure and families, re-estimating parameters only.
+    """
+    # warm restarts tolerate a looser EM stop; the optimum moves O(1/n)
+    marginals = fit_class_marginals(
+        part, epsilon, init=None if template is None else template.marginals,
+        tol=em_tol if template is None else max(em_tol, 1e-6))
+    return _fit_engine(part, marginals, engine, candidates,
+                       min_rows=min_rows, template=template)
+
+
 def fit_composite(dataset: Dataset, engine: str = "rvine",
                   epsilon: float = DEFAULT_EPSILON,
                   atom_width: float = DEFAULT_ATOM_WIDTH,
@@ -172,24 +204,13 @@ def fit_composite(dataset: Dataset, engine: str = "rvine",
     reuses the template's vine structure and copula families and only
     re-estimates parameters.
     """
-    d_v, d_nv, d_c = partition_dataset(dataset, epsilon)
-    for name, part in (("valuable", d_v), ("non_valuable", d_nv),
-                       ("composite", d_c)):
-        if len(part) < min_rows:
-            raise FittingError(
-                f"partition {name} has {len(part)} rows; needs >= {min_rows}")
-
-    models = {}
-    for key, part in (("v", d_v), ("nv", d_nv), ("c", d_c)):
-        tmpl = getattr(template, f"f_{key}") if template is not None else None
-        # warm restarts tolerate a looser EM stop; the optimum moves O(1/n)
-        marginals = fit_class_marginals(
-            part, epsilon, init=None if tmpl is None else tmpl.marginals,
-            tol=em_tol if tmpl is None else max(em_tol, 1e-6))
-        models[key] = _fit_engine(part, marginals, engine, candidates,
-                                  min_rows=min_rows, template=tmpl)
-    return CompositeModel(models["v"], models["nv"], models["c"],
-                          n_v=len(d_v), n_nv=len(d_nv), n_c=len(d_c),
+    parts = partition_dataset(dataset, epsilon)
+    check_class_sizes(parts, min_rows)
+    f_v, f_nv, f_c = (
+        fit_class_part(part, engine, epsilon, candidates, min_rows, em_tol, tmpl)
+        for part, tmpl in zip(parts, class_densities(template)))
+    return CompositeModel(f_v, f_nv, f_c, n_v=len(parts[0]),
+                          n_nv=len(parts[1]), n_c=len(parts[2]),
                           epsilon=epsilon, atom_width=atom_width, engine=engine)
 
 

@@ -697,12 +697,18 @@ def _arch_log_psi_m(family: str, theta: float, m: int, t: np.ndarray) -> np.ndar
         log_p = terms[0] if len(terms) == 1 else np.logaddexp.reduce(np.stack(terms))
         return -np.exp(alpha * log_t) - m * log_t + log_p
     if family == "frank":
-        # (-1)^m psi^(m) = (1/theta) Li_{1-m... } with g = (1 - e^-theta) e^-t
+        # (-1)^m psi^(m) = (1/theta) Li_{1-m}(g) with g = (1 - e^-theta) e^-t,
+        # and Li_{1-m}(g) = N_{m-1}(g) / (1 - g)^m for m >= 1
         g = -np.expm1(-theta) * np.exp(-t)
-        g = np.clip(g, 0.0, 1.0 - 1e-16)
+        g = np.minimum(g, 1.0 - 1e-16)
         if m == 0:
             return np.log(-np.log1p(-g) / theta)
         coeffs = _eulerian_poly(m - 1)
+        if theta < 0.0:
+            # g < 0, so the terms of N(g) alternate in sign: sum them
+            # directly; N(g) / theta > 0 wherever the copula has a density
+            log_num = np.log(np.polynomial.polynomial.polyval(g, coeffs) / theta)
+            return log_num - m * np.log1p(-g)
         with np.errstate(divide="ignore"):
             log_g = np.log(g)
         terms = [np.log(c) + k * log_g for k, c in enumerate(coeffs) if c > 0.0]

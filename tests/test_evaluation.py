@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from orevine import evaluation, model
 from orevine.copulas import PairCopula
 from orevine.descriptors import COLUMNS, Dataset
-from orevine.errors import ArgumentError
+from orevine.errors import ArgumentError, FittingError
 from orevine.evaluation import (
+    ClassReuseFit,
     ScoreReport,
     count_parameters,
+    fit_scores,
     information_criteria,
     loo_cv,
     prediction_errors,
@@ -15,7 +18,7 @@ from orevine.evaluation import (
     scores_to_json,
 )
 from orevine.marginals import BetaParams, MixtureModel
-from orevine.model import CompositeModel
+from orevine.model import CompositeModel, fit_composite, predict_vfvm
 from orevine.synth import benchmark_truth, generate_composite_dataset
 from orevine.vine import ArchimedeanModel, RVineModel, dvine_structure
 
@@ -224,6 +227,151 @@ class TestLooCv:
         lines = path.read_text().splitlines()
         assert lines[0] == "id,truth,prediction,error"
         assert len(lines) == 10
+
+
+def reference_loo(dataset, engine, fast, min_rows=30):
+    """The LOO loop before class fits were reused: `fit_composite` on every
+    fold, then `predict_vfvm`."""
+    full = fit_composite(dataset, engine=engine, min_rows=min_rows)
+    predictions = np.full(len(dataset), np.nan)
+    for i in range(len(dataset)):
+        mask = np.ones(len(dataset), dtype=bool)
+        mask[i] = False
+        try:
+            fold = fit_composite(dataset.subset(mask), engine=engine,
+                                 min_rows=min_rows,
+                                 template=full if fast else None)
+            pred = predict_vfvm(fold, dataset.matrix[i, :-1])
+        except FittingError:
+            continue
+        if pred.value is not None:
+            predictions[i] = pred.value
+    return full, predictions
+
+
+class TestClassReuseEquivalence:
+    """Reusing the full-data fits of the classes a fold leaves alone gives
+    the old loop's predictions and reports bit for bit."""
+
+    def check(self, dataset, engine, fast, min_rows=30):
+        full, expected = reference_loo(dataset, engine, fast, min_rows)
+        result = loo_cv(dataset, engine=engine, fast=fast, min_rows=min_rows)
+        assert result.predictions.tobytes() == expected.tobytes()
+        valid = ~np.isnan(expected)
+        mae, mse = prediction_errors(expected[valid], result.truths[valid])
+        ll_all, ll_c = (r.to_dict() for r in fit_scores(full, dataset, engine))
+        got_all, got_c = result.report_all.to_dict(), result.report_composite.to_dict()
+        assert (got_all["mae"], got_all["mse"]) == (mae, mse)
+        assert {k: got_all[k] for k in ("ll", "k", "n", "aic", "bic")} == \
+            {k: ll_all[k] for k in ("ll", "k", "n", "aic", "bic")}
+        assert {k: got_c[k] for k in ("ll", "k", "n", "aic", "bic")} == \
+            {k: ll_c[k] for k in ("ll", "k", "n", "aic", "bic")}
+
+    @pytest.mark.parametrize("engine", ["rvine", "archimedean"])
+    def test_fast(self, engine):
+        ds = generate_composite_dataset(benchmark_truth(), 20, 20, 20, seed=11)
+        self.check(ds, engine, fast=True, min_rows=15)
+
+    def test_exact(self):
+        ds = generate_composite_dataset(benchmark_truth(), 11, 11, 11, seed=11)
+        self.check(ds, "rvine", fast=False, min_rows=10)
+
+
+def _independence_model(part):
+    """A stand-in class fit: an independence vine of the part's width."""
+    d = part.matrix.shape[1]
+    cops = tuple(PairCopula("independence") for _ in range(d * (d - 1) // 2))
+    return RVineModel(dvine_structure(list(range(d))), cops,
+                      tuple(beta_m(2, 2) for _ in range(d)))
+
+
+def _fit_composite_fold(dataset, engine, epsilon, candidates, min_rows, template):
+    return fit_composite(dataset, engine=engine, epsilon=epsilon,
+                         candidates=candidates, min_rows=min_rows,
+                         template=template)
+
+
+class TestFoldExclusion:
+    """Which exceptions of the default fold fit exclude a fold (12 rows:
+    ids 1-4 valuable, 5-8 non-valuable, 9-12 composite), against the old
+    fold path that called `fit_composite` on every fold."""
+
+    @staticmethod
+    def install(monkeypatch, raise_for=lambda ids, rat: None):
+        """Replace the class fit by a stub that records the ids it fits and
+        raises what `raise_for(ids, has_rat)` returns."""
+        calls = []
+
+        def stub(part, *args, **kwargs):
+            ids = frozenset(part.ids.tolist())
+            calls.append(ids)
+            error = raise_for(ids, part.has_rat)
+            if error is not None:
+                raise error
+            return _independence_model(part)
+
+        monkeypatch.setattr(evaluation, "fit_class_part", stub)
+        monkeypatch.setattr(model, "fit_class_part", stub)
+        return calls
+
+    def run(self, monkeypatch, raise_for, parallelism=1):
+        self.install(monkeypatch, raise_for)
+        ds = make_labeled_dataset(12)
+        result = loo_cv(ds, min_rows=1, parallelism=parallelism, full="full",
+                        predict_fn=lambda m, ct: 0.5)
+        old = loo_cv(ds, min_rows=1, full="full", fit_fn=_fit_composite_fold,
+                     predict_fn=lambda m, ct: 0.5)
+        assert result.predictions.tobytes() == old.predictions.tobytes()
+        return result
+
+    def test_refits_one_class_per_fold(self, monkeypatch):
+        calls = self.install(monkeypatch)
+        result = loo_cv(make_labeled_dataset(12), min_rows=1, full="full",
+                        predict_fn=lambda m, ct: 0.5)
+        assert result.excluded_folds == 0
+        # three full-data class fits, then one class per fold
+        assert len(calls) == 3 + 12
+        for i, ids in enumerate(calls[3:]):
+            assert len(ids) == 3 and i + 1 not in ids
+
+    def test_pickled_fold_fit_matches_fit_composite(self, monkeypatch):
+        import pickle
+        self.install(monkeypatch)
+        ds = make_labeled_dataset(12)
+        fit = pickle.loads(pickle.dumps(
+            ClassReuseFit.on(ds, "rvine", 0.01, None, 1, None)))
+        fold_rows = ds.subset(np.arange(12) != 9)
+        fold = fit(fold_rows, "rvine", 0.01, None, 1, None)
+        assert fold == fit_composite(fold_rows, min_rows=1)
+        assert (fold.n_v, fold.n_nv, fold.n_c) == (4, 4, 3)
+
+    def test_shared_fitting_error_excludes_the_folds_reusing_it(self, monkeypatch):
+        # the full composite part fails; only its own folds refit it
+        full_c = frozenset(range(9, 13))
+        result = self.run(monkeypatch, lambda ids, rat: (
+            FittingError("composite") if ids == full_c else None))
+        assert np.isnan(result.predictions[:8]).all()
+        assert not np.isnan(result.predictions[8:]).any()
+        assert result.excluded_folds == 8
+
+    def test_own_class_fitting_error_excludes_that_fold(self, monkeypatch):
+        result = self.run(monkeypatch, lambda ids, rat: (
+            FittingError("fold") if ids == frozenset({1, 2, 4}) else None))
+        assert np.flatnonzero(np.isnan(result.predictions)).tolist() == [2]
+        assert result.excluded_folds == 1
+
+    def test_other_exception_in_a_fold_propagates(self, monkeypatch):
+        with pytest.raises(ValueError, match="fold"):
+            self.run(monkeypatch, lambda ids, rat: (
+                ValueError("fold") if ids == frozenset({1, 2, 4}) else None))
+
+    def test_other_exception_in_a_shared_fit_leaves_no_workers(self, monkeypatch):
+        import multiprocessing
+        with pytest.raises(ValueError, match="shared"):
+            self.run(monkeypatch, lambda ids, rat: (
+                ValueError("shared") if len(ids) == 4 and rat else None),
+                parallelism=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestRenderReport:

@@ -425,6 +425,16 @@ class TestArchimedean:
                 _arch_log_density(family, theta, pts)))) * (b - a) ** d
             assert mc == pytest.approx(mass, rel=0.02), family
 
+    @pytest.mark.parametrize("theta", [-5.0, -0.5, 0.5, 5.0])
+    def test_two_dim_frank_matches_pair_copula(self, theta):
+        # both signs: for theta < 0 the generator term g is negative
+        from orevine.copulas import pair_log_density
+        from orevine.vine import _arch_log_density
+        u = np.random.default_rng(17).uniform(1e-3, 1 - 1e-3, size=(500, 2))
+        expected = pair_log_density(PairCopula("frank", 0, theta), u[:, 0], u[:, 1])
+        got = _arch_log_density("frank", theta, u)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
 
 SLICE_EPS = 0.01
 # s at and beside the truncation ends, outside it and outside [0, 1], plus
@@ -644,12 +654,11 @@ def archimedean_golden_samples() -> dict:
             "independent_d2": np.random.default_rng(73).uniform(size=(500, 2))}
 
 
-# generated before the pair and Archimedean fits shared one theta search.
-# The 2-dim fits also search Frank's negative half, but `_arch_log_psi_m`
-# has no finite value there (every row scores -1e10), so the negatively
-# dependent sample ends at the positive range's lower end.
+# generated before the pair and Archimedean fits shared one theta search;
+# the Frank -5 case regenerated when the 2-dim fit's negative Frank half
+# got finite log-densities (it had fitted the positive half's end, 1e-4).
 GOLDEN_ARCHIMEDEAN = {
-    "frank_negative_d2": ("frank", "0.0001"),
+    "frank_negative_d2": ("frank", "-4.989507500947054"),
     "gumbel_d3": ("gumbel", "1.6863885858372163"),
     "independent_d2": ("frank", "0.2671217369126428"),
 }
