@@ -93,24 +93,18 @@ class DescriptorVector:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rows of descriptor vectors; matrix columns follow `columns`.
-
-    Provenance travels with the rows: particle ids plus an optional
-    per-row source tag (e.g. the originating volume or generator).
-    """
+    """Rows of descriptor vectors; matrix columns follow `columns`, and
+    `ids` are the rows' particle ids."""
 
     ids: np.ndarray
     matrix: np.ndarray
     columns: tuple[str, ...] = COLUMNS
-    sources: np.ndarray | None = None
 
     def __post_init__(self):
         if self.matrix.ndim != 2 or self.matrix.shape[1] != len(self.columns):
             raise ArgumentError("dataset matrix does not match its columns")
         if self.ids.shape != (self.matrix.shape[0],):
             raise ArgumentError("dataset ids must align with rows")
-        if self.sources is not None and self.sources.shape != self.ids.shape:
-            raise ArgumentError("dataset source tags must align with rows")
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -127,12 +121,10 @@ class Dataset:
             return self
         keep = [i for i, c in enumerate(self.columns) if c != "rat"]
         return Dataset(self.ids, self.matrix[:, keep],
-                       tuple(c for c in self.columns if c != "rat"),
-                       self.sources)
+                       tuple(c for c in self.columns if c != "rat"))
 
     def subset(self, mask: np.ndarray) -> "Dataset":
-        return Dataset(self.ids[mask], self.matrix[mask], self.columns,
-                       None if self.sources is None else self.sources[mask])
+        return Dataset(self.ids[mask], self.matrix[mask], self.columns)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -434,13 +426,13 @@ def compute_descriptors(particle: np.ndarray, volume: VoxelVolume) -> Descriptor
 
 
 def build_dataset(labels: LabelVolume, volume: VoxelVolume, slices,
-                  include_unmatched: bool = False, source: str = "") -> Dataset:
+                  include_unmatched: bool = False) -> Dataset:
     """One descriptor row per particle, ordered by particle id.
 
     By default only particles whose slice intersection carries a defined
     mineral ratio are kept (rows carry rat); include_unmatched=True keeps
     every particle with rat absent where undefined, for prediction-only
-    datasets.  `source` tags every row's provenance.
+    datasets.
     """
     if labels.dims != volume.dims:
         raise StructuralError("labels and volume dims differ")
@@ -463,7 +455,5 @@ def build_dataset(labels: LabelVolume, volume: VoxelVolume, slices,
         ids.append(pid)
         rows.append(desc.values(with_rat=True))
     if not rows:
-        return Dataset(np.zeros(0, dtype=np.int64), np.zeros((0, 7)), COLUMNS,
-                       np.zeros(0, dtype=object))
-    tags = np.array([source] * len(ids), dtype=object)
-    return Dataset(np.array(ids, dtype=np.int64), np.vstack(rows), COLUMNS, tags)
+        return Dataset(np.zeros(0, dtype=np.int64), np.zeros((0, 7)), COLUMNS)
+    return Dataset(np.array(ids, dtype=np.int64), np.vstack(rows), COLUMNS)

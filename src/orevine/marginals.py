@@ -54,9 +54,14 @@ class GammaParams:
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = ((self.alpha - 1.0) * np.log(x) - x / self.beta
-                   - self.alpha * np.log(self.beta) - special.gammaln(self.alpha))
+            out = self.logpdf_from_logs(x, np.log(x))
         return np.where(x > 0, out, -np.inf)
+
+    def logpdf_from_logs(self, x, lx):
+        """The log-density at x > 0 given lx = log(x), without the support
+        mask of `logpdf`."""
+        return ((self.alpha - 1.0) * lx - x / self.beta
+                - self.alpha * np.log(self.beta) - special.gammaln(self.alpha))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -81,9 +86,13 @@ class BetaParams:
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = ((self.p - 1.0) * np.log(x) + (self.q - 1.0) * np.log1p(-x)
-                   - special.betaln(self.p, self.q))
+            out = self.logpdf_from_logs(np.log(x), np.log1p(-x))
         return np.where((x > 0) & (x < 1), out, -np.inf)
+
+    def logpdf_from_logs(self, lx, l1mx):
+        """The log-density at x in (0, 1) given lx = log(x) and
+        l1mx = log1p(-x), without the support mask of `logpdf`."""
+        return (self.p - 1.0) * lx + (self.q - 1.0) * l1mx - special.betaln(self.p, self.q)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -251,22 +260,18 @@ class MixtureModel:
 # EM fitting
 # ---------------------------------------------------------------------------
 
-def _gamma_mom(x: np.ndarray, w: np.ndarray | None = None) -> GammaParams:
-    if w is None:
-        w = np.ones_like(x)
-    m = np.average(x, weights=w)
-    v = np.average((x - m) ** 2, weights=w)
+def _gamma_mom(x: np.ndarray) -> GammaParams:
+    m = np.mean(x)
+    v = np.mean((x - m) ** 2)
     v = max(v, 1e-12 * max(m * m, 1e-12))
     alpha = np.clip(m * m / v, 1e-3, 1e6)
     beta = np.clip(m / alpha, 1e-12, 1e12)
     return GammaParams(float(alpha), float(beta))
 
 
-def _beta_mom(x: np.ndarray, w: np.ndarray | None = None) -> BetaParams:
-    if w is None:
-        w = np.ones_like(x)
-    m = np.average(x, weights=w)
-    v = np.average((x - m) ** 2, weights=w)
+def _beta_mom(x: np.ndarray) -> BetaParams:
+    m = np.mean(x)
+    v = np.mean((x - m) ** 2)
     v = min(max(v, 1e-12), m * (1.0 - m) * 0.999)
     s = m * (1.0 - m) / v - 1.0
     p = np.clip(m * s, 1e-3, 1e6)
@@ -456,16 +461,12 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
         c1, c2 = mom(lower), mom(upper)
         lam = 0.5
 
-    # log(x) (and log1p(-x)) once per run; each component log-density below
-    # adds the same terms in the same order as GammaParams/BetaParams.logpdf,
-    # whose support masks are no-ops on the filtered/clamped x
+    # log(x) (and log1p(-x)) once per run; the filtered/clamped x lies in
+    # the support, so the component log-densities need no mask
     lx = np.log(x)
     if family == "gamma":
         make = GammaParams
-
-        def logpdf(c):
-            return ((c.alpha - 1.0) * lx - x / c.beta
-                    - c.alpha * np.log(c.beta) - special.gammaln(c.alpha))
+        logs = (x, lx)
 
         def mle(w, old, first):
             # the first M-step's `old` is a moment fit or a warm-start model,
@@ -474,12 +475,13 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
     else:
         make = BetaParams
         l1mx = np.log1p(-x)
-
-        def logpdf(c):
-            return (c.p - 1.0) * lx + (c.q - 1.0) * l1mx - special.betaln(c.p, c.q)
+        logs = (lx, l1mx)
 
         def mle(w, old, first):
             return _weighted_beta_mle(lx, l1mx, w, old)
+
+    def logpdf(c):
+        return c.logpdf_from_logs(*logs)
 
     def state(c1, c2, lam, d1=None, d2=None) -> _EmState:
         d1 = logpdf(c1) if d1 is None else d1

@@ -210,13 +210,10 @@ def generate_composite_dataset(truth: CompositeModel, n_v: int, n_nv: int,
     if not blocks:
         return Dataset(np.zeros(0, dtype=np.int64), np.zeros((0, 7)), COLUMNS)
     matrix = np.vstack(blocks)
-    tags = np.array(["valuable"] * n_v + ["non_valuable"] * n_nv
-                    + ["composite"] * n_c, dtype=object)
     perm = rng.permutation(matrix.shape[0])
     matrix = matrix[perm]
-    tags = tags[perm]
     ids = np.arange(1, matrix.shape[0] + 1, dtype=np.int64)
-    return Dataset(ids, matrix, COLUMNS, tags)
+    return Dataset(ids, matrix, COLUMNS)
 
 
 # ---------------------------------------------------------------------------

@@ -243,22 +243,16 @@ class ArchimedeanModel:
         return 1
 
     def log_density(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        with np.errstate(all="ignore"):
-            u = np.column_stack([_cl(m.cdf(x[:, i]))
-                                 for i, m in enumerate(self.marginals)])
-            logc = _arch_log_density(self.family, self.theta, u)
-            logm = sum(m.log_density(x[:, i]) for i, m in enumerate(self.marginals))
-        return logc + logm
+        return vine_log_density(self, x)
 
     def slice_log_density(self, head):
-        """s -> log f(head, s) with the fixed marginals evaluated once; the
-        terms and their order are those of `log_density`."""
-        head = np.asarray(head, dtype=float).ravel()
+        """s -> log f(head, s) with the fixed marginals evaluated once; `head`
+        is one point or n rows, as in `vine_slice_log_density`."""
+        head = np.atleast_2d(np.asarray(head, dtype=float))
         last = self.d - 1
-        if head.size != last:
+        if head.shape[1] != last:
             raise ArgumentError(f"expected {last} fixed coordinates")
-        cols = [head[i:i + 1] for i in range(last)]
+        cols = [head[:, i] for i in range(last)]
         tail = self.marginals[last]
         with np.errstate(all="ignore"):
             head_u = [_cl(m.cdf(c)) for m, c in zip(self.marginals, cols)]
@@ -443,47 +437,41 @@ class _ConditionalCache:
         return out
 
 
-def vine_log_density(model: RVineModel, x) -> np.ndarray | float:
-    """log f(x) per the pair-copula factorization; -inf outside support."""
+def vine_log_density(model: RVineModel | ArchimedeanModel, x) -> np.ndarray | float:
+    """log f(x) of either engine at one point (a float) or the rows of an
+    (n, d) matrix, -inf outside support: the slice density at the last column."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 1
     arr = np.atleast_2d(arr)
     if arr.shape[1] != model.d:
         raise ArgumentError(f"expected {model.d}-dimensional points")
-    u = np.column_stack([_cl(m.cdf(arr[:, i])) for i, m in enumerate(model.marginals)])
-    with np.errstate(divide="ignore"):
-        total = sum(model.marginals[i].log_density(arr[:, i]) for i in range(model.d))
-    cache = _ConditionalCache(model, u)
-    for edge, cop in model.edge_items():
-        if cop.family == "independence":
-            continue
-        j, k = edge.conditioned
-        uj = cache.value(j, edge.conditioning)
-        uk = cache.value(k, edge.conditioning)
-        total = total + pair_log_density(cop, uj, uk)
+    total = model.slice_log_density(arr[:, :-1])(arr[:, -1])
     return float(total[0]) if scalar else total
 
 
 def vine_slice_log_density(model: RVineModel, head):
     """s -> log f(head, s): the density along the last variable, others fixed.
 
-    Every term that does not involve the last variable is evaluated once,
-    as a length-1 array: the fixed marginals and each pair density whose
-    constraint set excludes it here, each conditional F(var | S) with var
-    and S free of it on first use.  A call evaluates the rest and adds the
-    same terms in the same order as `vine_log_density`, so the two agree bit
-    for bit on the points (head, s).
+    `head` is one point of the first d - 1 coordinates, whose terms
+    broadcast against a vector s, or an (n, d - 1) matrix whose rows pair
+    with the n values of s.  Every term that does not involve the last
+    variable is evaluated once: the fixed marginals and each pair density
+    whose constraint set excludes it here, each conditional F(var | S) with
+    var and S free of it on first use.  A call evaluates the rest and adds
+    the marginals, then the pair densities in edge order; `vine_log_density`
+    is this slice at the last column.
     """
-    head = np.asarray(head, dtype=float).ravel()
+    head = np.atleast_2d(np.asarray(head, dtype=float))
     last = model.d - 1
-    if head.size != last:
+    if head.shape[1] != last:
         raise ArgumentError(f"expected {last} fixed coordinates")
     margs = model.marginals
-    cols = [head[i:i + 1] for i in range(last)]
-    u = np.column_stack([_cl(m.cdf(c)) for m, c in zip(margs, cols)])
+    cols = [head[:, i] for i in range(last)]
+    fixed = _ConditionalCache(model)
+    for i, (m, c) in enumerate(zip(margs, cols)):
+        fixed.add_column(i, _cl(m.cdf(c)))
     with np.errstate(divide="ignore"):
         head_total = sum(m.log_density(c) for m, c in zip(margs, cols))
-    fixed = _ConditionalCache(model, u)
     terms = []   # (edge, copula, log-density if fixed else None), in edge order
     for edge, cop in model.edge_items():
         if cop.family == "independence":

@@ -107,13 +107,6 @@ class TestGenerateCompositeDataset:
         b = generate_composite_dataset(truth, 20, 20, 20, seed=7)
         assert np.array_equal(a.matrix, b.matrix)
 
-    def test_source_tags_follow_rows(self):
-        truth = benchmark_truth()
-        ds = generate_composite_dataset(truth, 15, 15, 15, seed=9)
-        rat = ds.column("rat")
-        assert all(tag == "valuable" for tag in ds.sources[rat >= 0.99])
-        assert all(tag == "non_valuable" for tag in ds.sources[rat <= 0.01])
-
     def test_sample_then_fit_recovers_edge_taus(self):
         # generate -> partition -> fit -> compare each fitted edge's
         # empirical tau against the generator's corresponding edge tau

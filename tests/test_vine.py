@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from orevine.copulas import PairCopula, fit_pair, kendall_tau, pair_h2
+from orevine.copulas import PairCopula, fit_pair, kendall_tau, pair_h2, pair_log_density
 from orevine.errors import ArgumentError, FittingError, StructuralError
 from orevine.marginals import BetaParams, GammaParams, MixtureModel, fit_mixture_em
 from orevine.synth import benchmark_truth
@@ -14,6 +14,9 @@ from orevine.vine import (
     ArchimedeanModel,
     RVineModel,
     RVineStructure,
+    _ConditionalCache,
+    _arch_log_density,
+    _cl,
     dvine_structure,
     fit_archimedean,
     fit_sequential,
@@ -526,6 +529,93 @@ class TestSliceLogDensity:
                            all_rotation_copulas(21), slice_marginals())
         with pytest.raises(ArgumentError):
             rvine.slice_log_density(np.ones(5))
+
+
+def reference_log_density(model, x):
+    """log f(x) by the whole factorization on all rows at once: the
+    marginal log-densities summed in column order, then the pair densities
+    in edge order (R-vine) or added to the d-dimensional Archimedean copula
+    log-density."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    margs = model.marginals
+    if isinstance(model, ArchimedeanModel):
+        with np.errstate(all="ignore"):
+            u = np.column_stack([_cl(m.cdf(x[:, i])) for i, m in enumerate(margs)])
+            logc = _arch_log_density(model.family, model.theta, u)
+            logm = sum(m.log_density(x[:, i]) for i, m in enumerate(margs))
+        return logc + logm
+    u = np.column_stack([_cl(m.cdf(x[:, i])) for i, m in enumerate(margs)])
+    with np.errstate(divide="ignore"):
+        total = sum(m.log_density(x[:, i]) for i, m in enumerate(margs))
+    cache = _ConditionalCache(model, u)
+    for edge, cop in model.edge_items():
+        if cop.family == "independence":
+            continue
+        j, k = edge.conditioned
+        total = total + pair_log_density(cop, cache.value(j, edge.conditioning),
+                                         cache.value(k, edge.conditioning))
+    return total
+
+
+def slice_models():
+    """The slice tests' models: R-vines with every family and rotation
+    under three orders, and each Archimedean family."""
+    for order in ([*range(7)], [0, 1, 2, 6, 3, 4, 5], [6, 5, 4, 3, 2, 1, 0]):
+        structure = dvine_structure(order)
+        yield RVineModel(structure, all_rotation_copulas(len(structure.edges)),
+                         slice_marginals())
+    for family in ARCHIMEDEAN_FAMILIES:
+        yield ArchimedeanModel(family, 3.0 if family == "frank" else 1.4,
+                               slice_marginals())
+
+
+class TestReferenceLogDensity:
+    """`log_density` against the whole factorization, bit for bit."""
+
+    @pytest.mark.parametrize("model", list(slice_models()),
+                             ids=lambda m: getattr(m, "family", "rvine"))
+    def test_slice_cases(self, model):
+        pts = np.vstack([np.column_stack([np.tile(ct, (SLICE_S.size, 1)), SLICE_S])
+                         for ct in SLICE_CTS])
+        with np.errstate(all="ignore"):
+            got = model.log_density(pts)
+        assert np.array_equal(got, reference_log_density(model, pts), equal_nan=True)
+
+    @pytest.mark.parametrize("part", ["f_v", "f_nv", "f_c"])
+    def test_benchmark_truth_classes(self, part):
+        model = getattr(benchmark_truth(), part)
+        pts = model.sample(1000, seed=11)
+        assert np.array_equal(model.log_density(pts), reference_log_density(model, pts))
+
+
+@pytest.mark.parametrize("engine", ["rvine", "archimedean"])
+def test_log_density_input_contract(engine):
+    margs = slice_marginals()[:6]
+    if engine == "rvine":
+        model = RVineModel(dvine_structure(list(range(6))), all_rotation_copulas(15), margs)
+    else:
+        model = ArchimedeanModel("frank", 3.0, margs)
+    for cols in (5, 7):
+        with pytest.raises(ArgumentError):
+            model.log_density(np.full((3, cols), 0.5))
+    point = SLICE_CTS[0]
+    out = model.log_density(point)
+    assert isinstance(out, float)
+    assert out == model.log_density(point[None, :])[0]
+
+
+@pytest.mark.parametrize("engine", ["rvine", "archimedean"])
+def test_one_dim_model_is_its_marginal(engine):
+    marginal = slice_marginals()[-1]
+    if engine == "rvine":
+        model = RVineModel(RVineStructure(1, ()), (), (marginal,))
+    else:
+        model = ArchimedeanModel("clayton", 1.4, (marginal,))
+    x = np.linspace(-0.25, 1.25, 61)
+    with np.errstate(all="ignore"):
+        got = model.log_density(x[:, None])
+    # a one-variable Archimedean copula density is 1 up to rounding
+    np.testing.assert_allclose(got, marginal.log_density(x), rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
