@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atom-width", type=float, default=0.01)
     p.add_argument("--min-rows", type=int, default=30)
     p.add_argument("--em-tol", type=float, default=1e-8,
-                   help="relative log-likelihood stop for the marginal EM")
+                   help="marginal fit stop: the Newton decrement (or an EM "
+                        "map's gain) relative to max(1, |log-likelihood|)")
     p.add_argument("--candidates", nargs="*", default=None,
                    help="pair-copula candidate families")
     p.add_argument("--out", required=True, help="model document path")

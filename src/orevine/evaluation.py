@@ -261,6 +261,11 @@ def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
     if full is None and fit_fn is None:
         full = fit_composite(dataset, engine=engine, epsilon=epsilon,
                              candidates=candidates, min_rows=min_rows)
+        if not fast:
+            # exact folds refit without a template, so the full fit's class
+            # densities are the class parts ClassReuseFit.on would fit again
+            fit_fn = ClassReuseFit((full.n_v, full.n_nv, full.n_c),
+                                   class_densities(full))
     elif full is None:
         full = fit_fn(dataset, engine, epsilon, candidates, min_rows, None)
     template = full if fast else None

@@ -5,12 +5,13 @@ Each univariate descriptor distribution is modeled as
     f(x) = lambda * f1(x) + (1 - lambda) * f2(x)
 
 with both components from the same family (gamma with shape/scale, or beta
-on (0, 1)).  Parameters are estimated with a guarded EM algorithm whose
-observed-data log-likelihood is non-decreasing by construction: any M-step
-update that fails to improve the weighted complete-data objective is
-rejected in favor of the previous parameters.  SQUAREM cycles accelerate
-the EM; an extrapolated step is kept only where it scores at least as well
-as the plain EM iterate it would replace.
+on (0, 1)).  Parameters are estimated by maximum likelihood, with an
+observed-data log-likelihood that is non-decreasing by construction.  A
+few guarded EM maps (any M-step update that fails to improve the weighted
+complete-data objective is rejected in favor of the previous parameters)
+lead into a safeguarded Newton iteration on the observed-data
+log-likelihood, whose steps are kept only where they raise it inside the
+M-step box; a step that cannot falls back to one guarded EM map.
 
 An optional truncation interval renormalizes the density to a sub-interval
 of the support (used for the composite-class composition marginal).
@@ -32,7 +33,10 @@ COLLAPSE_WEIGHT = 1e-6     # mixing weight below which a component is considered
 TABLE_POINTS = 4097        # largest cdf table that seeds the quantile root estimate
 NEWTON_STEPS = 3           # root steps before an element falls back to plain bisection
 WINDOW = 2.0 ** -40        # relative half-width of the checked quantile window
-STEP_FLOOR = 0.01          # SQUAREM steps within this of a = -1 are taken as a = -1
+START_MAPS = 2             # guarded EM maps of a cold start before Newton begins
+HALVINGS = 10              # Newton step lengths 1, 1/2, ..., 1/512 tried before an EM map
+GAMMA_BOX = ((1e-3, 1e6), (1e-12, 1e12))    # shape, scale: the M-step's clamps
+BETA_BOX = ((1e-3, 1e7), (1e-3, 1e7))       # p, q
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,10 @@ class MixtureModel:
             lo, hi = self.truncation
             if not lo < hi:
                 raise ArgumentError(f"empty truncation interval {self.truncation}")
+            base_lo, base_hi = self._base_support
+            if not base_lo <= lo < hi <= base_hi:
+                raise ArgumentError(f"truncation interval {self.truncation} leaves "
+                                    f"the {self.family} support {self._base_support}")
             # F(lo) and the truncated mass, evaluated once instead of on every
             # cdf/density call; plain attributes, not fields, so equality and
             # the persisted document never see them
@@ -127,11 +135,12 @@ class MixtureModel:
             object.__setattr__(self, "_mass", float(self._raw_cdf(hi) - cdf_lo))
 
     @property
+    def _base_support(self) -> tuple[float, float]:
+        return (0.0, np.inf) if self.family == "gamma" else (0.0, 1.0)
+
+    @property
     def support(self) -> tuple[float, float]:
-        base = (0.0, np.inf) if self.family == "gamma" else (0.0, 1.0)
-        if self.truncation is None:
-            return base
-        return (max(base[0], self.truncation[0]), min(base[1], self.truncation[1]))
+        return self._base_support if self.truncation is None else self.truncation
 
     def _raw_density(self, x):
         d1 = np.exp(self.comp1.logpdf(x))
@@ -311,8 +320,9 @@ def _weighted_gamma_mle(x: np.ndarray, lx: np.ndarray, w: np.ndarray,
                 alpha = new
                 break
             alpha = new
-    alpha = float(min(max(alpha, 1e-3), 1e6))
-    beta = float(min(max(mean_x / alpha, 1e-12), 1e12))
+    (a_lo, a_hi), (b_lo, b_hi) = GAMMA_BOX
+    alpha = float(min(max(alpha, a_lo), a_hi))
+    beta = float(min(max(mean_x / alpha, b_lo), b_hi))
     return GammaParams(alpha, beta)
 
 
@@ -351,13 +361,14 @@ def _weighted_beta_mle(lx: np.ndarray, l1mx: np.ndarray, w: np.ndarray,
             p, q = p_new, q_new
             break
         p, q = p_new, q_new
-    p = float(min(max(p, 1e-3), 1e7))
-    q = float(min(max(q, 1e-3), 1e7))
+    (p_lo, p_hi), (q_lo, q_hi) = BETA_BOX
+    p = float(min(max(p, p_lo), p_hi))
+    q = float(min(max(q, q_lo), q_hi))
     return BetaParams(p, q)
 
 
 class _EmState(NamedTuple):
-    """An EM iterate with the arrays the next map reuses."""
+    """An EM iterate with the arrays the next iteration reuses."""
 
     c1: GammaParams | BetaParams
     c2: GammaParams | BetaParams
@@ -377,43 +388,215 @@ def _order_components(model: MixtureModel) -> MixtureModel:
 
 
 def _coords(s: _EmState) -> list[float]:
-    """An iterate's SQUAREM coordinates: the logs of both components'
+    """An iterate's Newton coordinates: the logs of both components'
     parameters, then logit(lam).  Five numbers, so plain floats and `math`
     are cheaper than arrays."""
     params = [*vars(s.c1).values(), *vars(s.c2).values()]
     return [math.log(v) for v in params] + [math.log(s.lam) - math.log1p(-s.lam)]
 
 
+def _ascent_direction(grad: np.ndarray, hess: np.ndarray):
+    """(d, decrement): the Newton step of a function with gradient `grad`
+    and Hessian `hess`, with every eigenvalue of `hess` replaced by minus
+    its magnitude, floored at 1e-8 of the largest, so d ascends also where
+    the function is not concave; decrement = grad . d >= 0."""
+    e, v = np.linalg.eigh(hess)
+    mag = np.abs(e)
+    mag = np.maximum(mag, 1e-8 * mag.max())
+    along = v.T @ grad
+    return v @ (along / mag), float(along @ (along / mag))
+
+
+class _Sample:
+    """The in-support sample of one EM run, with the logs that every
+    component log-density reuses, and the run's two kinds of iteration:
+    a guarded EM map and a safeguarded Newton step."""
+
+    def __init__(self, x: np.ndarray, family: str):
+        lx = np.log(x)
+        self.n = x.size
+        self.family = family
+        if family == "gamma":
+            self.make = GammaParams
+            self.logs = (x, lx)
+            box = GAMMA_BOX
+        else:
+            self.make = BetaParams
+            self.logs = (lx, np.log1p(-x))
+            box = BETA_BOX
+        self.lo = [lo for lo, _ in box] * 2
+        self.hi = [hi for _, hi in box] * 2
+
+    def logpdf(self, c) -> np.ndarray:
+        # the filtered/clamped sample lies in the support: no mask needed
+        return c.logpdf_from_logs(*self.logs)
+
+    def state(self, c1, c2, lam, d1=None, d2=None) -> _EmState:
+        d1 = self.logpdf(c1) if d1 is None else d1
+        d2 = self.logpdf(c2) if d2 is None else d2
+        l1 = d1 + np.log(max(lam, 1e-300))
+        norm = np.logaddexp(l1, d2 + np.log(max(1.0 - lam, 1e-300)))
+        return _EmState(c1, c2, lam, d1, d2, l1, norm, float(norm.sum()))
+
+    def em_map(self, s: _EmState, g1: np.ndarray, lam: float,
+               first: bool) -> _EmState:
+        """One EM map from the E-step weights g1 (lam = mean(g1)): guarded
+        M-steps, then a check that the log-likelihood did not fall."""
+        if self.family == "gamma":
+            x, lx = self.logs
+
+            def mle(w, old):
+                # a map in a run's first iteration starts from a moment
+                # fit or a warm start, not an M-step result: Newton on the
+                # shape starts from the closed form there
+                return _weighted_gamma_mle(x, lx, w, None if first else old)
+        else:
+            def mle(w, old):
+                return _weighted_beta_mle(*self.logs, w, old)
+
+        def improved(old, d_old, resp):
+            # an update that lowers the component's weighted objective is
+            # dropped, which keeps the map monotone
+            new = mle(resp, old)
+            d_new = self.logpdf(new)
+            q_old = float((resp * d_old).sum())
+            q_new = float((resp * d_new).sum())
+            return (new, d_new) if q_new >= q_old else (old, d_old)
+
+        c1, d1 = improved(s.c1, s.d1, g1)
+        c2, d2 = improved(s.c2, s.d2, 1.0 - g1)
+        new = self.state(c1, c2, lam, d1, d2)
+        if new.ll < s.ll - 1e-8 * max(1.0, abs(s.ll)):
+            raise FittingError("EM log-likelihood decreased; numerical failure")
+        return new
+
+    def newton_direction(self, s: _EmState, g1: np.ndarray):
+        """(d, decrement) of `_ascent_direction` for the observed-data
+        log-likelihood at s in `_coords`, or None where the derivatives
+        are not finite.
+
+        The gradient sums the per-row scores weighted by the E-step: a
+        component's log-density scores in its log-parameters, and
+        g1 - lam for logit(lam).  The Hessian is Louis's observed
+        information with its sign flipped: the E-step mean of the
+        complete-data Hessian plus the E-step covariance of the
+        complete-data score, which per row is g1 g2 w w' with
+        w = (scores of comp1, -scores of comp2, 1).
+        """
+        n, lam = self.n, s.lam
+        g2 = 1.0 - g1
+        m1 = float(g1.sum())
+        m2 = n - m1
+        w = np.empty((5, n))
+        w[4] = 1.0
+        (u1, v1), (u2, v2) = vars(s.c1).values(), vars(s.c2).values()
+        if self.family == "gamma":
+            x, lx = self.logs
+            psi = special.digamma([u1, u2]).tolist()
+            tri = special.zeta(2.0, [u1, u2]).tolist()
+            for row, a, b, ps in ((0, u1, v1, psi[0]), (2, u2, v2, psi[1])):
+                np.multiply(a, lx - (math.log(b) + ps), out=w[row])
+                np.subtract(x / b, a, out=w[row + 1])
+        else:
+            lx, l1mx = self.logs
+            args = [u1, v1, u1 + v1, u2, v2, u2 + v2]
+            psi = special.digamma(args).tolist()
+            tri = special.zeta(2.0, args).tolist()
+            for row, p, q, k in ((0, u1, v1, 0), (2, u2, v2, 3)):
+                np.multiply(p, lx - (psi[k] - psi[k + 2]), out=w[row])
+                np.multiply(q, l1mx - (psi[k + 1] - psi[k + 2]), out=w[row + 1])
+        grad = np.empty(5)
+        grad[:2] = w[:2] @ g1
+        grad[2:4] = w[2:4] @ g2
+        grad[4] = m1 - n * lam
+        w[2:4] *= -1.0
+        hess = (w * (g1 * g2)) @ w.T
+        # add the E-step mean of each component's complete-data Hessian,
+        # in terms of the component's weighted score sums ga, gb and
+        # weight m
+        ga1, gb1, ga2, gb2 = grad[:4].tolist()
+        for i, a, b, ga, gb, m, k in ((0, u1, v1, ga1, gb1, m1, 0),
+                                      (2, u2, v2, ga2, gb2, m2, 1)):
+            if self.family == "gamma":       # a, b: shape, scale
+                haa = ga - a * a * tri[k] * m
+                hab = -a * m
+                hbb = -gb - a * m
+            else:                            # a, b: p, q
+                tp, tq, ts = tri[3 * k:3 * k + 3]
+                haa = ga - a * a * (tp - ts) * m
+                hab = a * b * ts * m
+                hbb = gb - b * b * (tq - ts) * m
+            hess[i, i] += haa
+            hess[i, i + 1] += hab
+            hess[i + 1, i] += hab
+            hess[i + 1, i + 1] += hbb
+        hess[4, 4] -= n * lam * (1.0 - lam)
+        # a NaN or an infinity anywhere makes the sum NaN or infinite
+        if not math.isfinite(float(grad.sum() + hess.sum())):
+            return None
+        return _ascent_direction(grad, hess)
+
+    def line_search(self, s: _EmState, d: np.ndarray) -> _EmState | None:
+        """The first of the steps s + d, s + d/2, ... (HALVINGS in all)
+        whose parameters lie in the M-step box, whose lam lies in
+        (COLLAPSE_WEIGHT, 1 - COLLAPSE_WEIGHT) and whose log-likelihood
+        exceeds s's; None if there is none."""
+        theta = _coords(s)
+        d = d.tolist()
+        step = 1.0
+        for _ in range(HALVINGS):
+            t = [u + step * v for u, v in zip(theta, d)]
+            step *= 0.5
+            try:
+                params = [math.exp(u) for u in t[:4]]
+                lam = 1.0 / (1.0 + math.exp(-t[4]))
+            except OverflowError:
+                continue
+            if not (COLLAPSE_WEIGHT < lam < 1.0 - COLLAPSE_WEIGHT
+                    and all(lo <= v <= hi
+                            for lo, v, hi in zip(self.lo, params, self.hi))):
+                continue
+            new = self.state(self.make(*params[:2]), self.make(*params[2:]), lam)
+            if new.ll > s.ll:               # false for a NaN log-likelihood
+                return new
+        return None
+
+
 def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
                    truncation: tuple[float, float] | None = None,
                    init: MixtureModel | None = None) -> MixtureModel:
-    """Fit a two-component mixture by EM, accelerated by SQUAREM.
+    """Fit a two-component mixture by maximum likelihood: EM, then
+    safeguarded Newton on the observed-data log-likelihood ll.
 
-    Initialization is deterministic: the sample is split at its median and a
-    method-of-moments fit of each half seeds the components, with lambda = 0.5
-    (or, when `init` is given, that model's parameters, which makes warm
-    restarts on slightly perturbed data cheap).
+    Initialization is deterministic: the sample is split at its median and
+    a method-of-moments fit of each half seeds the components, with
+    lambda = 0.5.  From there a cold start takes START_MAPS guarded EM maps
+    before Newton begins.  A warm start (`init`, with lambda clipped to
+    [0.01, 0.99]) begins Newton at that model, which makes restarts on
+    slightly perturbed data cheap.  On multimodal data the start decides
+    which mode the fit ends in, and more EM maps before Newton are not
+    always closer to the plain EM loop's: the number of start maps is
+    pinned.
 
     One EM map is an E-step and guarded M-steps: a component update that
     would lower its weighted objective is discarded, so a map never lowers
-    the observed-data log-likelihood ll.  The maps run in SQUAREM cycles
-    (Varadhan & Roland 2008, Scand. J. Statist. 35).  From theta0, a cycle
-    takes two maps, theta1 and theta2, in coordinates theta = (the log of
-    each component parameter, logit lambda).  With r = theta1 - theta0,
-    v = theta2 - theta1 - r and a = min(-|r|/|v|, -1), it tries
-    theta0 - 2 a r + a^2 v, moving a halfway towards -1 (where the step is
-    theta2) while the step scores below ll(theta2).  A step that is not
-    finite, makes invalid components or puts lambda outside (0, 1) falls
-    back to theta2 at once, as does a step within STEP_FLOOR of a = -1.
-    One more map from the accepted step ends the cycle.  Every accepted
-    iterate therefore scores at least the one before; a map that lowers ll
-    by more than rounding raises FittingError.
+    ll; a map that lowers it by more than rounding raises FittingError.
+    A Newton iteration (Redner & Walker 1984, SIAM Rev. 26) works in the
+    coordinates theta = (the log of each component parameter, logit
+    lambda).  It takes the analytic gradient and the observed information
+    of Louis (1982, JRSS B 44), replaces each Hessian eigenvalue by minus
+    its magnitude so the step ascends also where ll is not concave, and
+    halves the step, up to HALVINGS times, until it stays inside the M-step
+    box (GAMMA_BOX, BETA_BOX), keeps lambda in (COLLAPSE_WEIGHT,
+    1 - COLLAPSE_WEIGHT) and raises ll strictly.  A step that finds no
+    such point falls back to one guarded EM map, so ll never falls.
 
-    A map whose E-step gives a component a weight below COLLAPSE_WEIGHT
-    ends the run with a degenerate model.  `max_iter` counts maps.  The run
-    stops when a whole cycle gains less than tol * max(1, |ll|), or when the
-    first map does: a warm start that is already converged then costs one
-    map, and ends where the plain EM loop would.
+    The run stops when the Newton decrement grad . d falls below
+    tol * max(1, |ll|), or when a fallback map gains less than that.  Every
+    iteration starts with an E-step; one whose weight mean(g1) lies below
+    COLLAPSE_WEIGHT or above 1 - COLLAPSE_WEIGHT ends the run with a
+    degenerate model.  `max_iter` counts iterations: Newton steps plus EM
+    maps.
 
     Parameters
     ----------
@@ -422,7 +605,7 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
         clamp samples into [1e-6, 1 - 1e-6].
     family : {"gamma", "beta"}
     truncation : tuple, optional
-        Attach a truncation interval to the returned model (the EM itself
+        Attach a truncation interval to the returned model (the fit itself
         runs on the untruncated likelihood; the returned density is
         renormalized over the interval).
     """
@@ -450,6 +633,7 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
         if init.family != family:
             raise ArgumentError("init model family does not match")
         c1, c2, lam = init.comp1, init.comp2, min(max(init.lam, 0.01), 0.99)
+        start_maps = 0
     else:
         med = np.median(x)
         lower = x[x <= med]
@@ -460,102 +644,32 @@ def fit_mixture_em(data, family: str, max_iter: int = 500, tol: float = 1e-8,
             lower = upper = x
         c1, c2 = mom(lower), mom(upper)
         lam = 0.5
+        start_maps = START_MAPS
 
-    # log(x) (and log1p(-x)) once per run; the filtered/clamped x lies in
-    # the support, so the component log-densities need no mask
-    lx = np.log(x)
-    if family == "gamma":
-        make = GammaParams
-        logs = (x, lx)
-
-        def mle(w, old, first):
-            # the first M-step's `old` is a moment fit or a warm-start model,
-            # not an M-step result: start Newton from the closed form there
-            return _weighted_gamma_mle(x, lx, w, None if first else old)
-    else:
-        make = BetaParams
-        l1mx = np.log1p(-x)
-        logs = (lx, l1mx)
-
-        def mle(w, old, first):
-            return _weighted_beta_mle(lx, l1mx, w, old)
-
-    def logpdf(c):
-        return c.logpdf_from_logs(*logs)
-
-    def state(c1, c2, lam, d1=None, d2=None) -> _EmState:
-        d1 = logpdf(c1) if d1 is None else d1
-        d2 = logpdf(c2) if d2 is None else d2
-        l1 = d1 + np.log(max(lam, 1e-300))
-        norm = np.logaddexp(l1, d2 + np.log(max(1.0 - lam, 1e-300)))
-        return _EmState(c1, c2, lam, d1, d2, l1, norm, float(norm.sum()))
-
-    def improved(old, d_old, resp, first):
-        """M-step with guarded acceptance (keeps EM monotone): an update that
-        lowers the component's weighted objective is dropped."""
-        new = mle(resp, old, first)
-        d_new = logpdf(new)
-        q_old = float((resp * d_old).sum())
-        q_new = float((resp * d_new).sum())
-        return (new, d_new) if q_new >= q_old else (old, d_old)
-
-    def extrapolated(s0, s1, s2):
-        """The SQUAREM step from s0 through the maps s1 and s2, or s2."""
-        t0, t1, t2 = _coords(s0), _coords(s1), _coords(s2)
-        r = [b - a for a, b in zip(t0, t1)]
-        v = [c - 2.0 * b + a for a, b, c in zip(t0, t1, t2)]
-        norm_v = math.hypot(*v)
-        if norm_v == 0.0:
-            return s2
-        a = min(-math.hypot(*r) / norm_v, -1.0)
-        while a < -1.0 - STEP_FLOOR:
-            t = [x - 2.0 * a * y + a * a * z for x, y, z in zip(t0, r, v)]
-            try:
-                params = [math.exp(u) for u in t[:4]]
-                lam = 1.0 / (1.0 + math.exp(-t[4]))
-                if not 0.0 < lam < 1.0:
-                    return s2
-                c1, c2 = make(*params[:2]), make(*params[2:])
-            except (OverflowError, ArgumentError):  # not finite, or a parameter vanished
-                return s2
-            with np.errstate(all="ignore"):
-                step = state(c1, c2, lam)
-            if step.ll >= s2.ll:            # false for a NaN log-likelihood
-                return step
-            a = 0.5 * (a - 1.0)
-        return s2
-
-    s = state(c1, c2, lam)
-    cycle = [s]                 # the current cycle's s0 and the maps after it
+    sample = _Sample(x, family)
+    s = sample.state(c1, c2, lam)
     degenerate = False
     for it in range(max_iter):
-        # E-step, from the terms of the current log-likelihood
-        g1 = np.exp(s.l1 - s.norm)
-        g2 = 1.0 - g1
-
+        g1 = np.exp(s.l1 - s.norm)      # E-step
         lam_new = float(np.mean(g1))
         if lam_new < COLLAPSE_WEIGHT or lam_new > 1.0 - COLLAPSE_WEIGHT:
             degenerate = True
             s = s._replace(lam=float(np.clip(lam_new, 0.0, 1.0)))
             break
-
-        c1, d1 = improved(s.c1, s.d1, g1, it == 0)
-        c2, d2 = improved(s.c2, s.d2, g2, it == 0)
-        new = state(c1, c2, lam_new, d1, d2)
-        if new.ll < s.ll - 1e-8 * max(1.0, abs(s.ll)):
-            raise FittingError("EM log-likelihood decreased; numerical failure")
-        if it == 0 and new.ll - s.ll < tol * max(1.0, abs(s.ll)):
-            s = new             # a start the first map leaves within tol
+        if it < start_maps:
+            s = sample.em_map(s, g1, lam_new, it == 0)
+            continue
+        bar = tol * max(1.0, abs(s.ll))
+        step = sample.newton_direction(s, g1)
+        if step is not None and step[1] < bar:
             break
-        cycle.append(new)
-        if len(cycle) == 3:
-            s = extrapolated(*cycle)
-        elif len(cycle) == 4:   # `new` maps the accepted step: the cycle ends
-            s0, s, cycle = cycle[0], new, [new]
-            if new.ll - s0.ll < tol * max(1.0, abs(s0.ll)):
+        new = None if step is None else sample.line_search(s, step[0])
+        if new is None:
+            new = sample.em_map(s, g1, lam_new, it == 0)
+            if new.ll - s.ll < bar:
+                s = new
                 break
-        else:
-            s = new
+        s = new
 
     model = MixtureModel(family, s.c1, s.c2, s.lam, truncation=truncation,
                          degenerate=degenerate)

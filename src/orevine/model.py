@@ -62,8 +62,8 @@ class CompositeModel:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.5):
             raise ArgumentError("epsilon must lie in (0, 0.5)")
-        if self.atom_width <= 0:
-            raise ArgumentError("atom width must be positive")
+        if not 0.0 < self.atom_width <= 1.0:
+            raise ArgumentError("atom width must lie in (0, 1]")
         if self.f_v.d != self.f_nv.d or self.f_c.d != self.f_v.d + 1:
             raise ArgumentError("class densities have inconsistent dimensions")
 

@@ -2,8 +2,13 @@
 
 Models are stored as a single JSON document (diffable, deterministic key
 order) embedding the three class densities, their marginals, vine
-structures and counts.  Every CLI run additionally writes a manifest with
-the resolved configuration, its hash, the seed and library versions.
+structures and counts.  Loading checks a document as strictly as a fitted
+model: positive finite component parameters, mixing weights in [0, 1],
+truncations inside the support, thetas inside the ranges the fit searches,
+non-negative integer counts, epsilon and atom width in range, a valid vine
+and an engine that matches every submodel; a document that fails exits as
+a data error.  Every CLI run additionally writes a manifest with the
+resolved configuration, its hash, the seed and library versions.
 """
 
 from __future__ import annotations
@@ -18,13 +23,20 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .copulas import PairCopula
-from .errors import ParseError, SchemaError, StructuralError
+from .copulas import PairCopula, _theta_ranges
+from .errors import ArgumentError, ParseError, SchemaError, StructuralError
 from .marginals import BetaParams, GammaParams, MixtureModel
 from .model import CompositeModel
-from .vine import ArchimedeanModel, RVineModel, RVineStructure, validate_structure
+from .vine import (
+    ArchimedeanModel,
+    RVineModel,
+    RVineStructure,
+    arch_theta_ranges,
+    validate_structure,
+)
 
 SCHEMA_VERSION = 1
+ENGINES = ("rvine", "archimedean")
 
 
 def _mixture_doc(m: MixtureModel) -> dict:
@@ -53,9 +65,19 @@ def _copula_doc(c: PairCopula) -> dict:
             "fallback": c.fallback}
 
 
+def _check_theta(family: str, theta, ranges) -> None:
+    """Every fitted theta comes from a search over these ranges."""
+    if not any(lo <= theta <= hi for lo, hi in ranges):
+        raise ParseError(f"model document {family} theta {theta!r} lies outside "
+                         f"the fitted range {ranges}")
+
+
 def _copula_from(doc: dict) -> PairCopula:
-    return PairCopula(doc["family"], doc.get("rotation", 0), doc.get("theta"),
-                      doc.get("fallback", False))
+    cop = PairCopula(doc["family"], doc.get("rotation", 0), doc.get("theta"),
+                     doc.get("fallback", False))
+    if cop.family != "independence":
+        _check_theta(cop.family, cop.theta, _theta_ranges(cop.family))
+    return cop
 
 
 def _engine_doc(model) -> dict:
@@ -94,7 +116,10 @@ def _engine_from(doc: dict):
             raise StructuralError(f"model document vine is invalid: {problem}")
         return model
     if doc["type"] == "archimedean":
-        return ArchimedeanModel(doc["family"], doc["theta"], marginals)
+        model = ArchimedeanModel(doc["family"], doc["theta"], marginals)
+        _check_theta(model.family, model.theta,
+                     arch_theta_ranges(model.family, model.d))
+        return model
     raise SchemaError(f"unknown engine type {doc['type']!r}")
 
 
@@ -123,16 +148,23 @@ def composite_from_doc(doc: dict) -> CompositeModel:
         raise SchemaError(f"not a composite model document: {doc.get('kind')!r}")
     try:
         sub = doc["submodels"]
-        counts = doc["counts"]
+        engine = doc["engine"]
+        classes = ("valuable", "non_valuable", "composite")
+        if engine not in ENGINES or any(sub[c]["type"] != engine for c in classes):
+            raise StructuralError(
+                f"model document engine {engine!r} does not match its submodel "
+                f"types {[sub[c]['type'] for c in classes]}")
+        counts = [doc["counts"][c] for c in classes]
+        if not (all(type(n) is int and n >= 0 for n in counts) and sum(counts) > 0):
+            raise ParseError(f"model document counts {counts} must be "
+                             "non-negative integers with a positive sum")
+        f_v, f_nv, f_c = (_engine_from(sub[c]) for c in classes)
         return CompositeModel(
-            f_v=_engine_from(sub["valuable"]),
-            f_nv=_engine_from(sub["non_valuable"]),
-            f_c=_engine_from(sub["composite"]),
-            n_v=int(counts["valuable"]), n_nv=int(counts["non_valuable"]),
-            n_c=int(counts["composite"]),
+            f_v, f_nv, f_c, *counts,
             epsilon=float(doc["epsilon"]), atom_width=float(doc["atom_width"]),
-            engine=doc["engine"])
-    except (KeyError, TypeError, ValueError) as exc:
+            engine=engine)
+    except (KeyError, TypeError, ValueError, ArgumentError) as exc:
+        # ArgumentError: a value outside what the model classes accept
         raise ParseError(f"malformed model document: {exc}") from exc
 
 

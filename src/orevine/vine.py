@@ -760,6 +760,12 @@ def _arch_loglik(family: str, u: np.ndarray, theta) -> float:
         return _finite_loglik(_arch_log_density(family, float(theta), u))
 
 
+def arch_theta_ranges(family: str, d: int) -> list[tuple[float, float]]:
+    """The theta ranges of a d-dimensional Archimedean family: Frank's
+    negative half only for d = 2."""
+    return _theta_ranges(family, 0 if d == 2 else 1)
+
+
 def fit_archimedean(data, marginals, candidates=ARCHIMEDEAN_FAMILIES,
                     min_rows: int = 30) -> ArchimedeanModel:
     """Fit the best single-theta d-dimensional Archimedean copula by ML.
@@ -781,7 +787,7 @@ def fit_archimedean(data, marginals, candidates=ARCHIMEDEAN_FAMILIES,
     best = None
     for family in candidates:
         found = _search_theta(functools.partial(_arch_loglik, family, u),
-                              _theta_ranges(family, 0 if d == 2 else 1))
+                              arch_theta_ranges(family, d))
         if found is not None and (best is None or found[0] > best[0]):
             best = (found[0], family, found[1])
     if best is None:

@@ -56,20 +56,50 @@ def read_no_manifest(directory):
     return out
 
 
+def negative_count(doc):
+    doc["counts"]["composite"] = -3
+
+
+def truncation_outside_support(doc):
+    doc["submodels"]["composite"]["marginals"][-1]["truncation"] = [-5, 7]
+
+
+def huge_clayton_theta(doc):
+    doc["submodels"]["composite"]["edges"][0].update(
+        family="clayton", rotation=0, theta=1e300)
+
+
+def engine_mismatch(doc):
+    doc["engine"] = "archimedean"
+
+
+def weight_above_one(doc):
+    doc["submodels"]["valuable"]["marginals"][0]["lam"] = 2
+
+
+def epsilon_too_large(doc):
+    doc["epsilon"] = 0.7
+
+
+def negative_gamma_shape(doc):
+    # column 0 (med) has a gamma marginal
+    doc["submodels"]["valuable"]["marginals"][0]["comp1"]["alpha"] = -1
+
+
 class TestPersistence:
-    def test_model_document_round_trip(self, small_dataset):
+    def test_model_document_round_trip(self, small_dataset, tmp_path):
         _, ds = small_dataset
-        model = fit_composite(ds)
-        import tempfile
-        with tempfile.TemporaryDirectory() as td:
-            p = Path(td) / "m.json"
+        for engine in ("rvine", "archimedean"):
+            model = fit_composite(ds, engine=engine)
+            p = tmp_path / f"{engine}.json"
             save_model(p, model)
             back = load_model(p)
+            assert back == model
             # identical predictions on identical inputs
             x = ds.matrix[0, :6]
             assert predict_vfvm(back, x).value == predict_vfvm(model, x).value
             # identical re-serialization
-            p2 = Path(td) / "m2.json"
+            p2 = tmp_path / f"{engine}2.json"
             save_model(p2, back)
             assert p.read_bytes() == p2.read_bytes()
 
@@ -82,6 +112,25 @@ class TestPersistence:
         with pytest.raises(SchemaError, match="migrate"):
             load_model(bad)
 
+
+    @pytest.mark.parametrize("fault", [negative_count, truncation_outside_support,
+                                       huge_clayton_theta, engine_mismatch,
+                                       weight_above_one, epsilon_too_large,
+                                       negative_gamma_shape],
+                             ids=lambda f: f.__name__)
+    def test_bad_model_document_is_data_error(self, tmp_path, small_dataset,
+                                              fitted_model_path, capsys, fault):
+        data_path, _ = small_dataset
+        doc = json.loads(Path(fitted_model_path).read_text())
+        fault(doc)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(bad), "--data", str(data_path),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_loaded_truncation_cache_is_fresh(self, fitted_model_path):
         rat = load_model(fitted_model_path).f_c.marginals[-1]

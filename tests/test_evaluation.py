@@ -334,6 +334,13 @@ class TestFoldExclusion:
         for i, ids in enumerate(calls[3:]):
             assert len(ids) == 3 and i + 1 not in ids
 
+    def test_exact_loo_fits_the_full_data_once(self, monkeypatch):
+        # without `full`, the full fit's class parts serve the folds
+        calls = self.install(monkeypatch)
+        loo_cv(make_labeled_dataset(12), min_rows=1,
+               predict_fn=lambda m, ct: 0.5)
+        assert len(calls) == 3 + 12
+
     def test_pickled_fold_fit_matches_fit_composite(self, monkeypatch):
         import pickle
         self.install(monkeypatch)
