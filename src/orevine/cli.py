@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--engine", choices=("rvine", "archimedean"), default="rvine")
     p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--atom-width", type=float, default=0.01)
     p.add_argument("--min-rows", type=int, default=30)
     p.add_argument("--em-tol", type=float, default=1e-8,
                    help="marginal fit stop: the Newton decrement (or an EM "
@@ -167,10 +166,10 @@ def _run_fit(args) -> int:
     _check_cells(ds, args.data, rat=True)
     candidates = tuple(args.candidates) if args.candidates else None
     model = fit_composite(ds, engine=args.engine, epsilon=args.epsilon,
-                          atom_width=args.atom_width, candidates=candidates,
-                          min_rows=args.min_rows, em_tol=args.em_tol)
+                          candidates=candidates, min_rows=args.min_rows,
+                          em_tol=args.em_tol)
     save_model(args.out, model)
-    scores = fit_scores(model, ds, args.engine)
+    scores = fit_scores(model, ds)
     text = render_report(scores)
     if args.report_prefix:
         Path(args.report_prefix + ".txt").write_text(text)

@@ -247,16 +247,24 @@ def _base_h_inverse(family: str, theta: float, p, v):
     return _bisect_h(family, theta, p, v)
 
 
-def _bisect_h(family: str, theta: float, p, v):
-    p, v = np.broadcast_arrays(np.asarray(p, float), np.asarray(v, float))
-    lo = np.full(p.shape, DENSITY_CLAMP)
-    hi = np.full(p.shape, 1.0 - DENSITY_CLAMP)
-    for _ in range(90):
+def _bisect_increasing(f, target: np.ndarray, lo: float, hi: float,
+                       steps: int) -> np.ndarray:
+    """Solve f(x) = target elementwise for an increasing vectorized f by
+    `steps` fixed halvings of [lo, hi]; returns the last midpoints."""
+    lo = np.full(target.shape, lo)
+    hi = np.full(target.shape, hi)
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        below = _base_h(family, theta, mid, v) < p
+        below = f(mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _bisect_h(family: str, theta: float, p, v):
+    p, v = np.broadcast_arrays(np.asarray(p, float), np.asarray(v, float))
+    return _bisect_increasing(lambda u: _base_h(family, theta, u, v), p,
+                              DENSITY_CLAMP, 1.0 - DENSITY_CLAMP, 90)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .model import (
     check_class_sizes,
     class_densities,
     composite_log_density,
+    composition_bands,
     fit_class_part,
     fit_composite,
     partition_dataset,
@@ -110,10 +111,9 @@ def prediction_errors(predictions, truth) -> tuple[float, float]:
     return float(np.mean(np.abs(err))), float(np.mean(err ** 2))
 
 
-def fit_scores(model: CompositeModel, dataset: Dataset,
-               engine: str) -> list[ScoreReport]:
+def fit_scores(model: CompositeModel, dataset: Dataset) -> list[ScoreReport]:
     """LL/AIC/BIC of a fitted composite model on every row of `dataset` and,
-    through f_c, on its composite rows only."""
+    through f_c, on its composite rows only, tagged with the model's engine."""
     ll = float(np.sum(composite_log_density(model, dataset.matrix)))
     k, _ = count_parameters(model)
     aic, bic = information_criteria(ll, k, len(dataset))
@@ -121,10 +121,10 @@ def fit_scores(model: CompositeModel, dataset: Dataset,
     ll_c = float(np.sum(model.f_c.log_density(d_c.matrix)))
     k_c, _ = count_parameters(model.f_c)
     aic_c, bic_c = information_criteria(ll_c, k_c, max(len(d_c), 1))
-    return [ScoreReport(engine, "all", ll=ll, k=k, n=len(dataset), aic=aic,
-                        bic=bic),
-            ScoreReport(engine, "composite_only", ll=ll_c, k=k_c, n=len(d_c),
-                        aic=aic_c, bic=bic_c)]
+    return [ScoreReport(model.engine, "all", ll=ll, k=k, n=len(dataset),
+                        aic=aic, bic=bic),
+            ScoreReport(model.engine, "composite_only", ll=ll_c, k=k_c,
+                        n=len(d_c), aic=aic_c, bic=bic_c)]
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,14 @@ class LooResult:
     truths: np.ndarray
     predictions: np.ndarray       # NaN where the fold was excluded
     composite_mask: np.ndarray
-    folds_performed: int
-    excluded_folds: int
+
+    @property
+    def folds_performed(self) -> int:
+        return self.ids.size
+
+    @property
+    def excluded_folds(self) -> int:
+        return self.report_all.excluded_folds
 
     def write_errors_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -200,8 +206,7 @@ class ClassReuseFit:
                 raise fit.with_traceback(None)
             models.append(fit)
         return CompositeModel(*models, n_v=len(parts[0]), n_nv=len(parts[1]),
-                              n_c=len(parts[2]), epsilon=epsilon,
-                              engine=engine)
+                              n_c=len(parts[2]), epsilon=epsilon)
 
 
 def _loo_fold(state, i: int):
@@ -290,8 +295,7 @@ def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
         predictions[i] = value
 
     truths = dataset.column("rat").astype(float)
-    rat = truths
-    composite_mask = (rat > epsilon) & (rat < 1.0 - epsilon)
+    composite_mask = composition_bands(truths, epsilon)[2]
     valid = ~np.isnan(predictions)
     excluded = int(n - valid.sum())
 
@@ -303,7 +307,7 @@ def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
         mae_c = mse_c = float("nan")
 
     if isinstance(full, CompositeModel):
-        report_all, report_c = fit_scores(full, dataset, engine)
+        report_all, report_c = fit_scores(full, dataset)
     else:  # injected fit functions may return arbitrary models
         nan = float("nan")
         n_c = len(partition_dataset(dataset, epsilon)[2])
@@ -317,8 +321,7 @@ def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
 
     return LooResult(report_all=report_all, report_composite=report_c,
                      ids=dataset.ids.copy(), truths=truths,
-                     predictions=predictions, composite_mask=composite_mask,
-                     folds_performed=n, excluded_folds=excluded)
+                     predictions=predictions, composite_mask=composite_mask)
 
 
 # ---------------------------------------------------------------------------

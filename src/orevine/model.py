@@ -1,16 +1,16 @@
 """Composite seven-variate descriptor density and composition predictors.
 
-The dataset splits by composition into nearly-pure-valuable rows
-(rat >= 1 - epsilon), nearly-pure-non-valuable rows (rat <= epsilon) and
-composite rows in between.  Six-variate densities are fitted to the two
-pure classes and a seven-variate density (with the composition marginal
-truncated to the open interval) to the composite class; the full density
-places uniform atoms of width `atom_width` at the two ends:
+Epsilon alone sets the composition bands (`composition_bands`): the
+non-valuable band [0, eps], the composite band (eps, 1 - eps) and the
+valuable band [1 - eps, 1].  Six-variate densities are fitted to the rows of
+the two pure bands and a seven-variate density (with the composition
+marginal truncated to the open band) to the composite rows; the full
+density places uniform atoms of width eps on the two pure bands:
 
-    f(x) = n_nv/n * (1/w) * f_nv(x_1..6)   for x7 in [0, eps]
-         = n_c/n  *         f_c(x)         for x7 in (eps, 1 - eps]
-         = n_v/n  * (1/w) * f_v(x_1..6)    for x7 in (1 - eps, 1]
-         = 0                               otherwise.
+    f(x) = n_nv/n * (1/eps) * f_nv(x_1..6)   for x7 in [0, eps]
+         = n_c/n  *           f_c(x)         for x7 in (eps, 1 - eps)
+         = n_v/n  * (1/eps) * f_v(x_1..6)    for x7 in [1 - eps, 1]
+         = 0                                 otherwise.
 
 Prediction from a CT-based six-vector compares the class-weighted
 likelihoods; the valuable class wins ties (>=), the non-valuable class
@@ -37,12 +37,20 @@ from .vine import (
 )
 
 DEFAULT_EPSILON = 0.01
-DEFAULT_ATOM_WIDTH = 0.01
 QUAD_TOL = 1e-8
 MEDIAN_TOL = 1e-6
 GAMMA_COLUMNS = ("med", "iqr", "vol")
 
 EngineModel = RVineModel | ArchimedeanModel
+
+
+def composition_bands(rat, epsilon: float):
+    """(valuable, non_valuable, composite) masks of compositions `rat`:
+    rat >= 1 - eps, rat <= eps and the open band between; a NaN is in no
+    band.  The one band rule of partitioning, the density and LOO scoring."""
+    rat = np.asarray(rat, dtype=float)
+    return (rat >= 1.0 - epsilon, rat <= epsilon,
+            (rat > epsilon) & (rat < 1.0 - epsilon))
 
 
 @dataclass(frozen=True)
@@ -56,16 +64,18 @@ class CompositeModel:
     n_nv: int
     n_c: int
     epsilon: float = DEFAULT_EPSILON
-    atom_width: float = DEFAULT_ATOM_WIDTH
-    engine: str = "rvine"
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.5):
             raise ArgumentError("epsilon must lie in (0, 0.5)")
-        if not 0.0 < self.atom_width <= 1.0:
-            raise ArgumentError("atom width must lie in (0, 1]")
+        if len({type(m) for m in (self.f_v, self.f_nv, self.f_c)}) != 1:
+            raise ArgumentError("class densities come from different engines")
         if self.f_v.d != self.f_nv.d or self.f_c.d != self.f_v.d + 1:
             raise ArgumentError("class densities have inconsistent dimensions")
+
+    @property
+    def engine(self) -> str:
+        return "rvine" if isinstance(self.f_v, RVineModel) else "archimedean"
 
     @property
     def n(self) -> int:
@@ -76,7 +86,8 @@ class CompositeModel:
         return self.f_v.d
 
     def sample(self, n: int, seed) -> np.ndarray:
-        """Draw rows from the composite density itself (uniform atoms)."""
+        """Draw rows from the composite density itself (uniform atoms of
+        width epsilon)."""
         rng = np.random.default_rng(seed)
         props = np.array([self.n_nv, self.n_c, self.n_v], dtype=float) / self.n
         which = rng.choice(3, size=n, p=props)
@@ -91,7 +102,7 @@ class CompositeModel:
                 rows[idx] = draw
             else:
                 rows[idx, : self.d_ct] = draw
-                u = rng.uniform(0.0, self.atom_width, size=idx.size)
+                u = rng.uniform(0.0, self.epsilon, size=idx.size)
                 rows[idx, self.d_ct] = u if cls == 0 else 1.0 - u
         return rows
 
@@ -102,7 +113,6 @@ class Prediction:
 
     value: float | None
     label: str                      # valuable | non_valuable | composite | out_of_support
-    conditional_median: float | None = None
 
     def __post_init__(self):
         if self.label not in ("valuable", "non_valuable", "composite",
@@ -121,9 +131,7 @@ def partition_dataset(dataset: Dataset, epsilon: float = DEFAULT_EPSILON):
     rat = dataset.column("rat")
     if np.isnan(rat).any():
         raise ArgumentError("every row must carry a composition value")
-    v_mask = rat >= 1.0 - epsilon
-    nv_mask = rat <= epsilon
-    c_mask = ~(v_mask | nv_mask)
+    v_mask, nv_mask, c_mask = composition_bands(rat, epsilon)
     return (dataset.subset(v_mask).without_rat(),
             dataset.subset(nv_mask).without_rat(),
             dataset.subset(c_mask))
@@ -193,10 +201,8 @@ def fit_class_part(part: Dataset, engine: str = "rvine",
 
 
 def fit_composite(dataset: Dataset, engine: str = "rvine",
-                  epsilon: float = DEFAULT_EPSILON,
-                  atom_width: float = DEFAULT_ATOM_WIDTH,
-                  candidates=None, min_rows: int = 30,
-                  em_tol: float = 1e-8,
+                  epsilon: float = DEFAULT_EPSILON, candidates=None,
+                  min_rows: int = 30, em_tol: float = 1e-8,
                   template: "CompositeModel | None" = None) -> CompositeModel:
     """Fit the three class densities and record the class counts.
 
@@ -211,7 +217,7 @@ def fit_composite(dataset: Dataset, engine: str = "rvine",
         for part, tmpl in zip(parts, class_densities(template)))
     return CompositeModel(f_v, f_nv, f_c, n_v=len(parts[0]),
                           n_nv=len(parts[1]), n_c=len(parts[2]),
-                          epsilon=epsilon, atom_width=atom_width, engine=engine)
+                          epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +235,17 @@ def composite_log_density(model: CompositeModel, x) -> np.ndarray | float:
     n = model.n
     out = np.full(arr.shape[0], -np.inf)
 
-    nv_mask = (x7 >= 0.0) & (x7 <= model.epsilon)
-    c_mask = (x7 > model.epsilon) & (x7 <= 1.0 - model.epsilon)
-    v_mask = (x7 > 1.0 - model.epsilon) & (x7 <= 1.0)
+    v_mask, nv_mask, c_mask = composition_bands(x7, model.epsilon)
+    v_mask &= x7 <= 1.0
+    nv_mask &= x7 >= 0.0
     if nv_mask.any():
-        out[nv_mask] = (np.log(model.n_nv / n) - np.log(model.atom_width)
+        out[nv_mask] = (np.log(model.n_nv / n) - np.log(model.epsilon)
                         + model.f_nv.log_density(ct[nv_mask]))
     if c_mask.any():
         out[c_mask] = (np.log(model.n_c / n)
                        + model.f_c.log_density(arr[c_mask]))
     if v_mask.any():
-        out[v_mask] = (np.log(model.n_v / n) - np.log(model.atom_width)
+        out[v_mask] = (np.log(model.n_v / n) - np.log(model.epsilon)
                        + model.f_v.log_density(ct[v_mask]))
     return float(out[0]) if scalar else out
 
@@ -379,5 +385,5 @@ def predict_vfvm(model: CompositeModel, ct) -> Prediction:
     if like_nv > max(like_c, like_v):
         return Prediction(value=0.0, label="non_valuable")
     med = conditional_median(model, ct, z, density)
-    return Prediction(value=med, label="composite", conditional_median=med)
+    return Prediction(value=med, label="composite")
 

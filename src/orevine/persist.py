@@ -2,12 +2,15 @@
 
 Models are stored as a single JSON document (diffable, deterministic key
 order) embedding the three class densities, their marginals, vine
-structures and counts.  Loading checks a document as strictly as a fitted
-model: positive finite component parameters, mixing weights in [0, 1],
-truncations inside the support, thetas inside the ranges the fit searches,
-non-negative integer counts, epsilon and atom width in range, a valid vine
-and an engine that matches every submodel; a document that fails exits as
-a data error.  Every CLI run additionally writes a manifest with the
+structures and counts.  The document's `atom_width` and `engine` keys are
+written from epsilon and from the submodel type.  Loading checks a document
+as strictly as a fitted model: positive finite component parameters,
+mixing weights in [0, 1], thetas inside the ranges the fit searches,
+non-negative integer counts, epsilon in (0, 0.5), an atom width equal to
+epsilon, a valid vine, an engine that matches every submodel, and no
+truncation on any marginal except the composite class's composition
+marginal, which is truncated to exactly (epsilon, 1 - epsilon); a document
+that fails exits as a data error.  Every CLI run additionally writes a manifest with the
 resolved configuration, its hash, the seed and library versions.
 """
 
@@ -129,7 +132,7 @@ def composite_to_doc(model: CompositeModel) -> dict:
         "kind": "composite_model",
         "engine": model.engine,
         "epsilon": model.epsilon,
-        "atom_width": model.atom_width,
+        "atom_width": model.epsilon,
         "counts": {"valuable": model.n_v, "non_valuable": model.n_nv,
                    "composite": model.n_c},
         "submodels": {"valuable": _engine_doc(model.f_v),
@@ -159,10 +162,20 @@ def composite_from_doc(doc: dict) -> CompositeModel:
             raise ParseError(f"model document counts {counts} must be "
                              "non-negative integers with a positive sum")
         f_v, f_nv, f_c = (_engine_from(sub[c]) for c in classes)
-        return CompositeModel(
-            f_v, f_nv, f_c, *counts,
-            epsilon=float(doc["epsilon"]), atom_width=float(doc["atom_width"]),
-            engine=engine)
+        model = CompositeModel(f_v, f_nv, f_c, *counts,
+                               epsilon=float(doc["epsilon"]))
+        eps = model.epsilon
+        if float(doc["atom_width"]) != eps:
+            raise ParseError(f"model document atom width {doc['atom_width']!r} "
+                             f"differs from its epsilon {eps!r}")
+        # only the composite class's composition marginal, the last one,
+        # is truncated, and to exactly the open composite band
+        truncations = [m.truncation for f in (f_v, f_nv, f_c) for m in f.marginals]
+        if truncations != [None] * (len(truncations) - 1) + [(eps, 1.0 - eps)]:
+            raise ParseError(f"model document truncations {truncations} must be "
+                             "null but for the composition marginal's "
+                             f"(epsilon, 1 - epsilon) = ({eps!r}, {1.0 - eps!r})")
+        return model
     except (KeyError, TypeError, ValueError, ArgumentError) as exc:
         # ArgumentError: a value outside what the model classes accept
         raise ParseError(f"malformed model document: {exc}") from exc

@@ -283,7 +283,7 @@ def benchmark_truth(epsilon: float = 0.01) -> CompositeModel:
     f_c = RVineModel(s7, tuple(cops_c), marg_c)
 
     return CompositeModel(f_v, f_nv, f_c, n_v=227, n_nv=489, n_c=625,
-                          epsilon=epsilon, atom_width=epsilon, engine="rvine")
+                          epsilon=epsilon)
 
 
 def load_scene_spec(path) -> SceneSpec:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .copulas import (
     PairCopula,
+    _bisect_increasing,
     _finite_loglik,
     _fit_pair_with_tau,
     _search_theta,
@@ -129,6 +130,14 @@ def dvine_structure(order) -> RVineStructure:
     return RVineStructure.from_tree_edges(d, tree_edges)
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def validate_structure(structure: RVineStructure) -> str | None:
     """Check the regular-vine conditions; return the first violation or None."""
     d = structure.d
@@ -143,18 +152,11 @@ def validate_structure(structure: RVineStructure) -> str | None:
             return (f"tree {li}: expected {n_nodes - 1} edges over {n_nodes} nodes, "
                     f"found {len(level)}")
         parent = list(range(n_nodes))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for e in level:
             na, nb = e.nodes
             if not (0 <= na < n_nodes and 0 <= nb < n_nodes) or na == nb:
                 return f"tree {li}: invalid edge nodes {e.nodes}"
-            ra, rb = find(na), find(nb)
+            ra, rb = _find(parent, na), _find(parent, nb)
             if ra == rb:
                 return f"tree {li}: edge {e.nodes} creates a cycle"
             parent[ra] = rb
@@ -169,7 +171,7 @@ def validate_structure(structure: RVineStructure) -> str | None:
             if len(e.conditioning) != li - 1:
                 return (f"tree {li}: conditioning set of {e.nodes} has size "
                         f"{len(e.conditioning)}, expected {li - 1}")
-        if len({find(i) for i in range(n_nodes)}) != 1:
+        if len({_find(parent, i) for i in range(n_nodes)}) != 1:
             return f"tree {li}: not connected"
         prev_edges = level
         prev_edge_count = len(level)
@@ -325,16 +327,9 @@ def fit_sequential(data, marginals, candidates=DEFAULT_CANDIDATES,
 
         cands.sort(key=lambda c: (-abs(c[3]), c[0].key()))
         parent = list(range(len(frames)))
-
-        def find(z):
-            while parent[z] != z:
-                parent[z] = parent[parent[z]]
-                z = parent[z]
-            return z
-
         chosen = []
         for c in cands:
-            ra, rb = find(c[0].nodes[0]), find(c[0].nodes[1])
+            ra, rb = _find(parent, c[0].nodes[0]), _find(parent, c[0].nodes[1])
             if ra == rb:
                 continue
             parent[ra] = rb
@@ -741,16 +736,10 @@ def _arch_sample_uniform(family: str, theta: float, d: int, n: int, seed) -> np.
     u[:, 0] = w[:, 0]
     t_prev = _arch_phi(family, theta, u[:, 0])
     for m in range(1, d):
-        target = w[:, m]
-        lo = np.full(n, COND_CLAMP)
-        hi = np.full(n, 1.0 - COND_CLAMP)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            f = _arch_cond_cdf(family, theta, m, t_prev, _arch_phi(family, theta, mid))
-            below = f < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        u[:, m] = 0.5 * (lo + hi)
+        u[:, m] = _bisect_increasing(
+            lambda x: _arch_cond_cdf(family, theta, m, t_prev,
+                                     _arch_phi(family, theta, x)),
+            w[:, m], COND_CLAMP, 1.0 - COND_CLAMP, 80)
         t_prev = t_prev + _arch_phi(family, theta, u[:, m])
     return u
 

@@ -7,7 +7,7 @@ import pytest
 
 from orevine.cli import main
 from orevine.descriptors import Dataset
-from orevine.model import fit_composite, predict_vfvm
+from orevine.model import CompositeModel, fit_composite, predict_vfvm
 from orevine.persist import load_model, save_model
 from orevine.synth import Primitive, SceneSpec, benchmark_truth, generate_composite_dataset
 from orevine.voxel import LabelVolume, VoxelVolume, write_labels, write_volume
@@ -86,6 +86,24 @@ def negative_gamma_shape(doc):
     doc["submodels"]["valuable"]["marginals"][0]["comp1"]["alpha"] = -1
 
 
+def atom_width_not_epsilon(doc):
+    assert doc["epsilon"] == 0.01
+    doc["atom_width"] = 0.02
+
+
+def composition_truncation_inside_band(doc):
+    doc["submodels"]["composite"]["marginals"][-1]["truncation"] = [0.2, 0.8]
+
+
+def composition_truncation_null(doc):
+    doc["submodels"]["composite"]["marginals"][-1]["truncation"] = None
+
+
+def truncated_ct_marginal(doc):
+    # column 3 (elo) has a beta marginal, so [0.01, 0.99] is inside its support
+    doc["submodels"]["valuable"]["marginals"][3]["truncation"] = [0.01, 0.99]
+
+
 class TestPersistence:
     def test_model_document_round_trip(self, small_dataset, tmp_path):
         _, ds = small_dataset
@@ -103,6 +121,17 @@ class TestPersistence:
             save_model(p2, back)
             assert p.read_bytes() == p2.read_bytes()
 
+    def test_archimedean_composite_round_trip(self, small_dataset, tmp_path):
+        # built from its submodels alone, the engine is read off their type
+        _, ds = small_dataset
+        fitted = fit_composite(ds, engine="archimedean")
+        model = CompositeModel(fitted.f_v, fitted.f_nv, fitted.f_c, fitted.n_v,
+                               fitted.n_nv, fitted.n_c, epsilon=fitted.epsilon)
+        p = tmp_path / "archimedean.json"
+        save_model(p, model)
+        assert json.loads(p.read_text())["engine"] == "archimedean"
+        assert load_model(p) == model
+
     def test_schema_version_mismatch(self, tmp_path, fitted_model_path):
         doc = json.loads(Path(fitted_model_path).read_text())
         doc["schema_version"] = 99
@@ -116,7 +145,10 @@ class TestPersistence:
     @pytest.mark.parametrize("fault", [negative_count, truncation_outside_support,
                                        huge_clayton_theta, engine_mismatch,
                                        weight_above_one, epsilon_too_large,
-                                       negative_gamma_shape],
+                                       negative_gamma_shape, atom_width_not_epsilon,
+                                       composition_truncation_inside_band,
+                                       composition_truncation_null,
+                                       truncated_ct_marginal],
                              ids=lambda f: f.__name__)
     def test_bad_model_document_is_data_error(self, tmp_path, small_dataset,
                                               fitted_model_path, capsys, fault):
@@ -172,6 +204,31 @@ class TestCliFitPredict:
         assert (tmp_path / "scores.txt").exists()
         assert (tmp_path / "scores.json").exists()
         assert (str(out) + ".manifest.json") in [str(p) for p in tmp_path.iterdir()]
+
+    def test_band_edge_rows_score_finite(self, tmp_path, small_dataset):
+        # a row at rat = 1 - epsilon is fitted as valuable and must be
+        # scored by the valuable atom, a row at epsilon by the non-valuable one
+        _, ds = small_dataset
+        matrix = ds.matrix.copy()
+        composite = np.flatnonzero((matrix[:, 6] > 0.01) & (matrix[:, 6] < 0.99))
+        matrix[composite[:2], 6] = (0.01, 1.0 - 0.01)
+        data = tmp_path / "edges.csv"
+        Dataset(ds.ids, matrix, ds.columns).to_csv(data)
+        rc = main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                   "--report-prefix", str(tmp_path / "scores")])
+        assert rc == 0
+        scores = json.loads((tmp_path / "scores.json").read_text())["scores"]
+        assert [s["subset"] for s in scores] == ["all", "composite_only"]
+        assert all(np.isfinite(s["ll"]) for s in scores)
+
+    def test_atom_width_option_is_gone(self, tmp_path, small_dataset):
+        data_path, _ = small_dataset
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(data_path), "--out", str(out),
+                  "--atom-width", "0.02"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_predict_rows_in_unit_interval(self, tmp_path, small_dataset,
                                            fitted_model_path):

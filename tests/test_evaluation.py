@@ -259,7 +259,7 @@ class TestClassReuseEquivalence:
         assert result.predictions.tobytes() == expected.tobytes()
         valid = ~np.isnan(expected)
         mae, mse = prediction_errors(expected[valid], result.truths[valid])
-        ll_all, ll_c = (r.to_dict() for r in fit_scores(full, dataset, engine))
+        ll_all, ll_c = (r.to_dict() for r in fit_scores(full, dataset))
         got_all, got_c = result.report_all.to_dict(), result.report_composite.to_dict()
         assert (got_all["mae"], got_all["mse"]) == (mae, mse)
         assert {k: got_all[k] for k in ("ll", "k", "n", "aic", "bic")} == \

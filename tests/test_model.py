@@ -16,7 +16,7 @@ from orevine.model import (
     predict_vfvm,
 )
 from orevine.synth import benchmark_truth, generate_composite_dataset
-from orevine.vine import RVineModel, dvine_structure
+from orevine.vine import ArchimedeanModel, RVineModel, dvine_structure
 
 
 def beta_m(p, q, truncation=None):
@@ -36,7 +36,16 @@ def tiny_composite(eps=0.01, rat_dependent=False):
                      (beta_m(4, 4), beta_m(3, 3),
                       beta_m(2, 2, truncation=(eps, 1 - eps))))
     return CompositeModel(f_v, f_nv, f_c, n_v=227, n_nv=489, n_c=625,
-                          epsilon=eps, atom_width=eps)
+                          epsilon=eps)
+
+
+def archimedean_parts(eps=0.01):
+    """(f_v, f_nv, f_c) Frank densities shaped like `tiny_composite`'s."""
+    f_v = ArchimedeanModel("frank", 2.0, (beta_m(8, 2), beta_m(3, 3)))
+    f_nv = ArchimedeanModel("frank", 2.0, (beta_m(2, 8), beta_m(3, 3)))
+    f_c = ArchimedeanModel("frank", 2.0, (beta_m(4, 4), beta_m(3, 3),
+                                          beta_m(2, 2, truncation=(eps, 1 - eps))))
+    return f_v, f_nv, f_c
 
 
 def make_dataset(rats):
@@ -96,6 +105,19 @@ class TestFitComposite:
         assert ll_rv >= ll_ar
 
 
+class TestCompositeModel:
+    def test_engine_follows_the_submodels(self):
+        assert tiny_composite().engine == "rvine"
+        ar = archimedean_parts()
+        assert CompositeModel(*ar, n_v=1, n_nv=1, n_c=1).engine == "archimedean"
+
+    def test_mixed_engines_rejected(self):
+        a = tiny_composite()
+        f_v, _, _ = archimedean_parts()
+        with pytest.raises(ArgumentError, match="different engines"):
+            CompositeModel(f_v, a.f_nv, a.f_c, n_v=1, n_nv=1, n_c=1)
+
+
 class TestCompositeDensity:
     def test_nv_branch_coefficient(self):
         model = tiny_composite()
@@ -124,10 +146,14 @@ class TestCompositeDensity:
 
     def test_epsilon_boundary_goes_to_atom(self):
         model = tiny_composite()
-        x = np.array([0.6, 0.4, 0.01])  # exactly epsilon -> nv branch
-        expected = (489 / 1341) * 100.0 * float(
-            np.exp(model.f_nv.log_density(x[None, :2]))[0])
-        assert composite_density(model, x) == pytest.approx(expected, rel=1e-10)
+        # exactly epsilon -> nv branch; exactly 1 - epsilon -> v branch, the
+        # band partition_dataset puts such a row in
+        for x7, f, count in ((0.01, model.f_nv, 489),
+                             (1.0 - model.epsilon, model.f_v, 227)):
+            x = np.array([0.6, 0.4, x7])
+            expected = (count / 1341) * 100.0 * float(
+                np.exp(f.log_density(x[None, :2]))[0])
+            assert composite_density(model, x) == pytest.approx(expected, rel=1e-10)
 
     def test_monte_carlo_integral(self):
         model = tiny_composite(rat_dependent=True)
@@ -154,7 +180,6 @@ class TestPredict:
         p = predict_vfvm(model, np.array([0.5, 0.5]))
         assert p.label == "composite"
         assert p.value == pytest.approx(0.5, abs=1e-3)
-        assert p.conditional_median == p.value
 
     def test_median_matches_grid_cdf_oracle(self):
         model = tiny_composite(rat_dependent=True)
@@ -187,7 +212,7 @@ class TestPredict:
     def test_count_scaling_leaves_class_unchanged(self):
         a = tiny_composite()
         b = CompositeModel(a.f_v, a.f_nv, a.f_c, n_v=454, n_nv=978, n_c=1250,
-                           epsilon=a.epsilon, atom_width=a.atom_width)
+                           epsilon=a.epsilon)
         rng = np.random.default_rng(17)
         for _ in range(10):
             ct = rng.uniform(0.05, 0.95, 2)
