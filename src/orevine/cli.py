@@ -200,9 +200,8 @@ def _run_evaluate(args) -> int:
     _check_cells(ds, args.data, rat=True)
     # the loaded model is the one scored; exact-LOO folds refit with the
     # default candidates, min_rows and EM tolerance, which it does not record
-    result = loo_cv(ds, engine=model.engine, epsilon=model.epsilon,
-                    parallelism=args.parallelism, fast=args.fast_loo,
-                    full=model)
+    result = loo_cv(model, ds, fast=args.fast_loo,
+                    parallelism=args.parallelism)
     scores = [result.report_all, result.report_composite]
     text = render_report(scores)
     prefix = args.out_prefix

@@ -356,32 +356,17 @@ def _particle_mask(particle: np.ndarray):
     return mask
 
 
-def surface_area(particle: np.ndarray, spacing: float = 1.0,
-                 method: str = "crofton") -> float:
-    """Surface-area estimate of a voxel set.
-
-    The default integrates boundary transitions along 13 lattice direction
-    families (axes, face diagonals, body diagonals) with Crofton line
-    weights; `method="faces"` falls back to counting exposed voxel faces.
-    """
+def surface_area(particle: np.ndarray, spacing: float = 1.0) -> float:
+    """Surface-area estimate of a voxel set: boundary transitions along 13
+    lattice direction families (axes, face diagonals, body diagonals)
+    integrated with Crofton line weights."""
     pts = np.asarray(particle, dtype=np.int64).reshape(-1, 3)
     if pts.shape[0] == 0:
         raise StructuralError("cannot compute surface area of an empty voxel set")
     mask = _particle_mask(pts)
 
-    if method == "faces":
-        total = 0
-        for axis in range(3):
-            a = np.swapaxes(mask, 0, axis)
-            total += int(np.count_nonzero(a[1:] != a[:-1]))
-        return float(total) * spacing * spacing
-    if method != "crofton":
-        raise ArgumentError("method must be 'crofton' or 'faces'")
-
     total = 0.0
     for (dx, dy, dz), delta in _DIRECTIONS:
-        a = mask
-        b = mask
         sl_a = [slice(None)] * 3
         sl_b = [slice(None)] * 3
         for axis, d in enumerate((dx, dy, dz)):

@@ -7,15 +7,17 @@ plus the mixing ratio), 1 per non-independence pair copula, 1 per
 d-dimensional Archimedean copula, plus 2 class-proportion degrees of
 freedom for a composite model.
 
-Leave-one-out refits the composite model on every n-1 subset and scores
-the held-out row from its CT-based descriptors.  Each class density is
-fitted on its own rows only, so a fold refits only the class that lost its
-row and reuses the full-data fits of the other two; the fold model is the
-same as a `fit_composite` of the fold's rows.  Exact mode repeats the full
-structure selection for that class; fast mode reuses the full-data vine
-structure and copula families and re-estimates parameters only.  Worker
-processes receive the shared state once, and fold results are reduced in
-row order, so reports are identical for any degree of parallelism.
+Leave-one-out scores a fitted composite model: it refits the model on
+every n-1 subset and predicts the held-out row from its CT-based
+descriptors.  Each class density is fitted on its own rows only, so each
+class part of the full data is fitted once, a fold refits only the class
+that lost its row, and the fold model is the same as a `fit_composite` of
+the fold's rows.  Exact mode fits cold, with the full structure selection;
+fast mode starts each class from the scored model's class density, reusing
+its vine structure and copula families and re-estimating parameters only.
+At most one worker process per row runs; each receives the shared state
+once, and fold results are reduced in row order, so reports are identical
+for any degree of parallelism.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .model import (
     composite_log_density,
     composition_bands,
     fit_class_part,
-    fit_composite,
     partition_dataset,
     predict_vfvm,
 )
@@ -161,71 +162,50 @@ class LooResult:
                              f"{repr(float(pred - self.truths[i]))}\n")
 
 
-@dataclass(frozen=True)
-class ClassReuseFit:
-    """The default fold fit of `loo_cv`, called like `fit_fn`.
-
-    `sizes` and `fits` describe each class part of the full data: its row
-    count and its fit, which is a model, the `FittingError` the fit raised,
-    or None for a part under `min_rows`.  A fold misses one row, so exactly
-    one of its class parts is smaller than the full data's; only that part
-    is refitted, and the other two reuse their fits.  Each fold model is
-    therefore the `fit_composite` of the fold's rows, bit for bit.
-    """
-
-    sizes: tuple[int, int, int]
-    fits: tuple
-
-    @classmethod
-    def on(cls, dataset: Dataset, engine: str, epsilon: float, candidates,
-           min_rows: int, template) -> "ClassReuseFit":
-        parts = partition_dataset(dataset, epsilon)
-        fits = []
-        for part, tmpl in zip(parts, class_densities(template)):
-            if len(part) < min_rows:  # every fold fails check_class_sizes
-                fits.append(None)
-                continue
-            try:
-                fits.append(fit_class_part(part, engine, epsilon, candidates,
-                                           min_rows, template=tmpl))
-            except FittingError as exc:
-                fits.append(exc)
-        return cls(tuple(len(part) for part in parts), tuple(fits))
-
-    def __call__(self, dataset: Dataset, engine: str, epsilon: float,
-                 candidates, min_rows: int, template) -> CompositeModel:
-        parts = partition_dataset(dataset, epsilon)
-        check_class_sizes(parts, min_rows)
-        models = []
-        for part, tmpl, size, fit in zip(parts, class_densities(template),
-                                         self.sizes, self.fits):
-            if len(part) != size:
-                fit = fit_class_part(part, engine, epsilon, candidates,
-                                     min_rows, template=tmpl)
-            elif isinstance(fit, FittingError):
-                raise fit.with_traceback(None)
-            models.append(fit)
-        return CompositeModel(*models, n_v=len(parts[0]), n_nv=len(parts[1]),
-                              n_c=len(parts[2]), epsilon=epsilon)
+def _fit_full_part(part: Dataset, engine: str, epsilon: float, candidates,
+                   min_rows: int, template):
+    """The fit of one class part of the full data that the folds reuse:
+    the model, the `FittingError` its fit raised, or None for a part under
+    `min_rows` (every fold then fails `check_class_sizes`)."""
+    if len(part) < min_rows:
+        return None
+    try:
+        return fit_class_part(part, engine, epsilon, candidates, min_rows,
+                              template=template)
+    except FittingError as exc:
+        return exc
 
 
 def _loo_fold(state, i: int):
-    """Refit without row i and predict it; state is (dataset, engine,
-    epsilon, candidates, min_rows, template, fit_fn, predict_fn)."""
-    (dataset, engine, epsilon, candidates, min_rows, template, fit_fn,
-     predict_fn) = state
+    """Refit without row i and predict it; state is (dataset, model,
+    templates, candidates, min_rows, fits).
+
+    Only the class that lost row i is refitted; the other two reuse their
+    full-data `fits`, and a reused `FittingError` is raised in class order.
+    The fold model is therefore the `fit_composite` of the fold's rows.
+    """
+    dataset, model, templates, candidates, min_rows, fits = state
     mask = np.ones(len(dataset), dtype=bool)
     mask[i] = False
+    parts = partition_dataset(dataset.subset(mask), model.epsilon)
+    lost = composition_bands(dataset.column("rat")[i], model.epsilon)
     try:
-        model = fit_fn(dataset.subset(mask), engine, epsilon, candidates,
-                       min_rows, template)
-        pred = predict_fn(model, dataset.matrix[i, :-1])
+        check_class_sizes(parts, min_rows)
+        densities = []
+        for part, template, fit, refit in zip(parts, templates, fits, lost):
+            if refit:
+                fit = fit_class_part(part, model.engine, model.epsilon,
+                                     candidates, min_rows, template=template)
+            elif isinstance(fit, FittingError):
+                raise fit.with_traceback(None)
+            densities.append(fit)
+        fold = CompositeModel(*densities, n_v=len(parts[0]),
+                              n_nv=len(parts[1]), n_c=len(parts[2]),
+                              epsilon=model.epsilon)
+        pred = predict_vfvm(fold, dataset.matrix[i, :-1])
     except FittingError:
         return i, np.nan
-    value = getattr(pred, "value", pred)
-    if value is None:
-        return i, np.nan
-    return i, float(value)
+    return i, np.nan if pred.value is None else float(pred.value)
 
 
 _worker_state = None  # the fold state of a pool worker, set once per process
@@ -240,62 +220,53 @@ def _worker_fold(i: int):
     return _loo_fold(_worker_state, i)
 
 
-def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
-           parallelism: int = 1, fast: bool = False, candidates=None,
-           min_rows: int = 30, fit_fn=None, predict_fn=None,
-           full=None) -> LooResult:
-    """Leave-one-out validation of the composition predictor.
+def loo_cv(model: CompositeModel, dataset: Dataset, fast: bool = False,
+           parallelism: int = 1, candidates=None,
+           min_rows: int = 30) -> LooResult:
+    """Leave-one-out validation of the composition predictor of `model`.
 
-    Returns the `fit_scores` of the full-data model combined with LOO
-    MAE/MSE, over all rows and over the composite rows only.  `full` is
-    the full-data model, fitted here when not given; with `fast` it is the
-    template of every fold's refit.  Without `fit_fn`, each class part of
-    the full data is fitted once (`ClassReuseFit`), and a fold refits only
-    the class that lost its row.  A fold is excluded and counted when its
-    refit or its prediction raises `FittingError`, or when its prediction
-    has no support.  A `FittingError` of a reused class fit excludes every
-    fold that reuses it; a `FittingError` of the fold's own class excludes
-    that fold only.  Any other exception propagates, and no worker process
-    outlives the call.  Results do not depend on `parallelism`.
+    Returns the `fit_scores` of `model` on `dataset` combined with LOO
+    MAE/MSE, over all rows and over the composite rows only.  Each class
+    part of `dataset` is fitted once, with the engine and epsilon of
+    `model`: in fast mode from the matching class density of `model` as
+    template, in exact mode cold with `candidates` and `min_rows`.  A fold
+    refits only the class that lost its row.  A fold is excluded and
+    counted when its refit or its prediction raises `FittingError`, or when
+    its prediction has no support.  A `FittingError` of a reused class fit
+    excludes every fold that reuses it; a `FittingError` of the fold's own
+    class excludes that fold only.  Any other exception propagates, and no
+    worker process outlives the call.  At most one worker per row runs, and
+    results do not depend on `parallelism`.
     """
+    if parallelism < 1:
+        raise ArgumentError(f"parallelism must be >= 1, got {parallelism}")
     if not dataset.has_rat or np.isnan(dataset.column("rat")).any():
         raise ArgumentError("leave-one-out needs a fully labeled dataset")
     n = len(dataset)
-    predict_fn = predict_fn or predict_vfvm
+    templates = class_densities(model if fast else None)
+    fits = tuple(_fit_full_part(part, model.engine, model.epsilon, candidates,
+                                min_rows, template)
+                 for part, template in zip(
+                     partition_dataset(dataset, model.epsilon), templates))
 
-    if full is None and fit_fn is None:
-        full = fit_composite(dataset, engine=engine, epsilon=epsilon,
-                             candidates=candidates, min_rows=min_rows)
-        if not fast:
-            # exact folds refit without a template, so the full fit's class
-            # densities are the class parts ClassReuseFit.on would fit again
-            fit_fn = ClassReuseFit((full.n_v, full.n_nv, full.n_c),
-                                   class_densities(full))
-    elif full is None:
-        full = fit_fn(dataset, engine, epsilon, candidates, min_rows, None)
-    template = full if fast else None
-    if fit_fn is None:
-        fit_fn = ClassReuseFit.on(dataset, engine, epsilon, candidates,
-                                  min_rows, template)
-
-    state = (dataset, engine, epsilon, candidates, min_rows, template, fit_fn,
-             predict_fn)
-    if parallelism <= 1:
+    state = (dataset, model, templates, candidates, min_rows, fits)
+    workers = min(parallelism, n)
+    if workers <= 1:
         results = list(map(functools.partial(_loo_fold, state), range(n)))
     else:
         # workers receive the shared state once, and each job only its row;
         # leaving the block joins the workers, also when a fold raises
-        with ProcessPoolExecutor(max_workers=parallelism,
+        with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,
                                  initargs=(state,)) as executor:
             results = list(executor.map(_worker_fold, range(n),
-                                        chunksize=max(1, n // (parallelism * 4))))
+                                        chunksize=max(1, n // (workers * 4))))
     predictions = np.full(n, np.nan)
     for i, value in results:
         predictions[i] = value
 
     truths = dataset.column("rat").astype(float)
-    composite_mask = composition_bands(truths, epsilon)[2]
+    composite_mask = composition_bands(truths, model.epsilon)[2]
     valid = ~np.isnan(predictions)
     excluded = int(n - valid.sum())
 
@@ -306,14 +277,7 @@ def loo_cv(dataset: Dataset, engine: str = "rvine", epsilon: float = 0.01,
     else:
         mae_c = mse_c = float("nan")
 
-    if isinstance(full, CompositeModel):
-        report_all, report_c = fit_scores(full, dataset)
-    else:  # injected fit functions may return arbitrary models
-        nan = float("nan")
-        n_c = len(partition_dataset(dataset, epsilon)[2])
-        report_all, report_c = (
-            ScoreReport(engine, subset, ll=nan, k=0, n=rows, aic=nan, bic=nan)
-            for subset, rows in (("all", n), ("composite_only", n_c)))
+    report_all, report_c = fit_scores(model, dataset)
     report_all = replace(report_all, mae=mae_all, mse=mse_all,
                          excluded_folds=excluded)
     report_c = replace(report_c, mae=mae_c, mse=mse_c,

@@ -31,6 +31,7 @@ from orevine.model import (
     CompositeModel,
     composite_density,
     conditional_median,
+    fit_composite,
 )
 from orevine.synth import (
     Primitive,
@@ -245,8 +246,9 @@ def test_criterion_07_synthetic_prediction_benchmark():
     ds = generate_composite_dataset(truth, 227, 489, 625, seed=42)
     assert len(ds) == 1341
 
-    rv = loo_cv(ds, engine="rvine", fast=True, parallelism=2)
-    ar = loo_cv(ds, engine="archimedean", fast=True, parallelism=2)
+    rv = loo_cv(fit_composite(ds, engine="rvine"), ds, fast=True, parallelism=2)
+    ar = loo_cv(fit_composite(ds, engine="archimedean"), ds, fast=True,
+                parallelism=2)
 
     mae_rv = rv.report_all.mae
     mae_rv_c = rv.report_composite.mae
@@ -426,8 +428,9 @@ def test_criterion_10_cli_determinism(tmp_path):
     assert _snapshot(work) == first
 
     # leave-one-out report independent of parallelism (1 vs 8 workers)
-    seq = loo_cv(ds, engine="rvine", fast=True, parallelism=1)
-    par = loo_cv(ds, engine="rvine", fast=True, parallelism=8)
+    full = fit_composite(ds, engine="rvine")
+    seq = loo_cv(full, ds, fast=True, parallelism=1)
+    par = loo_cv(full, ds, fast=True, parallelism=8)
     assert np.array_equal(seq.predictions, par.predictions, equal_nan=True)
     assert seq.report_all.to_dict() == par.report_all.to_dict()
     assert seq.report_composite.to_dict() == par.report_composite.to_dict()

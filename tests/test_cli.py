@@ -523,6 +523,18 @@ class TestCliEvaluate:
         errors = (tmp_path / "eval_errors.csv").read_text().splitlines()
         assert errors[0] == "id,truth,prediction,error"
 
+    @pytest.mark.parametrize("parallelism", ["0", "-2"])
+    def test_parallelism_below_one_exits_2(self, tmp_path, small_dataset,
+                                           fitted_model_path, capsys,
+                                           parallelism):
+        data_path, _ = small_dataset
+        rc = main(["evaluate", "--model", str(fitted_model_path),
+                   "--data", str(data_path), "--out-prefix",
+                   str(tmp_path / "eval"), "--parallelism", parallelism])
+        assert rc == 2
+        assert "parallelism must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_scores_the_given_model(self, tmp_path, small_dataset):
         """A model fitted with non-default settings is the model scored,
         not a refit with the defaults."""

@@ -238,9 +238,6 @@ class TestSurfaceArea:
         a40 = surface_area(digital_ball(40))
         assert a40 / a20 == pytest.approx(4.0, rel=0.02)
 
-    def test_faces_fallback_single_voxel(self):
-        assert surface_area(np.array([[0, 0, 0]]), method="faces") == 6.0
-
     def test_empty(self):
         with pytest.raises(StructuralError):
             surface_area(np.zeros((0, 3)))

@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from orevine.copulas import PairCopula
 from orevine.descriptors import COLUMNS, Dataset
 from orevine.errors import ArgumentError, FittingError
 from orevine.evaluation import (
-    ClassReuseFit,
     ScoreReport,
     count_parameters,
     fit_scores,
@@ -18,7 +19,13 @@ from orevine.evaluation import (
     scores_to_json,
 )
 from orevine.marginals import BetaParams, MixtureModel
-from orevine.model import CompositeModel, fit_composite, predict_vfvm
+from orevine.model import (
+    CompositeModel,
+    Prediction,
+    fit_composite,
+    partition_dataset,
+    predict_vfvm,
+)
 from orevine.synth import benchmark_truth, generate_composite_dataset
 from orevine.vine import ArchimedeanModel, RVineModel, dvine_structure
 
@@ -131,70 +138,91 @@ def make_labeled_dataset(n=12, seed=0):
     return Dataset(np.arange(1, n + 1, dtype=np.int64), matrix, COLUMNS)
 
 
-def _ids_fit(dataset, engine, epsilon, candidates, min_rows, template):
-    return frozenset(dataset.ids.tolist())
+def _independence_model(part):
+    """A stand-in class fit: an independence vine of the part's width."""
+    d = part.matrix.shape[1]
+    cops = tuple(PairCopula("independence") for _ in range(d * (d - 1) // 2))
+    return RVineModel(dvine_structure(list(range(d))), cops,
+                      tuple(beta_m(2, 2) for _ in range(d)))
 
 
-def _predict_failing_without_id_4(model, ct):
-    if 4 not in model:
-        raise ValueError("fold without id 4")
-    return 0.5
+def _independence_composite(dataset, epsilon=0.01):
+    """A stand-in scored model: an independence vine per class part."""
+    parts = partition_dataset(dataset, epsilon)
+    return CompositeModel(*map(_independence_model, parts), n_v=len(parts[0]),
+                          n_nv=len(parts[1]), n_c=len(parts[2]),
+                          epsilon=epsilon)
+
+
+def _predict_half(model, ct):
+    return Prediction(0.5, "composite")
+
+
+def stub_loo(monkeypatch, fit=_independence_model, predict=_predict_half):
+    """Replace the class fit and the predictor that `loo_cv` calls; forked
+    pool workers inherit the stubs."""
+    monkeypatch.setattr(evaluation, "fit_class_part",
+                        lambda part, *args, **kwargs: fit(part))
+    monkeypatch.setattr(evaluation, "predict_vfvm", predict)
 
 
 class TestLooCv:
-    def test_raising_fold_leaves_no_workers(self):
+    def test_raising_fold_leaves_no_workers(self, monkeypatch):
         import multiprocessing
         import time
 
         ds = make_labeled_dataset(9)
+
+        def predict_failing_for_id_4(model, ct):
+            if np.array_equal(ct, ds.matrix[3, :-1]):
+                raise ValueError("fold without id 4")
+            return _predict_half(model, ct)
+
+        stub_loo(monkeypatch, predict=predict_failing_for_id_4)
         # the caller keeps the traceback (and with it loo_cv's frame) alive,
         # so garbage collection cannot stand in for shutting the pool down
         with pytest.raises(ValueError, match="fold without id 4") as excinfo:
-            loo_cv(ds, parallelism=2, fit_fn=_ids_fit,
-                   predict_fn=_predict_failing_without_id_4)
+            loo_cv(_independence_composite(ds), ds, parallelism=2, min_rows=1)
         deadline = time.monotonic() + 10.0
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
         assert excinfo.traceback
 
-    def test_refits_once_per_row(self):
+    def test_refits_once_per_row(self, monkeypatch):
         ds = make_labeled_dataset(9)
         calls = {"fit": 0}
 
-        def counting_fit(dataset, engine, epsilon, candidates, min_rows, template):
+        def counting_fit(part):
             calls["fit"] += 1
-            return ("stub", len(dataset))
+            return _independence_model(part)
 
-        def stub_predict(model, ct):
-            return 0.5
-
-        result = loo_cv(ds, fit_fn=counting_fit, predict_fn=stub_predict)
-        # one full fit plus one per fold
-        assert calls["fit"] == 1 + 9
+        stub_loo(monkeypatch, fit=counting_fit)
+        result = loo_cv(_independence_composite(ds), ds, min_rows=1)
+        # one fit per full-data class part plus one per fold
+        assert calls["fit"] == 3 + 9
         assert result.folds_performed == 9
 
-    def test_exact_predictor_scores_zero(self):
+    def test_exact_predictor_scores_zero(self, monkeypatch):
         ds = make_labeled_dataset(9)
-        truth_by_id = {int(i): float(r) for i, r in zip(ds.ids, ds.column("rat"))}
-
-        def stub_fit(dataset, engine, epsilon, candidates, min_rows, template):
-            return dict(zip(dataset.ids.tolist(), dataset.column("rat").tolist()))
+        truth_by_ct = {row[:-1].tobytes(): float(row[-1]) for row in ds.matrix}
 
         def oracle_predict(model, ct):
-            # the held-out id is the one missing from the fold's model
-            missing = set(truth_by_id) - set(model)
-            return truth_by_id[missing.pop()] if missing else 0.5
+            # the fold model misses exactly the held-out row
+            assert model.n == len(ds) - 1
+            return Prediction(truth_by_ct[ct.tobytes()], "composite")
 
-        result = loo_cv(ds, fit_fn=stub_fit, predict_fn=oracle_predict)
+        stub_loo(monkeypatch, predict=oracle_predict)
+        result = loo_cv(_independence_composite(ds), ds, min_rows=1)
         assert result.report_all.mae == 0.0
         assert result.report_all.mse == 0.0
 
     def test_fast_loo_real_fit_and_parallel_determinism(self):
         truth = benchmark_truth()
         ds = generate_composite_dataset(truth, 35, 35, 35, seed=11)
-        seq = loo_cv(ds, engine="rvine", fast=True, parallelism=1)
-        par = loo_cv(ds, engine="rvine", fast=True, parallelism=4)
+        full = fit_composite(ds, engine="rvine")
+        seq = loo_cv(full, ds, fast=True, parallelism=1)
+        par = loo_cv(full, ds, fast=True, parallelism=4)
         assert np.array_equal(seq.predictions, par.predictions, equal_nan=True)
         assert seq.report_all.to_dict() == par.report_all.to_dict()
         assert seq.report_composite.to_dict() == par.report_composite.to_dict()
@@ -204,59 +232,82 @@ class TestLooCv:
         mae_c = float(np.mean(np.abs(seq.predictions[mask] - seq.truths[mask])))
         assert seq.report_composite.mae == pytest.approx(mae_c, abs=1e-15)
 
-    def test_excluded_folds_counted(self):
+    def test_excluded_folds_counted(self, monkeypatch):
         ds = make_labeled_dataset(9)
 
-        def flaky_fit(dataset, engine, epsilon, candidates, min_rows, template):
-            if template is None and len(dataset) == 9:
-                return "full"
-            from orevine.errors import FittingError
-            if 4 not in dataset.ids:
+        def flaky_fit(part):
+            # the non-valuable part (ids 4-6) of the fold without id 4
+            if part.ids.tolist() == [5, 6]:
                 raise FittingError("degenerate fold")
-            return "fold"
+            return _independence_model(part)
 
-        result = loo_cv(ds, fit_fn=flaky_fit, predict_fn=lambda m, ct: 0.5)
+        stub_loo(monkeypatch, fit=flaky_fit)
+        result = loo_cv(_independence_composite(ds), ds, min_rows=1)
         assert result.excluded_folds == 1
         assert np.isnan(result.predictions[3])
 
-    def test_errors_csv(self, tmp_path):
+    def test_errors_csv(self, tmp_path, monkeypatch):
         ds = make_labeled_dataset(9)
-        res = loo_cv(ds, fit_fn=lambda *a: "m", predict_fn=lambda m, ct: 0.5)
+        stub_loo(monkeypatch)
+        res = loo_cv(_independence_composite(ds), ds, min_rows=1)
         path = tmp_path / "errors.csv"
         res.write_errors_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "id,truth,prediction,error"
         assert len(lines) == 10
 
+    def test_workers_capped_at_row_count(self, monkeypatch):
+        started = []
 
-def reference_loo(dataset, engine, fast, min_rows=30):
+        class RecordingExecutor(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingExecutor)
+        stub_loo(monkeypatch)
+        ds = make_labeled_dataset(9)
+        scored = _independence_composite(ds)
+        capped = loo_cv(scored, ds, parallelism=64, min_rows=1)
+        assert started == [9]
+        serial = loo_cv(scored, ds, parallelism=1, min_rows=1)
+        assert started == [9]
+        assert capped.predictions.tobytes() == serial.predictions.tobytes()
+
+
+def reference_predictions(dataset, engine, min_rows, template,
+                          predict=predict_vfvm):
     """The LOO loop before class fits were reused: `fit_composite` on every
-    fold, then `predict_vfvm`."""
-    full = fit_composite(dataset, engine=engine, min_rows=min_rows)
+    fold, then `predict`."""
     predictions = np.full(len(dataset), np.nan)
     for i in range(len(dataset)):
         mask = np.ones(len(dataset), dtype=bool)
         mask[i] = False
         try:
             fold = fit_composite(dataset.subset(mask), engine=engine,
-                                 min_rows=min_rows,
-                                 template=full if fast else None)
-            pred = predict_vfvm(fold, dataset.matrix[i, :-1])
+                                 min_rows=min_rows, template=template)
+            pred = predict(fold, dataset.matrix[i, :-1])
         except FittingError:
             continue
         if pred.value is not None:
             predictions[i] = pred.value
-    return full, predictions
+    return predictions
 
 
 class TestClassReuseEquivalence:
     """Reusing the full-data fits of the classes a fold leaves alone gives
-    the old loop's predictions and reports bit for bit."""
+    the old loop's predictions and reports bit for bit, at parallelism 1
+    and 2."""
 
     def check(self, dataset, engine, fast, min_rows=30):
-        full, expected = reference_loo(dataset, engine, fast, min_rows)
-        result = loo_cv(dataset, engine=engine, fast=fast, min_rows=min_rows)
+        full = fit_composite(dataset, engine=engine, min_rows=min_rows)
+        expected = reference_predictions(dataset, engine, min_rows,
+                                         full if fast else None)
+        result = loo_cv(full, dataset, fast=fast, min_rows=min_rows)
         assert result.predictions.tobytes() == expected.tobytes()
+        par = loo_cv(full, dataset, fast=fast, parallelism=2,
+                     min_rows=min_rows)
+        assert par.predictions.tobytes() == expected.tobytes()
         valid = ~np.isnan(expected)
         mae, mse = prediction_errors(expected[valid], result.truths[valid])
         ll_all, ll_c = (r.to_dict() for r in fit_scores(full, dataset))
@@ -277,34 +328,23 @@ class TestClassReuseEquivalence:
         self.check(ds, "rvine", fast=False, min_rows=10)
 
 
-def _independence_model(part):
-    """A stand-in class fit: an independence vine of the part's width."""
-    d = part.matrix.shape[1]
-    cops = tuple(PairCopula("independence") for _ in range(d * (d - 1) // 2))
-    return RVineModel(dvine_structure(list(range(d))), cops,
-                      tuple(beta_m(2, 2) for _ in range(d)))
-
-
-def _fit_composite_fold(dataset, engine, epsilon, candidates, min_rows, template):
-    return fit_composite(dataset, engine=engine, epsilon=epsilon,
-                         candidates=candidates, min_rows=min_rows,
-                         template=template)
-
-
 class TestFoldExclusion:
-    """Which exceptions of the default fold fit exclude a fold (12 rows:
-    ids 1-4 valuable, 5-8 non-valuable, 9-12 composite), against the old
-    fold path that called `fit_composite` on every fold."""
+    """Which exceptions of the class fits exclude a fold (12 rows: ids 1-4
+    valuable, 5-8 non-valuable, 9-12 composite), against the old fold path
+    that called `fit_composite` on every fold."""
 
     @staticmethod
-    def install(monkeypatch, raise_for=lambda ids, rat: None):
-        """Replace the class fit by a stub that records the ids it fits and
-        raises what `raise_for(ids, has_rat)` returns."""
+    def install(monkeypatch, raise_for=lambda ids, rat: None, templates=None):
+        """Replace the class fit by a stub that records the ids it fits
+        (and, into `templates`, the template `loo_cv` passes) and raises
+        what `raise_for(ids, has_rat)` returns; the predictor returns 0.5."""
         calls = []
 
         def stub(part, *args, **kwargs):
             ids = frozenset(part.ids.tolist())
             calls.append(ids)
+            if templates is not None:
+                templates.append(kwargs.get("template"))
             error = raise_for(ids, part.has_rat)
             if error is not None:
                 raise error
@@ -312,22 +352,22 @@ class TestFoldExclusion:
 
         monkeypatch.setattr(evaluation, "fit_class_part", stub)
         monkeypatch.setattr(model, "fit_class_part", stub)
+        monkeypatch.setattr(evaluation, "predict_vfvm", _predict_half)
         return calls
 
     def run(self, monkeypatch, raise_for, parallelism=1):
         self.install(monkeypatch, raise_for)
         ds = make_labeled_dataset(12)
-        result = loo_cv(ds, min_rows=1, parallelism=parallelism, full="full",
-                        predict_fn=lambda m, ct: 0.5)
-        old = loo_cv(ds, min_rows=1, full="full", fit_fn=_fit_composite_fold,
-                     predict_fn=lambda m, ct: 0.5)
-        assert result.predictions.tobytes() == old.predictions.tobytes()
+        result = loo_cv(_independence_composite(ds), ds, min_rows=1,
+                        parallelism=parallelism)
+        old = reference_predictions(ds, "rvine", 1, None, _predict_half)
+        assert result.predictions.tobytes() == old.tobytes()
         return result
 
     def test_refits_one_class_per_fold(self, monkeypatch):
         calls = self.install(monkeypatch)
-        result = loo_cv(make_labeled_dataset(12), min_rows=1, full="full",
-                        predict_fn=lambda m, ct: 0.5)
+        ds = make_labeled_dataset(12)
+        result = loo_cv(_independence_composite(ds), ds, min_rows=1)
         assert result.excluded_folds == 0
         # three full-data class fits, then one class per fold
         assert len(calls) == 3 + 12
@@ -335,22 +375,48 @@ class TestFoldExclusion:
             assert len(ids) == 3 and i + 1 not in ids
 
     def test_exact_loo_fits_the_full_data_once(self, monkeypatch):
-        # without `full`, the full fit's class parts serve the folds
-        calls = self.install(monkeypatch)
-        loo_cv(make_labeled_dataset(12), min_rows=1,
-               predict_fn=lambda m, ct: 0.5)
+        # each class part of the full data is fitted once: cold in exact
+        # mode, from the scored model's class density in fast mode
+        templates = []
+        calls = self.install(monkeypatch, templates=templates)
+        ds = make_labeled_dataset(12)
+        scored = _independence_composite(ds)
+        loo_cv(scored, ds, min_rows=1)
         assert len(calls) == 3 + 12
+        assert templates == [None] * 15
+        calls.clear()
+        templates.clear()
+        loo_cv(scored, ds, fast=True, min_rows=1)
+        assert len(calls) == 3 + 12
+        expected = [scored.f_v, scored.f_nv, scored.f_c] + \
+            [scored.f_v] * 4 + [scored.f_nv] * 4 + [scored.f_c] * 4
+        assert all(got is want for got, want in zip(templates, expected, strict=True))
 
     def test_pickled_fold_fit_matches_fit_composite(self, monkeypatch):
         import pickle
         self.install(monkeypatch)
+        folds, states = [], []
+
+        def capture(fold, ct):
+            folds.append(fold)
+            return _predict_half(fold, ct)
+
+        def recording_fold(state, i):
+            states.append(state)
+            return loo_fold(state, i)
+
+        loo_fold = evaluation._loo_fold
+        monkeypatch.setattr(evaluation, "predict_vfvm", capture)
+        monkeypatch.setattr(evaluation, "_loo_fold", recording_fold)
         ds = make_labeled_dataset(12)
-        fit = pickle.loads(pickle.dumps(
-            ClassReuseFit.on(ds, "rvine", 0.01, None, 1, None)))
+        loo_cv(_independence_composite(ds), ds, min_rows=1)
+        # a worker that is not forked receives the fold state pickled
+        state = pickle.loads(pickle.dumps(states[0]))
+        folds.clear()
+        assert loo_fold(state, 9) == (9, 0.5)
         fold_rows = ds.subset(np.arange(12) != 9)
-        fold = fit(fold_rows, "rvine", 0.01, None, 1, None)
-        assert fold == fit_composite(fold_rows, min_rows=1)
-        assert (fold.n_v, fold.n_nv, fold.n_c) == (4, 4, 3)
+        assert folds == [fit_composite(fold_rows, min_rows=1)]
+        assert (folds[0].n_v, folds[0].n_nv, folds[0].n_c) == (4, 4, 3)
 
     def test_shared_fitting_error_excludes_the_folds_reusing_it(self, monkeypatch):
         # the full composite part fails; only its own folds refit it
