@@ -164,10 +164,9 @@ def _run_descriptors(args) -> int:
 def _run_fit(args) -> int:
     ds = Dataset.from_csv(args.data)
     _check_cells(ds, args.data, rat=True)
-    candidates = tuple(args.candidates) if args.candidates else None
     model = fit_composite(ds, engine=args.engine, epsilon=args.epsilon,
-                          candidates=candidates, min_rows=args.min_rows,
-                          em_tol=args.em_tol)
+                          candidates=args.candidates or None,
+                          min_rows=args.min_rows, em_tol=args.em_tol)
     save_model(args.out, model)
     scores = fit_scores(model, ds)
     text = render_report(scores)
@@ -198,8 +197,6 @@ def _run_evaluate(args) -> int:
     model = load_model(args.model)
     ds = Dataset.from_csv(args.data)
     _check_cells(ds, args.data, rat=True)
-    # the loaded model is the one scored; exact-LOO folds refit with the
-    # default candidates, min_rows and EM tolerance, which it does not record
     result = loo_cv(model, ds, fast=args.fast_loo,
                     parallelism=args.parallelism)
     scores = [result.report_all, result.report_composite]

@@ -12,9 +12,11 @@ every n-1 subset and predicts the held-out row from its CT-based
 descriptors.  Each class density is fitted on its own rows only, so each
 class part of the full data is fitted once, a fold refits only the class
 that lost its row, and the fold model is the same as a `fit_composite` of
-the fold's rows.  Exact mode fits cold, with the full structure selection;
-fast mode starts each class from the scored model's class density, reusing
-its vine structure and copula families and re-estimating parameters only.
+the fold's rows with the scored model's settings (`FitSettings`: candidate
+families, minimum class rows, EM tolerance).  Exact mode fits cold, with
+the full structure selection; fast mode starts each class from the scored
+model's class density, reusing its vine structure and copula families and
+re-estimating parameters only.
 At most one worker process per row runs; each receives the shared state
 once, and fold results are reduced in row order, so reports are identical
 for any degree of parallelism.
@@ -35,7 +37,6 @@ from .marginals import MixtureModel
 from .model import (
     CompositeModel,
     check_class_sizes,
-    class_densities,
     composite_log_density,
     composition_bands,
     fit_class_part,
@@ -162,15 +163,14 @@ class LooResult:
                              f"{repr(float(pred - self.truths[i]))}\n")
 
 
-def _fit_full_part(part: Dataset, engine: str, epsilon: float, candidates,
-                   min_rows: int, template):
+def _fit_full_part(part: Dataset, model: CompositeModel, template):
     """The fit of one class part of the full data that the folds reuse:
     the model, the `FittingError` its fit raised, or None for a part under
-    `min_rows` (every fold then fails `check_class_sizes`)."""
-    if len(part) < min_rows:
+    the model's `min_rows` (every fold then fails `check_class_sizes`)."""
+    if len(part) < model.settings.min_rows:
         return None
     try:
-        return fit_class_part(part, engine, epsilon, candidates, min_rows,
+        return fit_class_part(part, model.engine, model.epsilon, model.settings,
                               template=template)
     except FittingError as exc:
         return exc
@@ -178,30 +178,31 @@ def _fit_full_part(part: Dataset, engine: str, epsilon: float, candidates,
 
 def _loo_fold(state, i: int):
     """Refit without row i and predict it; state is (dataset, model,
-    templates, candidates, min_rows, fits).
+    templates, fits).
 
-    Only the class that lost row i is refitted; the other two reuse their
-    full-data `fits`, and a reused `FittingError` is raised in class order.
-    The fold model is therefore the `fit_composite` of the fold's rows.
+    Only the class that lost row i is refitted, with the settings of
+    `model`; the other two reuse their full-data `fits`, and a reused
+    `FittingError` is raised in class order.  The fold model is therefore
+    the `fit_composite` of the fold's rows.
     """
-    dataset, model, templates, candidates, min_rows, fits = state
+    dataset, model, templates, fits = state
     mask = np.ones(len(dataset), dtype=bool)
     mask[i] = False
     parts = partition_dataset(dataset.subset(mask), model.epsilon)
     lost = composition_bands(dataset.column("rat")[i], model.epsilon)
     try:
-        check_class_sizes(parts, min_rows)
+        check_class_sizes(parts, model.settings.min_rows)
         densities = []
         for part, template, fit, refit in zip(parts, templates, fits, lost):
             if refit:
                 fit = fit_class_part(part, model.engine, model.epsilon,
-                                     candidates, min_rows, template=template)
+                                     model.settings, template=template)
             elif isinstance(fit, FittingError):
                 raise fit.with_traceback(None)
             densities.append(fit)
         fold = CompositeModel(*densities, n_v=len(parts[0]),
                               n_nv=len(parts[1]), n_c=len(parts[2]),
-                              epsilon=model.epsilon)
+                              epsilon=model.epsilon, settings=model.settings)
         pred = predict_vfvm(fold, dataset.matrix[i, :-1])
     except FittingError:
         return i, np.nan
@@ -221,35 +222,32 @@ def _worker_fold(i: int):
 
 
 def loo_cv(model: CompositeModel, dataset: Dataset, fast: bool = False,
-           parallelism: int = 1, candidates=None,
-           min_rows: int = 30) -> LooResult:
+           parallelism: int = 1) -> LooResult:
     """Leave-one-out validation of the composition predictor of `model`.
 
     Returns the `fit_scores` of `model` on `dataset` combined with LOO
     MAE/MSE, over all rows and over the composite rows only.  Each class
-    part of `dataset` is fitted once, with the engine and epsilon of
-    `model`: in fast mode from the matching class density of `model` as
-    template, in exact mode cold with `candidates` and `min_rows`.  A fold
-    refits only the class that lost its row.  A fold is excluded and
-    counted when its refit or its prediction raises `FittingError`, or when
-    its prediction has no support.  A `FittingError` of a reused class fit
-    excludes every fold that reuses it; a `FittingError` of the fold's own
-    class excludes that fold only.  Any other exception propagates, and no
-    worker process outlives the call.  At most one worker per row runs, and
-    results do not depend on `parallelism`.
+    part of `dataset` is fitted once, with the engine, epsilon and settings
+    of `model`: in fast mode from the matching class density of `model` as
+    template, in exact mode cold.  A fold refits only the class that lost
+    its row, the same way.  A fold is excluded and counted when its refit
+    or its prediction raises `FittingError`, or when its prediction has no
+    support.  A `FittingError` of a reused class fit excludes every fold
+    that reuses it; a `FittingError` of the fold's own class excludes that
+    fold only.  Any other exception propagates, and no worker process
+    outlives the call.  At most one worker per row runs, and results do not
+    depend on `parallelism`.
     """
     if parallelism < 1:
         raise ArgumentError(f"parallelism must be >= 1, got {parallelism}")
     if not dataset.has_rat or np.isnan(dataset.column("rat")).any():
         raise ArgumentError("leave-one-out needs a fully labeled dataset")
     n = len(dataset)
-    templates = class_densities(model if fast else None)
-    fits = tuple(_fit_full_part(part, model.engine, model.epsilon, candidates,
-                                min_rows, template)
-                 for part, template in zip(
-                     partition_dataset(dataset, model.epsilon), templates))
+    templates = (model.f_v, model.f_nv, model.f_c) if fast else (None,) * 3
+    fits = tuple(_fit_full_part(part, model, template) for part, template in
+                 zip(partition_dataset(dataset, model.epsilon), templates))
 
-    state = (dataset, model, templates, candidates, min_rows, fits)
+    state = (dataset, model, templates, fits)
     workers = min(parallelism, n)
     if workers <= 1:
         results = list(map(functools.partial(_loo_fold, state), range(n)))

@@ -12,6 +12,8 @@ density places uniform atoms of width eps on the two pure bands:
          = n_v/n  * (1/eps) * f_v(x_1..6)    for x7 in [1 - eps, 1]
          = 0                                 otherwise.
 
+A fitted model records its fit settings (`FitSettings`) for refits.
+
 Prediction from a CT-based six-vector compares the class-weighted
 likelihoods; the valuable class wins ties (>=), the non-valuable class
 needs a strict majority (>), and otherwise the output is the median of the
@@ -21,11 +23,13 @@ quadrature-backed conditional CDF.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .copulas import FAMILIES
 from .descriptors import Dataset
 from .errors import ArgumentError, FittingError
 from .marginals import MixtureModel, fit_mixture_em
@@ -54,8 +58,31 @@ def composition_bands(rat, epsilon: float):
 
 
 @dataclass(frozen=True)
+class FitSettings:
+    """The settings of a fit beyond engine and epsilon: the pair-copula
+    candidate families (None: the engine's defaults), the minimum rows per
+    class and the marginal EM stop."""
+
+    candidates: tuple[str, ...] | None = None
+    min_rows: int = 30
+    em_tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.candidates is not None:
+            object.__setattr__(self, "candidates", tuple(self.candidates))
+            if not self.candidates or not set(self.candidates) <= set(FAMILIES):
+                raise ArgumentError(f"candidates must be null or a non-empty list "
+                                    f"of {FAMILIES}, got {list(self.candidates)}")
+        if not (type(self.min_rows) is int and self.min_rows >= 1):
+            raise ArgumentError(f"min_rows must be an integer >= 1, got {self.min_rows!r}")
+        if not (isinstance(self.em_tol, (int, float)) and 0 < self.em_tol < math.inf):
+            raise ArgumentError(f"em_tol must be finite and > 0, got {self.em_tol!r}")
+
+
+@dataclass(frozen=True)
 class CompositeModel:
-    """The three fitted class densities with their sample counts."""
+    """The three fitted class densities with their sample counts and the
+    settings they were fitted with."""
 
     f_v: EngineModel
     f_nv: EngineModel
@@ -64,6 +91,7 @@ class CompositeModel:
     n_nv: int
     n_c: int
     epsilon: float = DEFAULT_EPSILON
+    settings: FitSettings = FitSettings()
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.5):
@@ -152,26 +180,19 @@ def fit_class_marginals(data: Dataset, epsilon: float, init=None,
     return tuple(out)
 
 
-def _fit_engine(data: Dataset, marginals, engine: str, candidates=None,
-                min_rows: int = 30, template: EngineModel | None = None):
+def _fit_engine(data: Dataset, marginals, engine: str, settings: FitSettings,
+                template: EngineModel | None = None):
+    if template is not None and engine == "archimedean":
+        # keep the family, re-estimate theta
+        kw = {"candidates": (template.family,)}
+    else:
+        kw = {} if settings.candidates is None else {"candidates": settings.candidates}
     if engine == "rvine":
-        kw = {} if candidates is None else {"candidates": candidates}
-        return fit_sequential(data.matrix, marginals, min_rows=min_rows,
+        return fit_sequential(data.matrix, marginals, min_rows=settings.min_rows,
                               template=template, **kw)
     if engine == "archimedean":
-        if template is not None:
-            # keep the family, re-estimate theta
-            kw = {"candidates": (template.family,)}
-        else:
-            kw = {} if candidates is None else {"candidates": candidates}
-        return fit_archimedean(data.matrix, marginals, min_rows=min_rows, **kw)
+        return fit_archimedean(data.matrix, marginals, min_rows=settings.min_rows, **kw)
     raise ArgumentError(f"unknown engine {engine!r}")
-
-
-def class_densities(model: "CompositeModel | None") -> tuple:
-    """(f_v, f_nv, f_c) of a composite model, in partition order; three
-    Nones for None."""
-    return (None,) * 3 if model is None else (model.f_v, model.f_nv, model.f_c)
 
 
 def check_class_sizes(parts, min_rows: int) -> None:
@@ -182,9 +203,8 @@ def check_class_sizes(parts, min_rows: int) -> None:
                 f"partition {name} has {len(part)} rows; needs >= {min_rows}")
 
 
-def fit_class_part(part: Dataset, engine: str = "rvine",
-                   epsilon: float = DEFAULT_EPSILON, candidates=None,
-                   min_rows: int = 30, em_tol: float = 1e-8,
+def fit_class_part(part: Dataset, engine: str, epsilon: float,
+                   settings: FitSettings,
                    template: EngineModel | None = None) -> EngineModel:
     """Fit one class density (marginals, then the engine's copula) to the
     rows of one partition.
@@ -195,29 +215,23 @@ def fit_class_part(part: Dataset, engine: str = "rvine",
     # warm restarts tolerate a looser EM stop; the optimum moves O(1/n)
     marginals = fit_class_marginals(
         part, epsilon, init=None if template is None else template.marginals,
-        tol=em_tol if template is None else max(em_tol, 1e-6))
-    return _fit_engine(part, marginals, engine, candidates,
-                       min_rows=min_rows, template=template)
+        tol=settings.em_tol if template is None else max(settings.em_tol, 1e-6))
+    return _fit_engine(part, marginals, engine, settings, template=template)
 
 
 def fit_composite(dataset: Dataset, engine: str = "rvine",
                   epsilon: float = DEFAULT_EPSILON, candidates=None,
-                  min_rows: int = 30, em_tol: float = 1e-8,
-                  template: "CompositeModel | None" = None) -> CompositeModel:
-    """Fit the three class densities and record the class counts.
-
-    With `template` given (fast leave-one-out refits), each class model
-    reuses the template's vine structure and copula families and only
-    re-estimates parameters.
-    """
+                  min_rows: int = 30, em_tol: float = 1e-8) -> CompositeModel:
+    """Fit the three class densities and record the class counts and the
+    settings (`FitSettings(candidates, min_rows, em_tol)`)."""
+    settings = FitSettings(candidates, min_rows, em_tol)
     parts = partition_dataset(dataset, epsilon)
-    check_class_sizes(parts, min_rows)
-    f_v, f_nv, f_c = (
-        fit_class_part(part, engine, epsilon, candidates, min_rows, em_tol, tmpl)
-        for part, tmpl in zip(parts, class_densities(template)))
+    check_class_sizes(parts, settings.min_rows)
+    f_v, f_nv, f_c = (fit_class_part(part, engine, epsilon, settings)
+                      for part in parts)
     return CompositeModel(f_v, f_nv, f_c, n_v=len(parts[0]),
                           n_nv=len(parts[1]), n_c=len(parts[2]),
-                          epsilon=epsilon)
+                          epsilon=epsilon, settings=settings)
 
 
 # ---------------------------------------------------------------------------

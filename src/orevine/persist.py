@@ -2,16 +2,18 @@
 
 Models are stored as a single JSON document (diffable, deterministic key
 order) embedding the three class densities, their marginals, vine
-structures and counts.  The document's `atom_width` and `engine` keys are
-written from epsilon and from the submodel type.  Loading checks a document
-as strictly as a fitted model: positive finite component parameters,
-mixing weights in [0, 1], thetas inside the ranges the fit searches,
-non-negative integer counts, epsilon in (0, 0.5), an atom width equal to
-epsilon, a valid vine, an engine that matches every submodel, and no
-truncation on any marginal except the composite class's composition
-marginal, which is truncated to exactly (epsilon, 1 - epsilon); a document
-that fails exits as a data error.  Every CLI run additionally writes a manifest with the
-resolved configuration, its hash, the seed and library versions.
+structures, counts and fit settings.  Schema 2 stores each fact once: the
+engine is the submodels' `type`, the atom width is epsilon, a vine's
+dimension its number of marginals, and its edges' conditioned and
+conditioning sets follow from the tree edges; any other schema version
+fails with a migration error.  Loading checks a document as strictly as a
+fitted model (positive finite component parameters, mixing weights in
+[0, 1], thetas inside the fitted ranges, non-negative integer counts,
+epsilon in (0, 0.5), a valid vine, one submodel type, valid `FitSettings`,
+and no truncation but the composite class's composition marginal's, to
+exactly (epsilon, 1 - epsilon)); a document that fails exits as a data
+error.  Every CLI run also writes a manifest with the resolved
+configuration, its hash, the seed and library versions.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from . import __version__
 from .copulas import PairCopula, _theta_ranges
 from .errors import ArgumentError, ParseError, SchemaError, StructuralError
 from .marginals import BetaParams, GammaParams, MixtureModel
-from .model import CompositeModel
+from .model import CompositeModel, FitSettings
 from .vine import (
     ArchimedeanModel,
     RVineModel,
@@ -38,8 +41,7 @@ from .vine import (
     validate_structure,
 )
 
-SCHEMA_VERSION = 1
-ENGINES = ("rvine", "archimedean")
+SCHEMA_VERSION = 2
 
 
 def _mixture_doc(m: MixtureModel) -> dict:
@@ -87,12 +89,8 @@ def _engine_doc(model) -> dict:
     if isinstance(model, RVineModel):
         tree_edges = [[list(e.nodes) for e in level]
                       for level in model.structure.levels]
-        edges = [{"conditioned": list(e.conditioned),
-                  "conditioning": sorted(e.conditioning),
-                  **_copula_doc(c)}
-                 for e, c in model.edge_items()]
-        return {"type": "rvine", "d": model.d, "tree_edges": tree_edges,
-                "edges": edges,
+        return {"type": "rvine", "tree_edges": tree_edges,
+                "edges": [_copula_doc(c) for c in model.pair_copulas],
                 "marginals": [_mixture_doc(m) for m in model.marginals]}
     if isinstance(model, ArchimedeanModel):
         return {"type": "archimedean", "family": model.family,
@@ -105,15 +103,10 @@ def _engine_from(doc: dict):
     marginals = tuple(_mixture_from(m) for m in doc["marginals"])
     if doc["type"] == "rvine":
         structure = RVineStructure.from_tree_edges(
-            doc["d"], [[tuple(e) for e in level] for level in doc["tree_edges"]])
+            len(marginals),
+            [[tuple(e) for e in level] for level in doc["tree_edges"]])
         copulas = tuple(_copula_from(e) for e in doc["edges"])
         model = RVineModel(structure, copulas, marginals)
-        # stored conditioned/conditioning are redundant; verify on load
-        for edge, stored in zip(model.structure.edges, doc["edges"]):
-            if (list(edge.conditioned) != stored["conditioned"]
-                    or sorted(edge.conditioning) != stored["conditioning"]):
-                raise ParseError("model document edge sets are inconsistent "
-                                 "with its tree structure")
         problem = validate_structure(model.structure)
         if problem is not None:
             raise StructuralError(f"model document vine is invalid: {problem}")
@@ -130,9 +123,8 @@ def composite_to_doc(model: CompositeModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "composite_model",
-        "engine": model.engine,
         "epsilon": model.epsilon,
-        "atom_width": model.epsilon,
+        "settings": asdict(model.settings),
         "counts": {"valuable": model.n_v, "non_valuable": model.n_nv,
                    "composite": model.n_c},
         "submodels": {"valuable": _engine_doc(model.f_v),
@@ -141,7 +133,10 @@ def composite_to_doc(model: CompositeModel) -> dict:
     }
 
 
-def composite_from_doc(doc: dict) -> CompositeModel:
+def composite_from_doc(doc) -> CompositeModel:
+    if not isinstance(doc, dict):
+        raise ParseError(f"model document root is a {type(doc).__name__}, "
+                         "not an object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(
@@ -150,24 +145,18 @@ def composite_from_doc(doc: dict) -> CompositeModel:
     if doc.get("kind") != "composite_model":
         raise SchemaError(f"not a composite model document: {doc.get('kind')!r}")
     try:
-        sub = doc["submodels"]
-        engine = doc["engine"]
         classes = ("valuable", "non_valuable", "composite")
-        if engine not in ENGINES or any(sub[c]["type"] != engine for c in classes):
-            raise StructuralError(
-                f"model document engine {engine!r} does not match its submodel "
-                f"types {[sub[c]['type'] for c in classes]}")
         counts = [doc["counts"][c] for c in classes]
         if not (all(type(n) is int and n >= 0 for n in counts) and sum(counts) > 0):
             raise ParseError(f"model document counts {counts} must be "
                              "non-negative integers with a positive sum")
-        f_v, f_nv, f_c = (_engine_from(sub[c]) for c in classes)
+        f_v, f_nv, f_c = (_engine_from(doc["submodels"][c]) for c in classes)
+        fit = doc["settings"]
         model = CompositeModel(f_v, f_nv, f_c, *counts,
-                               epsilon=float(doc["epsilon"]))
+                               epsilon=float(doc["epsilon"]),
+                               settings=FitSettings(fit["candidates"],
+                                                    fit["min_rows"], fit["em_tol"]))
         eps = model.epsilon
-        if float(doc["atom_width"]) != eps:
-            raise ParseError(f"model document atom width {doc['atom_width']!r} "
-                             f"differs from its epsilon {eps!r}")
         # only the composite class's composition marginal, the last one,
         # is truncated, and to exactly the open composite band
         truncations = [m.truncation for f in (f_v, f_nv, f_c) for m in f.marginals]
@@ -205,7 +194,7 @@ def config_hash(config: dict) -> str:
 
 def write_manifest(path, command: str, config: dict, seed=None) -> None:
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": 1,
         "command": command,
         "config": config,
         "config_hash": config_hash(config),

@@ -7,7 +7,7 @@ import pytest
 
 from orevine.cli import main
 from orevine.descriptors import Dataset
-from orevine.model import CompositeModel, fit_composite, predict_vfvm
+from orevine.model import CompositeModel, FitSettings, fit_composite, predict_vfvm
 from orevine.persist import load_model, save_model
 from orevine.synth import Primitive, SceneSpec, benchmark_truth, generate_composite_dataset
 from orevine.voxel import LabelVolume, VoxelVolume, write_labels, write_volume
@@ -70,7 +70,10 @@ def huge_clayton_theta(doc):
 
 
 def engine_mismatch(doc):
-    doc["engine"] = "archimedean"
+    # an archimedean valuable class next to rvine classes
+    doc["submodels"]["valuable"] = {
+        "type": "archimedean", "family": "frank", "theta": 2.0,
+        "marginals": doc["submodels"]["valuable"]["marginals"]}
 
 
 def weight_above_one(doc):
@@ -86,9 +89,8 @@ def negative_gamma_shape(doc):
     doc["submodels"]["valuable"]["marginals"][0]["comp1"]["alpha"] = -1
 
 
-def atom_width_not_epsilon(doc):
-    assert doc["epsilon"] == 0.01
-    doc["atom_width"] = 0.02
+def settings_min_rows_zero(doc):
+    doc["settings"]["min_rows"] = 0
 
 
 def composition_truncation_inside_band(doc):
@@ -129,32 +131,50 @@ class TestPersistence:
                                fitted.n_nv, fitted.n_c, epsilon=fitted.epsilon)
         p = tmp_path / "archimedean.json"
         save_model(p, model)
-        assert json.loads(p.read_text())["engine"] == "archimedean"
+        back = load_model(p)
+        assert back.engine == "archimedean"
+        assert back == model
+
+    @pytest.mark.parametrize("engine", ["rvine", "archimedean"])
+    def test_fit_settings_round_trip(self, small_dataset, tmp_path, engine):
+        _, ds = small_dataset
+        model = fit_composite(ds, engine=engine, candidates=("frank",),
+                              min_rows=10, em_tol=1e-6)
+        assert model.settings == FitSettings(("frank",), 10, 1e-6)
+        p = tmp_path / "model.json"
+        save_model(p, model)
+        assert json.loads(p.read_text())["settings"] == {
+            "candidates": ["frank"], "min_rows": 10, "em_tol": 1e-6}
         assert load_model(p) == model
 
     def test_schema_version_mismatch(self, tmp_path, fitted_model_path):
-        doc = json.loads(Path(fitted_model_path).read_text())
-        doc["schema_version"] = 99
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
         from orevine.errors import SchemaError
-        with pytest.raises(SchemaError, match="migrate"):
-            load_model(bad)
-
+        for version in (99, 1):
+            doc = json.loads(Path(fitted_model_path).read_text())
+            doc["schema_version"] = version
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(SchemaError, match="migrate"):
+                load_model(bad)
 
     @pytest.mark.parametrize("fault", [negative_count, truncation_outside_support,
                                        huge_clayton_theta, engine_mismatch,
                                        weight_above_one, epsilon_too_large,
-                                       negative_gamma_shape, atom_width_not_epsilon,
+                                       negative_gamma_shape,
                                        composition_truncation_inside_band,
                                        composition_truncation_null,
-                                       truncated_ct_marginal],
-                             ids=lambda f: f.__name__)
+                                       truncated_ct_marginal,
+                                       settings_min_rows_zero, [1], 3, None],
+                             ids=lambda f: (f.__name__ if callable(f)
+                                            else f"root_{json.dumps(f)}"))
     def test_bad_model_document_is_data_error(self, tmp_path, small_dataset,
                                               fitted_model_path, capsys, fault):
         data_path, _ = small_dataset
         doc = json.loads(Path(fitted_model_path).read_text())
-        fault(doc)
+        if callable(fault):
+            fault(doc)
+        else:
+            doc = fault       # a JSON root that is not an object
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "pred.csv"
@@ -172,17 +192,12 @@ class TestPersistence:
 
     def test_invalid_vine_document_is_data_error(self, tmp_path, small_dataset,
                                                  fitted_model_path, capsys):
-        from orevine.vine import RVineStructure
         data_path, _ = small_dataset
         doc = json.loads(Path(fitted_model_path).read_text())
         sub = doc["submodels"]["composite"]
-        # tree 1 joins the same two variables six times; the stored edge
-        # sets are rewritten to match, so only the vine check can catch it
+        # tree 1 joins the same two variables six times; only the vine
+        # check can catch it
         sub["tree_edges"][0] = [[0, 1]] * len(sub["tree_edges"][0])
-        structure = RVineStructure.from_tree_edges(sub["d"], sub["tree_edges"])
-        for stored, edge in zip(sub["edges"], structure.edges):
-            stored["conditioned"] = list(edge.conditioned)
-            stored["conditioning"] = sorted(edge.conditioning)
         bad = tmp_path / "bad_vine.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "pred.csv"
@@ -334,6 +349,17 @@ class TestCliFitPredict:
                    "--candidates", "frank", "normal", "--out", str(tmp_path / "m.json")])
         assert rc == 2
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("option, value", [("--em-tol", "nan"), ("--em-tol", "-1"),
+                                               ("--min-rows", "-5")])
+    def test_bad_fit_setting_is_argument_error(self, tmp_path, small_dataset,
+                                               capsys, option, value):
+        data_path, _ = small_dataset
+        rc = main(["fit", "--data", str(data_path), option, value,
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("argument error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["predict", "--model", str(tmp_path / "nope.json"),

@@ -1,4 +1,5 @@
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from orevine.evaluation import (
 from orevine.marginals import BetaParams, MixtureModel
 from orevine.model import (
     CompositeModel,
+    FitSettings,
     Prediction,
+    check_class_sizes,
     fit_composite,
     partition_dataset,
     predict_vfvm,
@@ -147,11 +150,12 @@ def _independence_model(part):
 
 
 def _independence_composite(dataset, epsilon=0.01):
-    """A stand-in scored model: an independence vine per class part."""
+    """A stand-in scored model: an independence vine per class part, fitted
+    with `min_rows` 1 because the stand-in class parts are small."""
     parts = partition_dataset(dataset, epsilon)
     return CompositeModel(*map(_independence_model, parts), n_v=len(parts[0]),
                           n_nv=len(parts[1]), n_c=len(parts[2]),
-                          epsilon=epsilon)
+                          epsilon=epsilon, settings=FitSettings(min_rows=1))
 
 
 def _predict_half(model, ct):
@@ -182,7 +186,7 @@ class TestLooCv:
         # the caller keeps the traceback (and with it loo_cv's frame) alive,
         # so garbage collection cannot stand in for shutting the pool down
         with pytest.raises(ValueError, match="fold without id 4") as excinfo:
-            loo_cv(_independence_composite(ds), ds, parallelism=2, min_rows=1)
+            loo_cv(_independence_composite(ds), ds, parallelism=2)
         deadline = time.monotonic() + 10.0
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -198,7 +202,7 @@ class TestLooCv:
             return _independence_model(part)
 
         stub_loo(monkeypatch, fit=counting_fit)
-        result = loo_cv(_independence_composite(ds), ds, min_rows=1)
+        result = loo_cv(_independence_composite(ds), ds)
         # one fit per full-data class part plus one per fold
         assert calls["fit"] == 3 + 9
         assert result.folds_performed == 9
@@ -213,7 +217,7 @@ class TestLooCv:
             return Prediction(truth_by_ct[ct.tobytes()], "composite")
 
         stub_loo(monkeypatch, predict=oracle_predict)
-        result = loo_cv(_independence_composite(ds), ds, min_rows=1)
+        result = loo_cv(_independence_composite(ds), ds)
         assert result.report_all.mae == 0.0
         assert result.report_all.mse == 0.0
 
@@ -242,14 +246,14 @@ class TestLooCv:
             return _independence_model(part)
 
         stub_loo(monkeypatch, fit=flaky_fit)
-        result = loo_cv(_independence_composite(ds), ds, min_rows=1)
+        result = loo_cv(_independence_composite(ds), ds)
         assert result.excluded_folds == 1
         assert np.isnan(result.predictions[3])
 
     def test_errors_csv(self, tmp_path, monkeypatch):
         ds = make_labeled_dataset(9)
         stub_loo(monkeypatch)
-        res = loo_cv(_independence_composite(ds), ds, min_rows=1)
+        res = loo_cv(_independence_composite(ds), ds)
         path = tmp_path / "errors.csv"
         res.write_errors_csv(path)
         lines = path.read_text().splitlines()
@@ -268,24 +272,35 @@ class TestLooCv:
         stub_loo(monkeypatch)
         ds = make_labeled_dataset(9)
         scored = _independence_composite(ds)
-        capped = loo_cv(scored, ds, parallelism=64, min_rows=1)
+        capped = loo_cv(scored, ds, parallelism=64)
         assert started == [9]
-        serial = loo_cv(scored, ds, parallelism=1, min_rows=1)
+        serial = loo_cv(scored, ds, parallelism=1)
         assert started == [9]
         assert capped.predictions.tobytes() == serial.predictions.tobytes()
 
 
-def reference_predictions(dataset, engine, min_rows, template,
-                          predict=predict_vfvm):
-    """The LOO loop before class fits were reused: `fit_composite` on every
-    fold, then `predict`."""
+def reference_predictions(dataset, scored, fast, predict=predict_vfvm):
+    """The LOO loop before class fits were reused: every class of every fold
+    refitted with the settings of `scored`, then `predict`.  Exact folds are
+    `fit_composite`; fast folds start each class from `scored`'s density."""
     predictions = np.full(len(dataset), np.nan)
     for i in range(len(dataset)):
-        mask = np.ones(len(dataset), dtype=bool)
-        mask[i] = False
+        rows = dataset.subset(np.arange(len(dataset)) != i)
         try:
-            fold = fit_composite(dataset.subset(mask), engine=engine,
-                                 min_rows=min_rows, template=template)
+            if fast:
+                parts = partition_dataset(rows, scored.epsilon)
+                check_class_sizes(parts, scored.settings.min_rows)
+                fold = CompositeModel(
+                    *(model.fit_class_part(part, scored.engine, scored.epsilon,
+                                           scored.settings, template=template)
+                      for part, template in zip(
+                          parts, (scored.f_v, scored.f_nv, scored.f_c))),
+                    *map(len, parts), epsilon=scored.epsilon,
+                    settings=scored.settings)
+            else:
+                fold = fit_composite(rows, engine=scored.engine,
+                                     epsilon=scored.epsilon,
+                                     **asdict(scored.settings))
             pred = predict(fold, dataset.matrix[i, :-1])
         except FittingError:
             continue
@@ -301,12 +316,10 @@ class TestClassReuseEquivalence:
 
     def check(self, dataset, engine, fast, min_rows=30):
         full = fit_composite(dataset, engine=engine, min_rows=min_rows)
-        expected = reference_predictions(dataset, engine, min_rows,
-                                         full if fast else None)
-        result = loo_cv(full, dataset, fast=fast, min_rows=min_rows)
+        expected = reference_predictions(dataset, full, fast)
+        result = loo_cv(full, dataset, fast=fast)
         assert result.predictions.tobytes() == expected.tobytes()
-        par = loo_cv(full, dataset, fast=fast, parallelism=2,
-                     min_rows=min_rows)
+        par = loo_cv(full, dataset, fast=fast, parallelism=2)
         assert par.predictions.tobytes() == expected.tobytes()
         valid = ~np.isnan(expected)
         mae, mse = prediction_errors(expected[valid], result.truths[valid])
@@ -358,16 +371,17 @@ class TestFoldExclusion:
     def run(self, monkeypatch, raise_for, parallelism=1):
         self.install(monkeypatch, raise_for)
         ds = make_labeled_dataset(12)
-        result = loo_cv(_independence_composite(ds), ds, min_rows=1,
+        result = loo_cv(_independence_composite(ds), ds,
                         parallelism=parallelism)
-        old = reference_predictions(ds, "rvine", 1, None, _predict_half)
+        old = reference_predictions(ds, _independence_composite(ds), False,
+                                    _predict_half)
         assert result.predictions.tobytes() == old.tobytes()
         return result
 
     def test_refits_one_class_per_fold(self, monkeypatch):
         calls = self.install(monkeypatch)
         ds = make_labeled_dataset(12)
-        result = loo_cv(_independence_composite(ds), ds, min_rows=1)
+        result = loo_cv(_independence_composite(ds), ds)
         assert result.excluded_folds == 0
         # three full-data class fits, then one class per fold
         assert len(calls) == 3 + 12
@@ -381,12 +395,12 @@ class TestFoldExclusion:
         calls = self.install(monkeypatch, templates=templates)
         ds = make_labeled_dataset(12)
         scored = _independence_composite(ds)
-        loo_cv(scored, ds, min_rows=1)
+        loo_cv(scored, ds)
         assert len(calls) == 3 + 12
         assert templates == [None] * 15
         calls.clear()
         templates.clear()
-        loo_cv(scored, ds, fast=True, min_rows=1)
+        loo_cv(scored, ds, fast=True)
         assert len(calls) == 3 + 12
         expected = [scored.f_v, scored.f_nv, scored.f_c] + \
             [scored.f_v] * 4 + [scored.f_nv] * 4 + [scored.f_c] * 4
@@ -409,7 +423,7 @@ class TestFoldExclusion:
         monkeypatch.setattr(evaluation, "predict_vfvm", capture)
         monkeypatch.setattr(evaluation, "_loo_fold", recording_fold)
         ds = make_labeled_dataset(12)
-        loo_cv(_independence_composite(ds), ds, min_rows=1)
+        loo_cv(_independence_composite(ds), ds)
         # a worker that is not forked receives the fold state pickled
         state = pickle.loads(pickle.dumps(states[0]))
         folds.clear()
@@ -445,6 +459,38 @@ class TestFoldExclusion:
                 ValueError("shared") if len(ids) == 4 and rat else None),
                 parallelism=2)
         assert multiprocessing.active_children() == []
+
+
+class TestFoldSettings:
+    """Exact-LOO folds refit with the settings the scored model records."""
+
+    @pytest.mark.parametrize("engine", ["rvine", "archimedean"])
+    def test_exact_fold_is_fit_composite_with_the_settings(self, monkeypatch,
+                                                           engine):
+        ds = generate_composite_dataset(benchmark_truth(), 20, 20, 20, seed=11)
+        settings = {"candidates": ("frank",), "min_rows": 10, "em_tol": 1e-6}
+        scored = fit_composite(ds, engine=engine, **settings)
+        states, folds = [], []
+
+        def record_state(state, i):
+            # skip every fold; two are run below
+            states.append(state)
+            return i, 0.5
+
+        def capture(fold, ct):
+            folds.append(fold)
+            return _predict_half(fold, ct)
+
+        loo_fold = evaluation._loo_fold
+        monkeypatch.setattr(evaluation, "_loo_fold", record_state)
+        loo_cv(scored, ds)
+        monkeypatch.setattr(evaluation, "predict_vfvm", capture)
+        v_rows, _, c_rows = (np.flatnonzero(m) for m in
+                             model.composition_bands(ds.column("rat"), 0.01))
+        for i in (v_rows[0], c_rows[0]):
+            loo_fold(states[0], i)
+            rows = ds.subset(np.arange(len(ds)) != i)
+            assert folds.pop() == fit_composite(rows, engine=engine, **settings)
 
 
 class TestRenderReport:
