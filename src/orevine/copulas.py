@@ -25,6 +25,9 @@ the transposed copula c(v, u).  Transposing swaps the two reflections of a
 row, so h2 of rotation 90 is h of rotation 270 and the other way round;
 0 and 180 are their own transposes.  The inverses use the same rows.
 
+Frank is radially symmetric: rotation 180 is rotation 0, and 90/270 at
+theta are rotation 0 at -theta.  So a fit keeps Frank at rotation 0 only.
+
 Densities are evaluated in log space; Frank uses an independence-limit
 series branch for |theta| < 1e-5.  Kendall's tau follows the plain
 concordance-count definition (ties contribute zero through sgn(0) = 0).
@@ -35,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import ArgumentError, FittingError
 
@@ -47,6 +51,11 @@ ROTATION_TABLE = {
     270: (False, True, True),
 }
 ROTATIONS = tuple(ROTATION_TABLE)
+# the rotations a fit searches and stores: Frank's rotation 0 over both signs
+# covers its other three (radial symmetry, see above), and independence is
+# the same copula at every rotation
+FIT_ROTATIONS = {"independence": (0,), "frank": (0,), "clayton": ROTATIONS,
+                 "gumbel": ROTATIONS, "joe": ROTATIONS}
 
 # admissible parameter search ranges per family
 THETA_RANGE = {
@@ -58,7 +67,7 @@ THETA_RANGE = {
 FRANK_MIN_ABS = 1e-4   # Frank's search halves stop this far from zero
 FRANK_SERIES_THRESHOLD = 1e-5
 DENSITY_CLAMP = 1e-10   # boundary inputs pulled to this interior margin
-H_INVERSE_FTOL = 1e-9
+THETA_XTOL = 1e-6       # absolute tolerance of the bounded-Brent theta refinement
 
 
 @dataclass(frozen=True)
@@ -472,41 +481,22 @@ def _tau_theta_start(family: str, tau: float) -> float | None:
     return None
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-6):
-    """Golden-section maximization of a unimodal scalar function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc >= fd else d
-    return x, max(fc, fd)
-
-
-def _maximize_theta(f, lo: float, hi: float, seeds=(), tol: float = 1e-6):
-    """Bracket the maximum on a coarse grid, then golden-section refine."""
-    grid = list(np.geomspace(max(lo, 1e-4), hi, 12)) if lo > 0 else \
-        list(np.linspace(lo, hi, 15))
-    grid = sorted(set(np.clip(list(grid) + list(seeds), lo, hi)))
+def _maximize_theta(f, lo: float, hi: float, seeds=()):
+    """Bracket the maximum on a coarse grid plus the seeds, then refine it
+    by bounded Brent (parabolic steps, golden-section safeguard) to
+    `THETA_XTOL`; the best grid point wins if it scores higher."""
+    grid = np.geomspace(max(lo, 1e-4), hi, 12) if lo > 0 else np.linspace(lo, hi, 15)
+    grid = sorted(set(np.clip([*grid, *seeds], lo, hi)))
     vals = [f(g) for g in grid]
     best = int(np.argmax(vals))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
     if a == b:
         return a, vals[best]
-    x, fx = _golden_max(f, a, b, tol=tol)
-    if vals[best] > fx:
+    res = minimize_scalar(lambda t: -f(t), bounds=(a, b), method="bounded",
+                          options={"xatol": THETA_XTOL})
+    if vals[best] > -res.fun:
         return grid[best], vals[best]
-    return x, fx
+    return res.x, -res.fun
 
 
 def _theta_ranges(family: str, sign: int = 0) -> list[tuple[float, float]]:
@@ -542,9 +532,10 @@ def _search_theta(loglik, ranges, seeds=()):
     """The ML theta over the ranges: (loglik, theta), or None when every
     range fails.
 
-    Each range is searched by `_maximize_theta` with the seeds that lie in
-    it.  A range whose search raises or ends non-finite is skipped; a later
-    range wins only with a strictly larger log-likelihood.
+    The one search of `fit_pair`, `refit_theta` and `vine.fit_archimedean`:
+    each range by `_maximize_theta`, with the seeds that lie in it.  A range
+    whose search raises or ends non-finite is skipped; a later range wins
+    only with a strictly larger log-likelihood.
     """
     best = None
     for lo, hi in ranges:
@@ -558,26 +549,25 @@ def _search_theta(loglik, ranges, seeds=()):
     return best
 
 
-def fit_pair(u, v, candidates=("frank", "clayton", "gumbel", "joe"),
-             rotations=ROTATIONS) -> PairCopula:
+def fit_pair(u, v, candidates=("frank", "clayton", "gumbel", "joe")) -> PairCopula:
     """Select and fit a pair copula by maximum likelihood.
 
     The independence pre-test runs first; when it does not reject, the
     independence copula is returned without any likelihood search.
-    Otherwise every candidate family x rotation gets its ML theta from the
-    shared search (`_search_theta`): each range from `_theta_ranges` (both
-    Frank halves) is scored on a grid seeded with the tau-inverted start
-    and its negation where they fall in it, then refined by golden section.
-    The best fit wins; a later candidate needs a strictly larger
-    log-likelihood, so ties go to the fixed candidate order (frank,
-    clayton, gumbel, joe; then rotation ascending).  When every search
-    fails numerically, an independence copula marked `fallback` is returned.
+    Otherwise every candidate family x `FIT_ROTATIONS` (Frank: 0 only) gets
+    its ML theta from `_search_theta`: each range of `_theta_ranges` (both
+    Frank halves) is scored on a grid seeded with the tau-inverted start and
+    its negation, then refined by bounded Brent.  The best fit wins; a later
+    candidate needs a strictly larger log-likelihood, so ties go to the
+    fixed order (frank, clayton, gumbel, joe; then rotation ascending).
+    When every search fails numerically, an independence copula marked
+    `fallback` is returned.
     """
     u = _clamp(np.asarray(u, dtype=float).ravel())
     v = _clamp(np.asarray(v, dtype=float).ravel())
     if u.shape != v.shape:
         raise ArgumentError("fit_pair requires equal-length samples")
-    return _fit_pair_with_tau(u, v, kendall_tau(u, v), candidates, rotations)
+    return _fit_pair_with_tau(u, v, kendall_tau(u, v), candidates)
 
 
 def refit_theta(cop: PairCopula, u, v) -> PairCopula:
@@ -599,8 +589,7 @@ def refit_theta(cop: PairCopula, u, v) -> PairCopula:
     return PairCopula(cop.family, cop.rotation, found[1])
 
 
-def _fit_pair_with_tau(u, v, tau: float, candidates,
-                       rotations=ROTATIONS) -> PairCopula:
+def _fit_pair_with_tau(u, v, tau: float, candidates) -> PairCopula:
     if independence_test(tau, u.size):
         return PairCopula("independence")
 
@@ -610,7 +599,7 @@ def _fit_pair_with_tau(u, v, tau: float, candidates,
             continue
         ranges = _theta_ranges(family)
         seed = _tau_theta_start(family, tau)
-        for rotation in rotations:
+        for rotation in FIT_ROTATIONS[family]:
             found = _search_theta(_pair_loglik(family, rotation, u, v), ranges,
                                   seeds=(seed, -seed))
             if found is not None and (best is None or found[0] > best[0]):

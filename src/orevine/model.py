@@ -34,6 +34,7 @@ from .descriptors import Dataset
 from .errors import ArgumentError, FittingError
 from .marginals import MixtureModel, fit_mixture_em
 from .vine import (
+    ARCHIMEDEAN_FAMILIES,
     ArchimedeanModel,
     RVineModel,
     fit_archimedean,
@@ -78,6 +79,12 @@ class FitSettings:
         if not (isinstance(self.em_tol, (int, float)) and 0 < self.em_tol < math.inf):
             raise ArgumentError(f"em_tol must be finite and > 0, got {self.em_tol!r}")
 
+    def check_engine(self, engine: str) -> None:
+        """The Archimedean engine searches only `ARCHIMEDEAN_FAMILIES`."""
+        if engine == "archimedean" and not set(self.candidates or ()) <= set(ARCHIMEDEAN_FAMILIES):
+            raise ArgumentError(f"archimedean candidates must be among "
+                                f"{ARCHIMEDEAN_FAMILIES}, got {list(self.candidates)}")
+
 
 @dataclass(frozen=True)
 class CompositeModel:
@@ -100,6 +107,7 @@ class CompositeModel:
             raise ArgumentError("class densities come from different engines")
         if self.f_v.d != self.f_nv.d or self.f_c.d != self.f_v.d + 1:
             raise ArgumentError("class densities have inconsistent dimensions")
+        self.settings.check_engine(self.engine)
 
     @property
     def engine(self) -> str:
@@ -225,6 +233,7 @@ def fit_composite(dataset: Dataset, engine: str = "rvine",
     """Fit the three class densities and record the class counts and the
     settings (`FitSettings(candidates, min_rows, em_tol)`)."""
     settings = FitSettings(candidates, min_rows, em_tol)
+    settings.check_engine(engine)
     parts = partition_dataset(dataset, epsilon)
     check_class_sizes(parts, settings.min_rows)
     f_v, f_nv, f_c = (fit_class_part(part, engine, epsilon, settings)

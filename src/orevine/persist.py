@@ -2,18 +2,19 @@
 
 Models are stored as a single JSON document (diffable, deterministic key
 order) embedding the three class densities, their marginals, vine
-structures, counts and fit settings.  Schema 2 stores each fact once: the
+structures, counts and fit settings.  Schema 3 stores each fact once: the
 engine is the submodels' `type`, the atom width is epsilon, a vine's
 dimension its number of marginals, and its edges' conditioned and
-conditioning sets follow from the tree edges; any other schema version
-fails with a migration error.  Loading checks a document as strictly as a
-fitted model (positive finite component parameters, mixing weights in
-[0, 1], thetas inside the fitted ranges, non-negative integer counts,
-epsilon in (0, 0.5), a valid vine, one submodel type, valid `FitSettings`,
-and no truncation but the composite class's composition marginal's, to
-exactly (epsilon, 1 - epsilon)); a document that fails exits as a data
-error.  Every CLI run also writes a manifest with the resolved
-configuration, its hash, the seed and library versions.
+conditioning sets follow from the tree edges; Frank is at rotation 0.
+Other schemas fail with a migration error.  Loading checks a document as
+strictly as a fit (every key the writer emits, boolean flags, positive
+finite component parameters, weights in [0, 1], thetas in the fitted
+ranges, rotations a fit stores, non-negative integer counts, epsilon in
+(0, 0.5), a valid vine, one submodel type, `FitSettings` valid for it, and
+no truncation but the composition marginal's, to exactly (epsilon,
+1 - epsilon)); a document that fails exits as a data error.  Every CLI run
+also writes a manifest with the resolved configuration, its hash, the seed
+and library versions.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .copulas import PairCopula, _theta_ranges
+from .copulas import FIT_ROTATIONS, PairCopula, _theta_ranges
 from .errors import ArgumentError, ParseError, SchemaError, StructuralError
 from .marginals import BetaParams, GammaParams, MixtureModel
 from .model import CompositeModel, FitSettings
@@ -41,7 +42,7 @@ from .vine import (
     validate_structure,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _mixture_doc(m: MixtureModel) -> dict:
@@ -54,15 +55,18 @@ def _mixture_doc(m: MixtureModel) -> dict:
 
 
 def _mixture_from(doc: dict) -> MixtureModel:
-    if doc["family"] == "gamma":
-        c1 = GammaParams(doc["comp1"]["alpha"], doc["comp1"]["beta"])
-        c2 = GammaParams(doc["comp2"]["alpha"], doc["comp2"]["beta"])
-    else:
-        c1 = BetaParams(doc["comp1"]["p"], doc["comp1"]["q"])
-        c2 = BetaParams(doc["comp2"]["p"], doc["comp2"]["q"])
-    trunc = tuple(doc["truncation"]) if doc.get("truncation") else None
+    comp = (lambda c: GammaParams(c["alpha"], c["beta"]) if doc["family"] == "gamma"
+            else BetaParams(c["p"], c["q"]))
+    c1, c2 = comp(doc["comp1"]), comp(doc["comp2"])
+    trunc = tuple(doc["truncation"]) if doc["truncation"] is not None else None
     return MixtureModel(doc["family"], c1, c2, doc["lam"], truncation=trunc,
-                        degenerate=doc.get("degenerate", False))
+                        degenerate=_flag(doc, "degenerate"))
+
+
+def _flag(doc: dict, key: str) -> bool:
+    if type(doc[key]) is not bool:
+        raise ParseError(f"model document {key} {doc[key]!r} is not a boolean")
+    return doc[key]
 
 
 def _copula_doc(c: PairCopula) -> dict:
@@ -78,8 +82,11 @@ def _check_theta(family: str, theta, ranges) -> None:
 
 
 def _copula_from(doc: dict) -> PairCopula:
-    cop = PairCopula(doc["family"], doc.get("rotation", 0), doc.get("theta"),
-                     doc.get("fallback", False))
+    cop = PairCopula(doc["family"], doc["rotation"], doc["theta"],
+                     _flag(doc, "fallback"))
+    if type(cop.rotation) is not int or cop.rotation not in FIT_ROTATIONS[cop.family]:
+        raise ParseError(f"model document {cop.family} copula at rotation "
+                         f"{cop.rotation}, which no fit stores")
     if cop.family != "independence":
         _check_theta(cop.family, cop.theta, _theta_ranges(cop.family))
     return cop

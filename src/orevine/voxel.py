@@ -25,7 +25,6 @@ BCE_EPS = 1e-7
 DEFAULT_D_HAT = 5.0
 DEFAULT_DECAY = 36.0
 DEFAULT_FLOOR = 0.04
-BALANCE_RTOL = 1e-6
 
 
 def _check_grid(values: np.ndarray, name: str) -> None:

@@ -97,6 +97,31 @@ def composition_truncation_inside_band(doc):
     doc["submodels"]["composite"]["marginals"][-1]["truncation"] = [0.2, 0.8]
 
 
+def edge_fallback_not_boolean(doc):
+    doc["submodels"]["composite"]["edges"][0]["fallback"] = "x"
+
+
+def marginal_degenerate_not_boolean(doc):
+    doc["submodels"]["valuable"]["marginals"][0]["degenerate"] = 7
+
+
+def edge_rotation_deleted(doc):
+    del doc["submodels"]["composite"]["edges"][0]["rotation"]
+
+
+def frank_edge_at_rotation_90(doc):
+    # Frank is fitted at rotation 0 only; its rotation 90 is rotation 0 at -theta
+    doc["submodels"]["composite"]["edges"][0].update(
+        family="frank", rotation=90, theta=2.0)
+
+
+def archimedean_candidates_independence(doc):
+    for name, sub in doc["submodels"].items():
+        doc["submodels"][name] = {"type": "archimedean", "family": "frank",
+                                  "theta": 2.0, "marginals": sub["marginals"]}
+    doc["settings"]["candidates"] = ["independence"]
+
+
 def composition_truncation_null(doc):
     doc["submodels"]["composite"]["marginals"][-1]["truncation"] = None
 
@@ -149,7 +174,7 @@ class TestPersistence:
 
     def test_schema_version_mismatch(self, tmp_path, fitted_model_path):
         from orevine.errors import SchemaError
-        for version in (99, 1):
+        for version in (99, 2, 1):
             doc = json.loads(Path(fitted_model_path).read_text())
             doc["schema_version"] = version
             bad = tmp_path / "bad.json"
@@ -164,7 +189,13 @@ class TestPersistence:
                                        composition_truncation_inside_band,
                                        composition_truncation_null,
                                        truncated_ct_marginal,
-                                       settings_min_rows_zero, [1], 3, None],
+                                       settings_min_rows_zero,
+                                       edge_fallback_not_boolean,
+                                       marginal_degenerate_not_boolean,
+                                       edge_rotation_deleted,
+                                       frank_edge_at_rotation_90,
+                                       archimedean_candidates_independence,
+                                       [1], 3, None],
                              ids=lambda f: (f.__name__ if callable(f)
                                             else f"root_{json.dumps(f)}"))
     def test_bad_model_document_is_data_error(self, tmp_path, small_dataset,
@@ -349,6 +380,19 @@ class TestCliFitPredict:
                    "--candidates", "frank", "normal", "--out", str(tmp_path / "m.json")])
         assert rc == 2
         assert not (tmp_path / "m.json").exists()
+
+    def test_archimedean_independence_candidate_is_argument_error(
+            self, tmp_path, small_dataset, capsys, monkeypatch):
+        def no_em(*args, **kwargs):
+            raise AssertionError("the marginal EM ran")
+
+        monkeypatch.setattr("orevine.model.fit_mixture_em", no_em)
+        data_path, _ = small_dataset
+        rc = main(["fit", "--data", str(data_path), "--engine", "archimedean",
+                   "--candidates", "independence", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "archimedean candidates" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("option, value", [("--em-tol", "nan"), ("--em-tol", "-1"),
                                                ("--min-rows", "-5")])
