@@ -43,6 +43,7 @@ from scipy.optimize import minimize_scalar
 from .errors import ArgumentError, FittingError
 
 FAMILIES = ("independence", "frank", "clayton", "gumbel", "joe")
+DEFAULT_CANDIDATES = ("frank", "clayton", "gumbel", "joe")
 # rotation -> (reflect u, reflect v, swap the base family's arguments)
 ROTATION_TABLE = {
     0: (False, False, False),
@@ -139,10 +140,17 @@ def _base_cdf(family: str, theta: float, u, v):
     if family == "frank":
         if abs(theta) < FRANK_SERIES_THRESHOLD:
             return u * v * (1.0 + 0.5 * theta * (1.0 - u) * (1.0 - v))
-        gu = -np.expm1(-theta * u)    # 1 - e^(-theta u)
+        # C = -log(1 - x) / theta with x = gu gv / g1, g_t = 1 - e^(-theta t).
+        # Past x = 1/2, 1 - x cancels; it equals d / g1 with d the density's
+        # denominator, d = e^(-theta u) gv + e^(-theta v) (1 - e^(-theta (1 - v))),
+        # whose two terms share the sign of theta
+        gu = -np.expm1(-theta * u)
         gv = -np.expm1(-theta * v)
         g1 = -np.expm1(-theta)
-        return -np.log1p(-gu * gv / g1) / theta
+        x = gu * gv / g1
+        d = np.exp(-theta * u) * gv + np.exp(-theta * v) * -np.expm1(-theta * (1.0 - v))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x <= 0.5, -np.log1p(-x), -np.log(d / g1)) / theta
     if family == "joe":
         x = np.exp(theta * np.log1p(-u))  # (1-u)^theta
         y = np.exp(theta * np.log1p(-v))
@@ -549,7 +557,7 @@ def _search_theta(loglik, ranges, seeds=()):
     return best
 
 
-def fit_pair(u, v, candidates=("frank", "clayton", "gumbel", "joe")) -> PairCopula:
+def fit_pair(u, v, candidates=DEFAULT_CANDIDATES) -> PairCopula:
     """Select and fit a pair copula by maximum likelihood.
 
     The independence pre-test runs first; when it does not reject, the

@@ -15,6 +15,7 @@ moderately separated three-class setting used by the acceptance suite.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,8 @@ class Primitive:
             raise ArgumentError(f"unknown primitive shape {self.shape!r}")
         if not 0.0 <= self.vfvm <= 1.0:
             raise ArgumentError("vfvm must lie in [0, 1]")
+        if self.gray_sigma < 0.0:
+            raise ArgumentError("gray_sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,10 @@ class SceneSpec:
     def __post_init__(self):
         if min(self.dims) < 1:
             raise ArgumentError("scene dims must be positive")
+        if self.noise_sigma < 0.0:
+            raise ArgumentError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ArgumentError("seed must be >= 0")
 
     def to_json(self) -> str:
         doc = {
@@ -80,26 +87,43 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
+        """Parse a spec; a fault in its JSON, keys or field types is a ParseError."""
         try:
             doc = json.loads(text)
+            if not isinstance(doc, dict):
+                raise TypeError(f"the root must be an object, got {type(doc).__name__}")
             particles = tuple(
-                Primitive(shape=p["shape"], center=tuple(p["center"]),
-                          radius=p.get("radius", 0.0),
-                          size=tuple(p.get("size", (0, 0, 0))),
-                          angles=tuple(p.get("angles", (0, 0, 0))),
-                          gray_mean=p.get("gray_mean", 1.0),
-                          gray_sigma=p.get("gray_sigma", 0.05),
-                          vfvm=p.get("vfvm", 0.5))
+                Primitive(shape=p["shape"], center=_numbers(p["center"], "center", 3),
+                          radius=_numbers(p.get("radius", 0.0), "radius"),
+                          size=_numbers(p.get("size", [0, 0, 0]), "size", 3),
+                          angles=_numbers(p.get("angles", [0, 0, 0]), "angles", 3),
+                          gray_mean=_numbers(p.get("gray_mean", 1.0), "gray_mean"),
+                          gray_sigma=_numbers(p.get("gray_sigma", 0.05), "gray_sigma"),
+                          vfvm=_numbers(p.get("vfvm", 0.5), "vfvm"))
                 for p in doc.get("particles", []))
-            return cls(dims=tuple(doc["dims"]), particles=particles,
-                       phase_planes=tuple(tuple(p) for p in
-                                          doc.get("phase_planes", [])),
-                       spacing=doc.get("spacing", 1.0),
-                       background_mean=doc.get("background_mean", 0.2),
-                       noise_sigma=doc.get("noise_sigma", 0.05),
-                       seed=doc.get("seed", 0))
+            return cls(dims=_numbers(doc["dims"], "dims", 3, kinds=int),
+                       particles=particles,
+                       phase_planes=tuple(_numbers(p, "phase plane (axis, index)", 2, kinds=int)
+                                          for p in doc.get("phase_planes", [])),
+                       spacing=_numbers(doc.get("spacing", 1.0), "spacing"),
+                       background_mean=_numbers(doc.get("background_mean", 0.2),
+                                                "background_mean"),
+                       noise_sigma=_numbers(doc.get("noise_sigma", 0.05), "noise_sigma"),
+                       seed=_numbers(doc.get("seed", 0), "seed", kinds=int))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed scene spec: {exc}") from exc
+
+
+def _numbers(value, what: str, count: int | None = None, kinds=(int, float)):
+    """A finite number of `kinds`, or with `count` a tuple of that many; else TypeError."""
+    items = value if count is not None else [value]
+    if (not isinstance(items, list) or len(items) != (count or 1)
+            or not all(isinstance(x, kinds) and not isinstance(x, bool)
+                       and math.isfinite(x) for x in items)):
+        noun = "integer" if kinds is int else "finite number"
+        raise TypeError(f"{what} must be {f'{count} {noun}s' if count else f'one {noun}'}, "
+                        f"got {value!r}")
+    return value if count is None else tuple(items)
 
 
 def _primitive_mask(prim: Primitive, dims) -> np.ndarray:

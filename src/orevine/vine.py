@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import (
+    DEFAULT_CANDIDATES,
     PairCopula,
     _bisect_increasing,
     _finite_loglik,
@@ -48,7 +49,6 @@ from .errors import ArgumentError, FittingError, StructuralError
 from .marginals import MixtureModel
 
 COND_CLAMP = 1e-12  # conditional CDF values are clamped here before copula calls
-DEFAULT_CANDIDATES = ("frank", "clayton", "gumbel", "joe")
 ARCHIMEDEAN_FAMILIES = ("frank", "clayton", "gumbel", "joe")
 
 
@@ -80,6 +80,14 @@ class VineEdge:
     def key(self):
         return (self.conditioned, tuple(sorted(self.conditioning)))
 
+    @classmethod
+    def joining(cls, level: int, nodes: tuple[int, int], lam_a: frozenset[int],
+                lam_b: frozenset[int]) -> "VineEdge":
+        """The edge between nodes with constraint sets lam_a and lam_b: the
+        conditioned set is their symmetric difference, the conditioning set
+        their intersection."""
+        return cls(level, nodes, tuple(sorted(lam_a ^ lam_b)), lam_a & lam_b)
+
 
 @dataclass(frozen=True)
 class RVineStructure:
@@ -90,27 +98,19 @@ class RVineStructure:
 
     @classmethod
     def from_tree_edges(cls, d: int, tree_edges) -> "RVineStructure":
-        """Build from raw node-index pairs per level; derives O(e)/S(e).
-
-        The conditioned set is the symmetric difference of the joined
-        nodes' constraint sets, the conditioning set their intersection.
-        """
+        """Build from raw node-index pairs per level; each edge's sets
+        follow `VineEdge.joining`."""
         levels: list[tuple[VineEdge, ...]] = []
         prev_lambda: list[frozenset[int]] = [frozenset({i}) for i in range(d)]
         for li, raw in enumerate(tree_edges, start=1):
             edges = []
-            lambdas = []
             for na, nb in raw:
                 if not (0 <= na < len(prev_lambda)) or not (0 <= nb < len(prev_lambda)):
                     raise StructuralError(
                         f"level {li}: node index out of range in edge ({na}, {nb})")
-                lam_a, lam_b = prev_lambda[na], prev_lambda[nb]
-                conditioned = tuple(sorted(lam_a ^ lam_b))
-                conditioning = frozenset(lam_a & lam_b)
-                edges.append(VineEdge(li, (na, nb), conditioned, conditioning))
-                lambdas.append(lam_a | lam_b)
+                edges.append(VineEdge.joining(li, (na, nb), prev_lambda[na], prev_lambda[nb]))
             levels.append(tuple(edges))
-            prev_lambda = lambdas
+            prev_lambda = [e.constraint for e in edges]
         return cls(d, tuple(levels))
 
     @property
@@ -139,15 +139,22 @@ def _find(parent: list[int], x: int) -> int:
 
 
 def validate_structure(structure: RVineStructure) -> str | None:
-    """Check the regular-vine conditions; return the first violation or None."""
+    """Check the regular-vine conditions; return the first violation or None.
+
+    Each level must be a spanning tree over the edges of the level below,
+    nodes joined at level >= 2 must share one node (proximity), and each
+    edge's sets must follow from its nodes by `VineEdge.joining`.  Then
+    every conditioned set is a pair, and every pair of variables is the
+    conditioned set of exactly one edge (Bedford & Cooke 2001).
+    """
     d = structure.d
     if len(structure.levels) != d - 1:
         return f"expected {d - 1} tree levels, found {len(structure.levels)}"
 
-    prev_edge_count = d
     prev_edges: tuple[VineEdge, ...] | None = None
+    lambdas = [frozenset({i}) for i in range(d)]   # constraint sets of the nodes
     for li, level in enumerate(structure.levels, start=1):
-        n_nodes = prev_edge_count
+        n_nodes = len(lambdas)
         if len(level) != n_nodes - 1:
             return (f"tree {li}: expected {n_nodes - 1} edges over {n_nodes} nodes, "
                     f"found {len(level)}")
@@ -157,6 +164,7 @@ def validate_structure(structure: RVineStructure) -> str | None:
             if not (0 <= na < n_nodes and 0 <= nb < n_nodes) or na == nb:
                 return f"tree {li}: invalid edge nodes {e.nodes}"
             ra, rb = _find(parent, na), _find(parent, nb)
+            # n - 1 edges that close no cycle span all n nodes
             if ra == rb:
                 return f"tree {li}: edge {e.nodes} creates a cycle"
             parent[ra] = rb
@@ -166,23 +174,10 @@ def validate_structure(structure: RVineStructure) -> str | None:
                 if len(a_ends & b_ends) != 1:
                     return (f"tree {li}: proximity violation, nodes {e.nodes} share "
                             f"{len(a_ends & b_ends)} previous-tree nodes")
-            if len(e.conditioned) != 2:
-                return f"tree {li}: conditioned set of {e.nodes} has size {len(e.conditioned)}"
-            if len(e.conditioning) != li - 1:
-                return (f"tree {li}: conditioning set of {e.nodes} has size "
-                        f"{len(e.conditioning)}, expected {li - 1}")
-        if len({_find(parent, i) for i in range(n_nodes)}) != 1:
-            return f"tree {li}: not connected"
+            if e != VineEdge.joining(li, e.nodes, lambdas[na], lambdas[nb]):
+                return f"tree {li}: the sets of {e.nodes} do not follow from its nodes"
         prev_edges = level
-        prev_edge_count = len(level)
-
-    seen = {}
-    for e in structure.edges:
-        if e.conditioned in seen:
-            return f"pair {e.conditioned} conditioned by two edges"
-        seen[e.conditioned] = e
-    if len(seen) != d * (d - 1) // 2:
-        return "not every variable pair is a conditioned set"
+        lambdas = [e.constraint for e in level]
     return None
 
 
@@ -320,8 +315,7 @@ def fit_sequential(data, marginals, candidates=DEFAULT_CANDIDATES,
             (lam_a, ends_a), (lam_b, ends_b) = frames[ia], frames[ib]
             if level >= 2 and len(set(ends_a) & set(ends_b)) != 1:
                 continue
-            edge = VineEdge(level, (ia, ib), tuple(sorted(lam_a ^ lam_b)),
-                            frozenset(lam_a & lam_b))
+            edge = VineEdge.joining(level, (ia, ib), lam_a, lam_b)
             uj, uk = (cache.value(var, edge.conditioning) for var in edge.conditioned)
             cands.append((edge, uj, uk, kendall_tau(uj, uk)))
 
@@ -495,81 +489,56 @@ def vine_slice_log_density(model: RVineModel, head):
 
 
 # ---------------------------------------------------------------------------
-# sampling (inverse Rosenblatt along an elimination order)
+# sampling (inverse Rosenblatt through the constraint-set index)
 # ---------------------------------------------------------------------------
 
-def _elimination_columns(model: RVineModel):
-    """Per-variable h-function columns for sampling.
-
-    Repeatedly strip the variable of the top remaining edge that appears
-    in exactly one conditioned set per remaining level and whose level-wise
-    conditioning sets are the partners below it; a valid R-vine always
-    admits such an ordering.
-    """
-    levels = [list(level) for level in model.structure.levels]
-    cop_map = dict(zip(model.structure.edges, model.pair_copulas))
-    removed: set[VineEdge] = set()
-    columns = []
-    top_level = len(levels)
-    for _ in range(model.d - 1):
-        while top_level >= 1 and all(e in removed for e in levels[top_level - 1]):
-            top_level -= 1
-        tops = [e for e in levels[top_level - 1] if e not in removed]
-        if len(tops) != 1:
-            raise StructuralError("invalid vine: top tree of the remaining "
-                                  "structure is not a single edge")
-        top = tops[0]
-        chosen = None
-        for cand in top.conditioned:
-            col = []
-            ok = True
-            for lv in range(1, top_level + 1):
-                hits = [e for e in levels[lv - 1]
-                        if e not in removed and cand in e.conditioned]
-                if len(hits) != 1:
-                    ok = False
-                    break
-                col.append(hits[0])
-            if not ok:
-                continue
-            partners = [e.conditioned[0] if e.conditioned[1] == cand else e.conditioned[1]
-                        for e in col]
-            for lv in range(2, top_level + 1):
-                if col[lv - 1].conditioning != frozenset(partners[:lv - 1]):
-                    ok = False
-                    break
-            if ok:
-                chosen = (cand, col, partners)
-                break
-        if chosen is None:
-            raise StructuralError("no eliminable variable found; vine is invalid")
-        var, col, partners = chosen
-        removed.update(col)
-        columns.append((var, [(e, cop_map[e]) for e in col], partners))
-    eliminated = {c[0] for c in columns}
-    last = next(i for i in range(model.d) if i not in eliminated)
-    return columns, last
-
-
 def vine_sample(model: RVineModel, n: int, seed) -> np.ndarray:
-    """Draw n i.i.d. rows from the vine; deterministic for a given seed."""
+    """Draw n i.i.d. rows from the vine by inverse Rosenblatt; deterministic
+    for a given seed.  A structure that is not a regular vine raises
+    StructuralError.
+
+    Order: from all variables U, the edge with constraint set U conditions
+    (a, b) on U - {a, b}; remove a = `conditioned[0]` and repeat on U - {a}
+    down to one variable, which keeps its uniform.  The removed variables
+    are drawn in reverse.  For v removed from S + {v}, the edge with that
+    constraint set has F(v | S) = h(F(v | D) | F(q | D)), q the partner and
+    D the conditioning set: invert h, set S = D and repeat until S is empty.
+
+    Every lookup succeeds on a regular vine.  The top edge over U joins the
+    nodes with constraint sets U - {b} and U - {a}, so U - {a} is the top
+    of the sub-vine left.  At every level the node that holds v joins a node
+    without v, so v is conditioned at every level down to tree 1, whichever
+    of a and b is v.  Each F(q | D) involves drawn variables only.
+    """
     if n < 1:
         raise ArgumentError("sample size must be >= 1")
+    problem = validate_structure(model.structure)
+    if problem is not None:
+        raise StructuralError(f"cannot sample an irregular vine: {problem}")
     rng = np.random.default_rng(seed)
     w = rng.uniform(COND_CLAMP, 1.0 - COND_CLAMP, size=(n, model.d))
-    columns, last = _elimination_columns(model)
 
-    # a column the recursion asks for before it is sampled raises StructuralError
+    top = {edge.constraint: edge for edge in model.structure.edges}
+    rest = frozenset(range(model.d))
+    removed = []    # (variable, the set it is drawn given)
+    while len(rest) > 1:
+        var = top[rest].conditioned[0]
+        rest = rest - {var}
+        removed.append((var, rest))
+
     cache = _ConditionalCache(model)
-    cache.add_column(last, w[:, last])
-    for var, col, partners in reversed(columns):
+    (first,) = rest
+    cache.add_column(first, w[:, first])
+    for var, given in reversed(removed):
         t = w[:, var]
-        for (edge, cop), q in zip(reversed(col), reversed(partners)):
-            cond = cache.value(q, edge.conditioning)
-            if var == edge.conditioned[0]:
-                t = pair_h_inverse(cop, _cl(t), cond)
+        while given:
+            edge, cop = cache.by_constraint[(var, given | {var})]
+            j, k = edge.conditioned
+            if var == j:
+                t = pair_h_inverse(cop, _cl(t), cache.value(k, edge.conditioning))
             else:
-                t = pair_h2_inverse(cop, _cl(t), cond)
+                t = pair_h2_inverse(cop, _cl(t), cache.value(j, edge.conditioning))
+            given = edge.conditioning
         cache.add_column(var, t)
 
     cols = [model.marginals[i].quantile(_cl(cache.value(i, frozenset())))

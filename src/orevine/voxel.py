@@ -452,8 +452,12 @@ def write_phase_slice(path, sl: PhaseSlice) -> None:
 
 
 def read_phase_slice(path) -> PhaseSlice:
+    """Read a slice written by `write_phase_slice`; any fault in the file
+    raises ParseError naming it."""
     try:
         doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"the root must be an object, got {type(doc).__name__}")
         if "plane" in doc:
             grid = np.asarray(doc["grid"], dtype=np.int64)
             return PhaseSlice.from_plane(int(doc["plane"]["axis"]),
@@ -461,5 +465,5 @@ def read_phase_slice(path) -> PhaseSlice:
         coords = np.asarray(doc["coords"], dtype=np.int64).reshape(-1, 3)
         phases = np.asarray(doc["phases"], dtype=np.int64)
         return PhaseSlice(coords, phases)
-    except (json.JSONDecodeError, KeyError, ValueError, ArgumentError) as exc:
-        raise ParseError(f"malformed phase slice {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, ArgumentError) as exc:
+        raise ParseError(f"{path}: malformed phase slice: {exc}") from exc

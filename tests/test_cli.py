@@ -10,7 +10,14 @@ from orevine.descriptors import Dataset
 from orevine.model import CompositeModel, FitSettings, fit_composite, predict_vfvm
 from orevine.persist import load_model, save_model
 from orevine.synth import Primitive, SceneSpec, benchmark_truth, generate_composite_dataset
-from orevine.voxel import LabelVolume, VoxelVolume, write_labels, write_volume
+from orevine.voxel import (
+    LabelVolume,
+    PhaseSlice,
+    VoxelVolume,
+    write_labels,
+    write_phase_slice,
+    write_volume,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # SHA-256 of the synth dataset CSV and of the `descriptors --include-unmatched`
@@ -445,6 +452,23 @@ class TestCliSynthWeights:
         wm = read_volume(wout)
         assert wm.values[:, :, 11].sum() == 0.0  # only z=12 annotated
 
+    @pytest.mark.parametrize("fault", [
+        lambda doc: {**doc, "particles": [{**doc["particles"][0], "center": [10, 10]}]},
+        lambda doc: {**doc, "particles": [{**doc["particles"][0], "radius": "x"}]},
+        lambda doc: {**doc, "phase_planes": [[2]]},
+        lambda doc: [1, 2],
+        lambda doc: {**doc, "dims": [36, 36]},
+    ], ids=["center_two_elements", "radius_not_number", "phase_plane_one_element",
+            "root_not_object", "dims_two_elements"])
+    def test_bad_scene_spec_is_data_error(self, tmp_path, capsys, fault):
+        spec_path = self.scene_file(tmp_path)
+        spec_path.write_text(json.dumps(fault(json.loads(spec_path.read_text()))))
+        prefix = tmp_path / "scene_out"
+        rc = main(["synth", "--spec", str(spec_path), "--out-prefix", str(prefix)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: malformed scene spec: ")
+        assert not (tmp_path / "scene_out_dataset.csv").exists()
+
     def test_synth_determinism(self, tmp_path):
         spec_path = self.scene_file(tmp_path)
         out = tmp_path / "run"
@@ -523,6 +547,12 @@ def float_label(d):
     return d / "lab.raw"
 
 
+def phase_root_not_object(d):
+    phases = d / "phase.json"
+    phases.write_text("[1]")
+    return phases
+
+
 def negative_label(d):
     labels = np.zeros((6, 6, 6))
     labels[1:4, 1:4, 1:4] = 1.0
@@ -535,17 +565,20 @@ class TestCliDescriptors:
     @pytest.mark.parametrize("fault", [truncate_raw, short_dims, nan_spacing,
                                        sidecar_not_json, container_header_not_json,
                                        nan_voxel, label_gap, float_label,
-                                       negative_label],
+                                       negative_label, phase_root_not_object],
                              ids=lambda f: f.__name__)
     def test_bad_volume_file_is_data_error(self, tmp_path, capsys, fault):
         labels = np.zeros((6, 6, 6), dtype=np.uint32)
         labels[1:4, 1:4, 1:4] = 1
         write_volume(tmp_path / "vol.raw", VoxelVolume(np.ones((6, 6, 6))))
         write_labels(tmp_path / "lab.raw", LabelVolume(labels))
+        write_phase_slice(tmp_path / "phase.json",
+                          PhaseSlice.from_plane(2, 2, np.zeros((6, 6), dtype=np.int64)))
         bad_file = fault(tmp_path)
         out = tmp_path / "desc.csv"
         rc = main(["descriptors", "--volume", str(tmp_path / "vol.raw"),
-                   "--labels", str(tmp_path / "lab.raw"), "--out", str(out)])
+                   "--labels", str(tmp_path / "lab.raw"),
+                   "--phases", str(tmp_path / "phase.json"), "--out", str(out)])
         assert rc == 3
         assert f"error: {bad_file}: " in capsys.readouterr().err
         assert not out.exists()

@@ -15,6 +15,7 @@ from orevine.vine import (
     ArchimedeanModel,
     RVineModel,
     RVineStructure,
+    VineEdge,
     _ConditionalCache,
     _arch_log_density,
     _cl,
@@ -41,6 +42,19 @@ def path_vine_3(cop01: PairCopula, cop12: PairCopula, cop02: PairCopula,
     if marginals is None:
         marginals = tuple(uniform_marginal() for _ in range(3))
     return RVineModel(structure, (cop01, cop12, cop02), tuple(marginals))
+
+
+def cvine_star_4() -> RVineModel:
+    """A 4-dim C-vine rooted at variable 0 on uniform marginals."""
+    s = RVineStructure.from_tree_edges(4, [
+        [(0, 1), (0, 2), (0, 3)],
+        [(0, 1), (1, 2)],
+        [(0, 1)],
+    ])
+    cops = (PairCopula("clayton", 0, 2.0), PairCopula("gumbel", 0, 2.5),
+            PairCopula("frank", 0, -5.0), PairCopula("clayton", 0, 1.0),
+            PairCopula("independence"), PairCopula("independence"))
+    return RVineModel(s, cops, tuple(uniform_marginal() for _ in range(4)))
 
 
 def prufer_trees(d):
@@ -95,6 +109,14 @@ class TestStructure:
                                                [(0, 1)]])
         report = validate_structure(s)
         assert report is not None and "proximity" in report
+
+    def test_sets_must_follow_from_nodes(self):
+        s = dvine_structure(range(4))
+        top = s.levels[2][0]
+        wrong = RVineStructure(4, s.levels[:2] + ((VineEdge(
+            3, top.nodes, top.conditioned, frozenset({0, 1})),),))
+        assert validate_structure(s) is None
+        assert "do not follow from its nodes" in validate_structure(wrong)
 
     def test_fitted_structures_always_valid(self):
         rng = np.random.default_rng(99)
@@ -261,18 +283,22 @@ class TestSampling:
         with pytest.raises(ArgumentError):
             vine_sample(model, 0, seed=1)
 
+    @pytest.mark.parametrize("d,tree_edges", [
+        (3, [[(0, 1), (1, 2)]]),
+        (4, [[(0, 1), (1, 2), (2, 3)], [(0, 2), (0, 1)], [(0, 1)]]),
+        (4, [[(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2)], [(0, 1)]]),
+    ], ids=["missing_level", "proximity_violated", "tree1_cycle"])
+    def test_irregular_structure_is_structural_error(self, d, tree_edges):
+        structure = RVineStructure.from_tree_edges(d, tree_edges)
+        model = RVineModel(structure, all_rotation_copulas(len(structure.edges)),
+                           tuple(uniform_marginal() for _ in range(d)))
+        with pytest.raises(StructuralError, match="irregular vine"):
+            vine_sample(model, 5, seed=1)
+
     def test_cvine_star_sampling_taus(self):
-        # star tree exercises the elimination logic differently from a path
-        s = RVineStructure.from_tree_edges(4, [
-            [(0, 1), (0, 2), (0, 3)],
-            [(0, 1), (1, 2)],
-            [(0, 1)],
-        ])
-        assert validate_structure(s) is None
-        cops = (PairCopula("clayton", 0, 2.0), PairCopula("gumbel", 0, 2.5),
-                PairCopula("frank", 0, -5.0), PairCopula("clayton", 0, 1.0),
-                PairCopula("independence"), PairCopula("independence"))
-        model = RVineModel(s, cops, tuple(uniform_marginal() for _ in range(4)))
+        # a star samples its variables in another order than a path
+        model = cvine_star_4()
+        assert validate_structure(model.structure) is None
         x = vine_sample(model, 20_000, seed=5)
         assert kendall_tau(x[:, 0], x[:, 1]) == pytest.approx(0.5, abs=0.02)
         assert kendall_tau(x[:, 0], x[:, 2]) == pytest.approx(0.6, abs=0.02)
@@ -716,6 +742,56 @@ class TestGoldenForkedVine:
                                      "refit", "draw"])
     def test_bit_identical(self, runs, key):
         assert runs[key] == GOLDEN_FORKED_VINE[key]
+
+
+def sampling_shape_models() -> dict:
+    """Vines of three shapes: the C-vine star, a 5-dim D-vine in a
+    non-identity order with copulas at every rotation, and the vines
+    `fit_sequential` selects for d = 3..8 on seeded mixed-sign Gaussian
+    ranks, which hold rotated copulas."""
+    models = {"cvine_star": cvine_star_4(),
+              "dvine_5": RVineModel(dvine_structure([3, 0, 4, 1, 2]),
+                                    all_rotation_copulas(10),
+                                    tuple(uniform_marginal() for _ in range(5)))}
+    for d in range(3, 9):
+        rng = np.random.default_rng(300 + d)
+        z = rng.standard_normal((300, d)) @ rng.uniform(-1, 1, (d, d))
+        u = np.column_stack([stats.rankdata(z[:, i]) / 301 for i in range(d)])
+        models[f"fitted_d{d}"] = fit_sequential(u, [uniform_marginal()] * d)
+    return models
+
+
+# generated with the sampler that searched an elimination order level by
+# level; any change here is a change of output bits
+GOLDEN_SAMPLING_SHAPES = {
+    "cvine_star": "fea1e4cf0472edf170159dc43af4493abf67cfe9a497ac7bd4e8a07c08c4bf59",
+    "dvine_5": "97d34fdc0e64667b2321fe6b4e118795e2b046c35de6f99cbb1e2e93e86af737",
+    "fitted_d3": "0fda0a809a9b1dba2dc58de36f8c392a5ee3f08a5dc29131f12daf20595155f4",
+    "fitted_d4": "5b180d22d34f31116263bc54602891eeb2c878235d302dc11262f6d9dc7601de",
+    "fitted_d5": "4430222e37a7b95d3b743a8c3cd3c02cb774219f3329a7fb4f0250565e17f0a5",
+    "fitted_d6": "c3933e26e3711b4466a3b8ca53972d5af5b248a2209481195ce97bfdf4eb0763",
+    "fitted_d7": "a2733d1d4b2034d7cffc8efcef264adbd4b49b05ca18a5459d4eb6c857ea717a",
+    "fitted_d8": "c9664849ec4296a945b6af8b77dfeb5e8010c163968288be0bb866011c6b19e0",
+}
+
+
+class TestGoldenSamplingShapes:
+    """SHA-256 of the float64 bytes of `vine_sample(model, 2000, seed=9)`."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return sampling_shape_models()
+
+    def test_fitted_vines_hold_rotated_copulas(self, models):
+        fitted = [m for name, m in models.items() if name.startswith("fitted")]
+        assert {c.rotation for m in fitted for c in m.pair_copulas} == {0, 90, 180, 270}
+
+    @pytest.mark.parametrize("name", ["cvine_star", "dvine_5"]
+                             + [f"fitted_d{d}" for d in range(3, 9)])
+    def test_bit_identical(self, models, name):
+        draw = vine_sample(models[name], 2000, seed=9)
+        got = hashlib.sha256(np.ascontiguousarray(draw).tobytes()).hexdigest()
+        assert got == GOLDEN_SAMPLING_SHAPES[name]
 
 
 class TestGoldenCompositeSample:
