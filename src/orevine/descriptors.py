@@ -32,6 +32,7 @@ from .voxel import LabelVolume, VoxelVolume, register_phase_slices
 
 CSV_HEADER = ["id", "med", "iqr", "vol", "elo", "flat", "sphe", "rat"]
 COLUMNS = ("med", "iqr", "vol", "elo", "flat", "sphe", "rat")
+CSV_CHUNK_ROWS = 512       # rows formatted per write of `Dataset.to_csv`
 BBOX_COARSE_STEP_DEG = 6.0
 # Cap on the elements of one coarse-scan projection batch (512 KiB of
 # float64; larger batches ran no faster and raised peak memory); a batch
@@ -127,21 +128,24 @@ class Dataset:
         return Dataset(self.ids[mask], self.matrix[mask], self.columns)
 
     def to_csv(self, path) -> None:
+        """Write the CSV_HEADER columns, "\r\n"-terminated: the integer id,
+        each value as the `repr` of its float, and an empty `rat` cell where
+        the dataset has no `rat` column or the value is NaN.  These are the
+        bytes `csv.writer` would write: no cell holds a comma, quote or line
+        break, so none is quoted.  Rows are formatted CSV_CHUNK_ROWS at a
+        time, so the text is never all in memory."""
+        matrix = np.asarray(self.matrix, dtype=float)
+        ct = matrix[:, [self.columns.index(c) for c in CSV_HEADER[1:-1]]]
+        rat = (matrix[:, self.columns.index("rat")] if self.has_rat
+               else np.full(len(self), np.nan))
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            rat_idx = self.columns.index("rat") if self.has_rat else None
-            for i in range(len(self)):
-                row = [int(self.ids[i])]
-                for name in CSV_HEADER[1:]:
-                    if name == "rat":
-                        if rat_idx is None or np.isnan(self.matrix[i, rat_idx]):
-                            row.append("")
-                        else:
-                            row.append(repr(float(self.matrix[i, rat_idx])))
-                    else:
-                        row.append(repr(float(self.matrix[i, self.columns.index(name)])))
-                writer.writerow(row)
+            fh.write(",".join(CSV_HEADER) + "\r\n")
+            for start in range(0, len(self), CSV_CHUNK_ROWS):
+                part = slice(start, start + CSV_CHUNK_ROWS)
+                fh.write("".join(
+                    f"{i},{','.join(map(repr, row))},{'' if math.isnan(r) else repr(r)}\r\n"
+                    for i, row, r in zip(self.ids[part].tolist(), ct[part].tolist(),
+                                         rat[part].tolist())))
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":

@@ -33,6 +33,8 @@ COLLAPSE_WEIGHT = 1e-6     # mixing weight below which a component is considered
 TABLE_POINTS = 4097        # largest cdf table that seeds the quantile root estimate
 NEWTON_STEPS = 3           # root steps before an element falls back to plain bisection
 WINDOW = 2.0 ** -40        # relative half-width of the checked quantile window
+NARROW_WINDOW = 2.0 ** -47 # the nested window checked inside a passed WINDOW check
+WINDOW_MARGIN = 2.0 ** -49 # least |cdf - p| at the ends of a checked window
 START_MAPS = 2             # guarded EM maps of a cold start before Newton begins
 HALVINGS = 10              # Newton step lengths 1, 1/2, ..., 1/512 tried before an EM map
 GAMMA_BOX = ((1e-3, 1e6), (1e-12, 1e12))    # shape, scale: the M-step's clamps
@@ -173,40 +175,46 @@ class MixtureModel:
     def quantile(self, p):
         """Inverse CDF by bisection.
 
-        Each element's bracket [lo, hi] starts at the support (an infinite
-        upper end starts at the larger component mean + 1 and doubles until
-        cdf(hi) >= p) and is halved at `mid`, lo moving up where
-        cdf(mid) < p, until the widest bracket is below
-        1e-14 * max(1, max |hi|).  The result is the bracket midpoint: the
-        stop rule bounds the bracket width, not |F(x) - p|.
+        Each element's bracket [lo, hi] starts at the support.  An infinite
+        upper end starts at the first of the tops t_k = t_0 * 2^k, t_0 the
+        larger component mean + 1, with cdf(t_k) >= p; `cdf` is evaluated
+        once per top that some element still needs, not once per element.
+        The bracket is halved at `mid`, lo moving up where cdf(mid) < p,
+        until the widest bracket is below 1e-14 * max(1, max |hi|).  The
+        result is the bracket midpoint: the stop rule bounds the bracket
+        width, not |F(x) - p|.
 
         A level needs only the sign of cdf(mid) - p.  Only a mid inside the
         element's checked window (a, b) around the root (`_root_window`)
         calls `cdf`; a mid at or below a is below p and one at or above b is
         not, as the cdf is non-decreasing.  `cdf` is elementwise, so calling
-        it on the subset of elements that need it gives the levels and the
-        result of plain bisection bit for bit.
+        it on the subset of elements that need it, or once on a top that
+        elements share, gives the brackets, the levels and the result of
+        plain bisection bit for bit.
         """
         p = np.asarray(p, dtype=float)
         if not np.all((p > 0.0) & (p < 1.0)):
             raise ArgumentError("quantile probabilities must lie in (0, 1)")
         scalar = p.ndim == 0
         p = np.atleast_1d(p)
-        lo_s, hi_s = self.support
+        if not p.size:
+            return np.empty(p.shape)
+        lo_s, top = self.support
         lo = np.full(p.shape, lo_s)
-        if np.isinf(hi_s):
-            hi = np.full(p.shape, max(self.comp1.mean, self.comp2.mean) + 1.0)
-            # an element that has reached cdf(hi) >= p keeps its hi, so only
-            # the short ones are evaluated again
+        if np.isinf(top):
+            hi = np.empty(p.shape)
+            top = max(self.comp1.mean, self.comp2.mean) + 1.0
             short = np.arange(p.size)
             while True:
-                short = short[self.cdf(hi[short]) < p[short]]
+                below = self.cdf(top) < p[short]
+                hi[short[~below]] = top
+                short = short[below]
                 if not short.size:
                     break
-                hi[short] *= 2.0
+                top *= 2.0
         else:
-            hi = np.full(p.shape, hi_s)
-        a, b = self._root_window(p, lo_s, float(np.max(hi)))
+            hi = np.full(p.shape, top)
+        a, b = self._root_window(p, lo_s, top)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             below = mid <= a
@@ -222,22 +230,59 @@ class MixtureModel:
 
     def _root_window(self, p, lo, top):
         """Per element, a window (a, b) around the root of cdf(x) = p,
-        checked to hold cdf(a) < p <= cdf(b).
+        checked to hold cdf(a) < p <= cdf(b) with room to spare.
 
         The root estimate r interpolates p in a cdf table over [lo, top] and
         takes one Newton step.  The table has one point per value, at most
         TABLE_POINTS: each point costs a cdf evaluation, and a finer table
         saves less than that on the values' later steps.  The check
-        evaluates `cdf` at r -+ w, w = WINDOW * max(1, |r|).  The computed
-        cdf is monotone only up to rounding, so the check also asks the
-        chord through the two values to cross p within w/2 of r: both ends
-        then lie about w/2 or more from the root, where the cdf differs from
-        p by far more than its rounding error.  Where the check fails, that
-        crossing is the next Newton step, taken from the check's own cdf
-        values, and the check runs again, up to NEWTON_STEPS steps in all; a
-        step that is not finite keeps the previous r.  An element whose last
-        check fails gets (-inf, inf), so bisection calls `cdf` at every one
-        of its levels.
+        (`_check_window`) evaluates `cdf` at r -+ w, w = WINDOW * max(1, |r|).
+        It asks p - cdf(r - w) and cdf(r + w) - p to be WINDOW_MARGIN or
+        more, and the chord through the two values to cross p within w/2
+        of r.  Where the check fails, that crossing is the next Newton step,
+        taken from the check's own cdf values, and the check runs again, up
+        to NEWTON_STEPS steps in all; a step that is not finite keeps the
+        previous r.  An element whose last check fails gets (-inf, inf), so
+        bisection calls `cdf` at every one of its levels.  Where the check
+        passes, it runs once more at the half-width NARROW_WINDOW, centred
+        on the chord crossing c it has just computed.  An element that
+        passes that too gets (c - w', c + w'), which leaves bisection one or
+        two levels that call `cdf` instead of about eight; one that fails
+        keeps its WINDOW window.
+
+        Why the ends give the signs plain bisection computes.  The computed
+        cdf is monotone only up to rounding: let D bound how far it can rise
+        above itself to the left, cdf(y) <= cdf(z) + D for y <= z.  For any
+        mid <= a, cdf(mid) <= cdf(a) + D <= p - WINDOW_MARGIN + D, below p
+        when D < WINDOW_MARGIN; the upper end is the mirror image.  The
+        mixture is lam G1 + (1 - lam) G2, G a `gammainc` or `betainc` value
+        in [0, 1].  scipy states no error bound for either, so D is taken
+        from measurement: each G is within a few ulps of a smooth function
+        (formed as 1 - Q above the body, its rounding is absolute, an ulp of
+        1 = 2^-52), and the two products and the sum round once more each.
+        Over the 19 marginals of `synth.benchmark_truth` and the 19 of the
+        rvine model that the fit benchmark fits, at 24000 probabilities
+        each (tails oversampled), no computed cdf at a window end was
+        exceeded by more than 6.5 * 2^-52 at a point up to 4w beyond it
+        (largest in the body of the large-shape gamma marginals, about
+        2^-52 in the tails).  WINDOW_MARGIN = 2^-49 = 8 * 2^-52 is above
+        that.  Farther out the fall of F outruns it: a window that passes
+        has a span of 2^-48 or more over 2w, so over 4w F moves by 2^-47.
+
+        The chord test alone makes both margins at least a quarter of the
+        span cdf(b) - cdf(a), about 2 f w with f the density at the root,
+        so about f w / 2: f max(1, |x|) 2^-48 at the narrow window, 2^7
+        times more at the wide one.  Where f max(1, |x|) >= 1/2 that is
+        WINDOW_MARGIN or more and the margin test never bites; this is most
+        of the body of every marginal here.  The argument does not cover
+        the rest, where f w / 2 is down at the rounding: the upper tail,
+        where the density has fallen away and F is close to 1, and the
+        lower tail of a component whose shape keeps f x small there.
+        Without the margin test those elements can pass the chord test by
+        chance, at a span of two or three ulps.  With it they fail the
+        narrow check and keep the 2^-40 window, whose margins are 2^7
+        times larger; the few that fail that too (the far tails) bisect
+        with a `cdf` call at every level.
         """
         xs = np.linspace(lo, top, min(TABLE_POINTS, p.size + 1))
         r = np.interp(p, self.cdf(xs), xs)
@@ -247,22 +292,38 @@ class MixtureModel:
         a = np.full(p.shape, -np.inf)
         b = np.full(p.shape, np.inf)
         todo = np.arange(p.size)
+        passed, centres = [], []
         for steps in range(1, NEWTON_STEPS + 1):
-            x, q = r[todo], p[todo]
-            w = WINDOW * np.maximum(1.0, np.abs(x))
-            f_lo, f_hi = self.cdf(x - w), self.cdf(x + w)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                t = (q - f_lo) / (f_hi - f_lo)     # the chord crosses p at x + (2t - 1) w
-                cross = x + (2.0 * t - 1.0) * w
-            ok = (f_lo < q) & (q <= f_hi) & (t >= 0.25) & (t <= 0.75)
+            x = r[todo]
+            ok, w, cross = self._check_window(x, p[todo], WINDOW)
             a[todo[ok]] = x[ok] - w[ok]
             b[todo[ok]] = x[ok] + w[ok]
+            passed.append(todo[ok])
+            centres.append(cross[ok])
             todo, cross = todo[~ok], cross[~ok]
             if not todo.size or steps == NEWTON_STEPS:
                 break
             moved = np.isfinite(cross)
             r[todo[moved]] = cross[moved]
+        todo, c = np.concatenate(passed), np.concatenate(centres)
+        ok, w, _ = self._check_window(c, p[todo], NARROW_WINDOW)
+        a[todo[ok]] = c[ok] - w[ok]
+        b[todo[ok]] = c[ok] + w[ok]
         return a, b
+
+    def _check_window(self, x, q, half):
+        """Whether q - cdf(x - w) and cdf(x + w) - q, w = half * max(1, |x|),
+        are both WINDOW_MARGIN or more and the chord through the two values
+        crosses q within w/2 of x; returns that verdict, w and the
+        crossing."""
+        w = half * np.maximum(1.0, np.abs(x))
+        f_lo, f_hi = self.cdf(x - w), self.cdf(x + w)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = (q - f_lo) / (f_hi - f_lo)     # the chord crosses q at x + (2t - 1) w
+            cross = x + (2.0 * t - 1.0) * w
+        ok = ((q - f_lo >= WINDOW_MARGIN) & (f_hi - q >= WINDOW_MARGIN)
+              & (t >= 0.25) & (t <= 0.75))
+        return ok, w, cross
 
 
 # ---------------------------------------------------------------------------

@@ -452,18 +452,34 @@ def write_phase_slice(path, sl: PhaseSlice) -> None:
 
 
 def read_phase_slice(path) -> PhaseSlice:
-    """Read a slice written by `write_phase_slice`; any fault in the file
-    raises ParseError naming it."""
+    """Read a slice written by `write_phase_slice`; any fault in the file,
+    a number that is not a JSON integer included, raises ParseError naming
+    it."""
     try:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
             raise ValueError(f"the root must be an object, got {type(doc).__name__}")
         if "plane" in doc:
-            grid = np.asarray(doc["grid"], dtype=np.int64)
-            return PhaseSlice.from_plane(int(doc["plane"]["axis"]),
-                                         int(doc["plane"]["index"]), grid)
-        coords = np.asarray(doc["coords"], dtype=np.int64).reshape(-1, 3)
-        phases = np.asarray(doc["phases"], dtype=np.int64)
-        return PhaseSlice(coords, phases)
-    except (KeyError, TypeError, ValueError, ArgumentError) as exc:
+            plane = doc["plane"]
+            return PhaseSlice.from_plane(_integer(plane["axis"], "plane axis"),
+                                         _integer(plane["index"], "plane index"),
+                                         _integers(doc["grid"], "grid"))
+        coords = _integers(doc["coords"], "coords").reshape(-1, 3)
+        return PhaseSlice(coords, _integers(doc["phases"], "phases"))
+    except (KeyError, TypeError, ValueError, OverflowError, ArgumentError) as exc:
         raise ParseError(f"{path}: malformed phase slice: {exc}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer (not a fraction, not a boolean), else TypeError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(value, what: str) -> np.ndarray:
+    """Nested lists of JSON integers as an int64 array, else TypeError."""
+    items = np.asarray(value, dtype=object)
+    for x in items.flat:
+        _integer(x, f"every {what} value")
+    return items.astype(np.int64)

@@ -553,6 +553,18 @@ def phase_root_not_object(d):
     return phases
 
 
+def phase_fractional_numbers(d):
+    phases = d / "phase.json"     # would read as plane (1, 2), phases [1, 2, 0, 1]
+    phases.write_text('{"plane": {"axis": 1.7, "index": 2.9}, "grid": [[1.6, 2.2], [0, 1]]}')
+    return phases
+
+
+def phase_boolean_numbers(d):
+    phases = d / "phase.json"     # would read true as 1
+    phases.write_text('{"plane": {"axis": true, "index": 2}, "grid": [[1, 2], [0, true]]}')
+    return phases
+
+
 def negative_label(d):
     labels = np.zeros((6, 6, 6))
     labels[1:4, 1:4, 1:4] = 1.0
@@ -565,7 +577,8 @@ class TestCliDescriptors:
     @pytest.mark.parametrize("fault", [truncate_raw, short_dims, nan_spacing,
                                        sidecar_not_json, container_header_not_json,
                                        nan_voxel, label_gap, float_label,
-                                       negative_label, phase_root_not_object],
+                                       negative_label, phase_root_not_object,
+                                       phase_fractional_numbers, phase_boolean_numbers],
                              ids=lambda f: f.__name__)
     def test_bad_volume_file_is_data_error(self, tmp_path, capsys, fault):
         labels = np.zeros((6, 6, 6), dtype=np.uint32)

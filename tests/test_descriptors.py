@@ -1,3 +1,4 @@
+import csv
 import hashlib
 
 import numpy as np
@@ -6,6 +7,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from orevine import descriptors
 from orevine.descriptors import (
+    COLUMNS,
+    CSV_HEADER,
     Dataset,
     build_dataset,
     compute_descriptors,
@@ -14,7 +17,7 @@ from orevine.descriptors import (
     _rotation_zyz,
 )
 from orevine.errors import ParseError, StructuralError
-from orevine.synth import Primitive, SceneSpec, generate_scene
+from orevine.synth import Primitive, SceneSpec, benchmark_truth, generate_scene
 from orevine.voxel import LabelVolume, PhaseSlice, VoxelVolume, register_phase_slices
 
 
@@ -407,6 +410,77 @@ class TestBuildDataset:
         # particle 1 covers phases all = 1 -> ratio 1; particle 2 all = 2 -> 0
         assert ds.column("rat")[0] == pytest.approx(1.0)
         assert ds.column("rat")[1] == pytest.approx(0.0)
+
+
+def csv_writer_reference(dataset, path):
+    """`Dataset.to_csv` as a `csv.writer` row by row, one `repr(float(...))`
+    per cell: the reference whose bytes the one-pass writer must reproduce."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        rat_idx = dataset.columns.index("rat") if dataset.has_rat else None
+        for i in range(len(dataset)):
+            row = [int(dataset.ids[i])]
+            for name in CSV_HEADER[1:]:
+                if name == "rat":
+                    if rat_idx is None or np.isnan(dataset.matrix[i, rat_idx]):
+                        row.append("")
+                    else:
+                        row.append(repr(float(dataset.matrix[i, rat_idx])))
+                else:
+                    row.append(repr(float(dataset.matrix[i, dataset.columns.index(name)])))
+            writer.writerow(row)
+
+
+def odd_cells_dataset():
+    """Rows with a NaN rat, nan and +-inf CT cells, -0.0, subnormal and
+    extreme magnitudes."""
+    rng = np.random.default_rng(8)
+    matrix = rng.uniform(-1e3, 1e3, size=(12, 7))
+    matrix[1, 6] = np.nan
+    matrix[2, 0] = np.nan
+    matrix[3, 1], matrix[3, 2] = np.inf, -np.inf
+    matrix[4, 3], matrix[4, 6] = -0.0, 0.0
+    matrix[5, 4], matrix[5, 5] = 5e-324, 1.7976931348623157e308
+    matrix[6, 6] = np.inf
+    matrix[7, :] = np.nan
+    return Dataset(np.arange(1, 13, dtype=np.int64), matrix)
+
+
+class TestCsvBytes:
+    """`to_csv` writes in one pass what the `csv.writer` reference writes."""
+
+    @staticmethod
+    def assert_same_bytes(ds, tmp_path):
+        ds.to_csv(tmp_path / "got.csv")
+        csv_writer_reference(ds, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_sample_rows(self, tmp_path):
+        rows = benchmark_truth().sample(10_000, seed=3)
+        self.assert_same_bytes(Dataset(np.arange(1, 10_001, dtype=np.int64), rows), tmp_path)
+
+    def test_nan_rat_and_odd_ct_cells(self, tmp_path):
+        self.assert_same_bytes(odd_cells_dataset(), tmp_path)
+
+    def test_without_rat_column(self, tmp_path):
+        ds = odd_cells_dataset().without_rat()
+        assert not ds.has_rat
+        self.assert_same_bytes(ds, tmp_path)
+
+    def test_zero_rows(self, tmp_path):
+        ds = Dataset(np.zeros(0, dtype=np.int64), np.zeros((0, 7)), COLUMNS)
+        self.assert_same_bytes(ds, tmp_path)
+        assert (tmp_path / "got.csv").read_bytes() == b"id,med,iqr,vol,elo,flat,sphe,rat\r\n"
+
+    def test_round_trip_is_bit_equal(self, tmp_path):
+        rows = benchmark_truth().sample(2_000, seed=4)
+        rows[::7, 6] = np.nan
+        ds = Dataset(np.arange(1, 2_001, dtype=np.int64), rows)
+        ds.to_csv(tmp_path / "rows.csv")
+        back = Dataset.from_csv(tmp_path / "rows.csv")
+        assert np.array_equal(back.ids, ds.ids)
+        assert np.array_equal(back.matrix.view(np.int64), ds.matrix.view(np.int64))
 
 
 class TestCsv:

@@ -694,3 +694,90 @@ class TestQuantileEquivalence:
         a, _ = m._root_window(p, *m.support)
         assert 0.2 < np.isinf(a).mean() < 0.5
         assert bit_equal(m.quantile(p), bisection_quantile(m, p))
+
+
+def benchmark_marginals():
+    from orevine.synth import benchmark_truth
+
+    truth = benchmark_truth()
+    return [m for cls in (truth.f_v, truth.f_nv, truth.f_c) for m in cls.marginals]
+
+
+class TestQuantileEveryMarginal:
+    """The nested windows over every marginal of the benchmark truth, at the
+    sample size and at the set-up draw's class sizes."""
+
+    @pytest.mark.parametrize("n", [10_000, 227, 489, 625])
+    def test_bit_identical_to_bisection(self, n):
+        ms = benchmark_marginals()
+        assert len(ms) == 19
+        rng = np.random.default_rng(n)
+        for m in ms:
+            p = rng.uniform(0.0, 1.0, n)
+            assert bit_equal(m.quantile(p), bisection_quantile(m, p))
+
+    def test_window_margins(self):
+        """Every checked end is WINDOW_MARGIN or more from p, and most
+        windows are the narrow one (81-99% per marginal)."""
+        rng = np.random.default_rng(12)
+        for m in benchmark_marginals():
+            p = rng.uniform(0.0, 1.0, 10_000)
+            top = m.support[1] if np.isfinite(m.support[1]) else 2.0 * m.quantile(p.max())
+            a, b = m._root_window(p, m.support[0], top)
+            checked = np.isfinite(a)
+            assert checked.mean() > 0.98
+            assert np.all(p[checked] - m.cdf(a[checked]) >= marginals.WINDOW_MARGIN)
+            assert np.all(m.cdf(b[checked]) - p[checked] >= marginals.WINDOW_MARGIN)
+            a, b = a[checked], b[checked]
+            half = 0.5 * (b - a) / np.maximum(1.0, np.abs(0.5 * (a + b)))
+            assert np.mean(half < 2.0 * marginals.NARROW_WINDOW) > 0.75
+
+    def test_zero_length(self):
+        for m in benchmark_marginals():
+            got = m.quantile(np.array([]))
+            assert got.shape == (0,) and got.dtype == float
+
+
+@pytest.fixture
+def count_cdf(monkeypatch):
+    """Counts mixture-cdf evaluations: component-cdf elements over the two
+    components."""
+    calls = {"elements": 0}
+    for cls in (GammaParams, BetaParams):
+        def counted(self, x, cdf=cls.cdf):
+            calls["elements"] += np.size(x)
+            return cdf(self, x)
+        monkeypatch.setattr(cls, "cdf", counted)
+    return lambda: calls["elements"] / 2
+
+
+class TestQuantileCalls:
+    """Mixture-cdf evaluations per drawn value (rows times 7 columns)."""
+
+    def test_fit_workload_sample(self, count_cdf):
+        """The `fit` benchmark workload's 10^4-row sample at run seed 1: its
+        training rows (the seed-7 draw permuted by the run seed), fitted
+        with the rvine engine; 12.5 evaluations per value with the single
+        2^-40 window."""
+        from orevine.descriptors import COLUMNS, Dataset
+        from orevine.model import fit_composite
+        from orevine.synth import benchmark_truth, generate_composite_dataset
+
+        ds = generate_composite_dataset(benchmark_truth(), 227, 489, 625, seed=7)
+        perm = np.random.default_rng((1, 1)).permutation(len(ds))
+        train = Dataset(np.arange(1, len(ds) + 1, dtype=np.int64), ds.matrix[perm], COLUMNS)
+        model = fit_composite(train, engine="rvine")
+        seed = int(np.random.default_rng((1, 5)).integers(0, 2 ** 62))
+        before = count_cdf()
+        model.sample(10_000, seed=seed)
+        assert (count_cdf() - before) / (10_000 * 7) <= 8.0
+
+    def test_setup_draw(self, count_cdf):
+        """The 1341-row set-up draw of the `fit` workload: 13.8 evaluations
+        per value with the single 2^-40 window."""
+        from orevine.synth import benchmark_truth, generate_composite_dataset
+
+        truth = benchmark_truth()
+        before = count_cdf()
+        generate_composite_dataset(truth, 227, 489, 625, seed=7)
+        assert (count_cdf() - before) / (1341 * 7) <= 13.8
