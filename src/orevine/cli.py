@@ -182,12 +182,12 @@ def _run_predict(args) -> int:
     model = load_model(args.model)
     ds = Dataset.from_csv(args.data)
     _check_cells(ds, args.data, rat=False)
+    preds = predict_vfvm(model, ds.matrix[:, :6])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("id,value,label\n")
-        for i in range(len(ds)):
-            pred = predict_vfvm(model, ds.matrix[i, :6])
+        for pid, pred in zip(ds.ids.tolist(), preds):
             value = "" if pred.value is None else repr(float(pred.value))
-            fh.write(f"{int(ds.ids[i])},{value},{pred.label}\n")
+            fh.write(f"{pid},{value},{pred.label}\n")
     _manifest_for(args, args.out)
     print(f"wrote {len(ds)} predictions to {args.out}")
     return EXIT_OK

@@ -14,11 +14,18 @@ density places uniform atoms of width eps on the two pure bands:
 
 A fitted model records its fit settings (`FitSettings`) for refits.
 
-Prediction from a CT-based six-vector compares the class-weighted
-likelihoods; the valuable class wins ties (>=), the non-valuable class
-needs a strict majority (>), and otherwise the output is the median of the
-conditional composition density, obtained by bisection on the
-quadrature-backed conditional CDF.
+Prediction from a CT-based six-vector, or from each row of a matrix of
+them, compares the class-weighted likelihoods; the valuable class wins ties
+(>=), the non-valuable class needs a strict majority (>), and otherwise the
+output is the median of the conditional composition density.  Both the
+composite likelihood and the median are computed in the copula coordinate
+u = F_rat(s) of the composition (`CompositionSlices`): by Sklar's
+factorization f_c(ct, s) = exp(const) f_rat(s) g(F_rat(s)), so the
+normaliser is exp(const) times the integral of g over [0, 1], taken by
+adaptive Gauss-Legendre quadrature with an error bar relative to it, and
+the median is the rat quantile of the u where the running integral of g
+reaches half of it, found by bracketed Newton steps inside one accepted
+quadrature panel.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .errors import ArgumentError, FittingError
 from .marginals import MixtureModel, fit_mixture_em
 from .vine import (
     ARCHIMEDEAN_FAMILIES,
+    COND_CLAMP,
     ArchimedeanModel,
     RVineModel,
     fit_archimedean,
@@ -42,8 +50,11 @@ from .vine import (
 )
 
 DEFAULT_EPSILON = 0.01
-QUAD_TOL = 1e-8
-MEDIAN_TOL = 1e-6
+QUAD_TOL = 1e-8          # panel error bar, relative to the integral's estimate
+MAX_DEPTH = 24           # bisection levels of one quadrature interval
+GL_NODES = 64            # Gauss-Legendre nodes per panel
+NEWTON_TOL = 1e-12       # last step of the median's Newton iteration, in u
+MEDIAN_STEPS = 60        # Newton or bisection steps of one median, at most
 GAMMA_COLUMNS = ("med", "iqr", "vol")
 
 EngineModel = RVineModel | ArchimedeanModel
@@ -280,7 +291,7 @@ def composite_density(model: CompositeModel, x) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
+# quadrature in the copula coordinate of the composition
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
@@ -289,9 +300,10 @@ def _gl_nodes(n: int):
     return nodes, weights
 
 
-def _panels(f, bounds, n: int = 64) -> list[float]:
-    """n-node Gauss-Legendre sums over each (a, b) in `bounds`, from one
-    call of `f` on all their nodes."""
+def _panels(f, bounds) -> list[float]:
+    """GL_NODES-node Gauss-Legendre sums over each (a, b) in `bounds`, from
+    one call of `f` on all their nodes."""
+    n = GL_NODES
     nodes, weights = _gl_nodes(n)
     scales = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in bounds]
     values = f(np.concatenate([mid + half * nodes for mid, half in scales]))
@@ -299,114 +311,219 @@ def _panels(f, bounds, n: int = 64) -> list[float]:
             for i, (_, half) in enumerate(scales)]
 
 
-def adaptive_integral(f, a: float, b: float, tol: float = QUAD_TOL,
-                      max_depth: int = 24) -> float:
-    """Adaptive 64-node Gauss-Legendre with interval bisection.
+def adaptive_integral(f):
+    """The integral of `f` over [0, 1] by adaptive GL_NODES-node
+    Gauss-Legendre with interval bisection; returns (integral, panels).
 
     `f` must accept a vector of abscissae and return a vector of values.
     An interval on the stack carries its own panel and its two half panels;
     splitting it evaluates the four quarter panels in one call of `f`, so an
-    interval accepted at once costs a single call.
+    interval accepted at once costs a single call.  An interval is accepted
+    when its halves' sum differs from its panel by at most QUAD_TOL times
+    the current estimate of the integral (the accepted panels plus the
+    halves of the open intervals), so the error bar is relative to the
+    integral however small it is; or at MAX_DEPTH.  `panels` lists the
+    accepted intervals (lo, hi, halves' sum) from left to right, and the
+    integral is their sum in that order.
     """
-    if b <= a:
-        return 0.0
-    mid = 0.5 * (a + b)
-    stack = [(a, b, 0, *_panels(f, ((a, b), (a, mid), (mid, b))))]
-    total = 0.0
+    whole, left, right = _panels(f, ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0)))
+    estimate = left + right
+    stack = [(0.0, 1.0, 0, whole, left, right)]
+    panels = []
     while stack:
         lo, hi, depth, whole, left, right = stack.pop()
-        if depth >= max_depth or abs(left + right - whole) <= max(
-                tol, tol * abs(left + right)):
-            total += left + right
-        else:
-            mid = 0.5 * (lo + hi)
-            q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-            ll, lr, rl, rr = _panels(f, ((lo, q1), (q1, mid), (mid, q3), (q3, hi)))
-            stack.append((lo, mid, depth + 1, left, ll, lr))
-            stack.append((mid, hi, depth + 1, right, rl, rr))
-    return total
+        # a NaN error is accepted: splitting could not end before MAX_DEPTH
+        if depth >= MAX_DEPTH or not abs(left + right - whole) > QUAD_TOL * abs(estimate):
+            panels.append((lo, hi, left + right))
+            continue
+        mid = 0.5 * (lo + hi)
+        q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        ll, lr, rl, rr = _panels(f, ((lo, q1), (q1, mid), (mid, q3), (q3, hi)))
+        estimate += (ll + lr) + (rl + rr) - (left + right)
+        # the left half is popped first, so panels come out left to right
+        stack.append((mid, hi, depth + 1, right, rl, rr))
+        stack.append((lo, mid, depth + 1, left, ll, lr))
+    total = 0.0
+    for _, _, value in panels:
+        total += value
+    return total, panels
+
+
+def _row_g(log_g, row: int):
+    """u -> exp(log_g(u)) at one row of a `copula_slice` head, vectorised."""
+    rows = np.array([row])
+
+    def g(u):
+        with np.errstate(all="ignore"):
+            return np.exp(log_g(u, rows))
+    return g
+
+
+@dataclass(frozen=True)
+class CompositionSlices:
+    """f_c's composition slices at n CT rows, integrated in the copula
+    coordinate u = F_rat(s) of the composition.
+
+    With (const, log_g) from the engine's `copula_slice`,
+    f_c(ct_i, s) = exp(const_i) f_rat(s) g_i(F_rat(s)), so
+    Z_i = exp(const_i) z_u[i], z_u[i] the integral of g_i over [0, 1]; the
+    integrand carries no marginal of rat.  `panels[i]` are the accepted
+    panels of row i's `adaptive_integral`, and `index[i]` is its row of the
+    head that `log_g` was built on.
+    """
+
+    const: np.ndarray
+    log_g: object
+    index: np.ndarray
+    z_u: np.ndarray
+    panels: tuple[list, ...]
+
+    @classmethod
+    def at(cls, model: CompositeModel, ct: np.ndarray) -> "CompositionSlices":
+        """The slices of the (n, d_ct) rows `ct`: one `copula_slice` call,
+        then one adaptive integral per row."""
+        with np.errstate(all="ignore"):
+            const, log_g = model.f_c.copula_slice(ct)
+        index = np.arange(ct.shape[0])
+        integrals = [adaptive_integral(_row_g(log_g, i)) for i in index]
+        return cls(const, log_g, index, np.array([z for z, _ in integrals]),
+                   tuple(p for _, p in integrals))
+
+    def g(self, i: int):
+        """u -> g_i(u), vectorised."""
+        return _row_g(self.log_g, self.index[i])
+
+    @property
+    def z(self) -> np.ndarray:
+        """f_c marginalised over the composition, per row."""
+        with np.errstate(all="ignore"):
+            return np.exp(self.const) * self.z_u
+
+    def take(self, idx) -> "CompositionSlices":
+        """The slices of the rows `idx` alone."""
+        return CompositionSlices(self.const[idx], self.log_g, self.index[idx],
+                                 self.z_u[idx], tuple(self.panels[i] for i in idx))
+
+    def median_u(self, i: int) -> float:
+        """The u at which the integral of g_i from 0 reaches z_u[i] / 2.
+
+        The running sum of the row's panels, left to right, finds the panel
+        [lo, hi] where it crosses z_u / 2.  There the crossing m solves
+        H(m) = (the integral of g_i over [lo, m]) - (what is left of
+        z_u / 2) = 0 by Newton steps inside a bracket: each step evaluates
+        g_i on the GL_NODES nodes of [lo, m] and at m in one call, narrows
+        the bracket by the sign of H(m), and takes the bracket's midpoint
+        where the step leaves it.  It stops once the step or the bracket is
+        NEWTON_TOL or less.
+        """
+        z_u = self.z_u[i]
+        if not (z_u > 0.0 and math.isfinite(z_u)):
+            raise FittingError("conditional composition density has no mass")
+        half = 0.5 * z_u
+        below = 0.0
+        for lo, hi, value in self.panels[i]:
+            if below + value >= half:
+                break
+            below += value
+        target = half - below
+        g = self.g(i)
+        nodes, weights = _gl_nodes(GL_NODES)
+        a, b = lo, hi
+        m = lo + (hi - lo) * min(max(target / value, 0.0), 1.0)   # the chord's crossing
+        for _ in range(MEDIAN_STEPS):
+            scale = 0.5 * (m - lo)
+            values = g(np.append(0.5 * (lo + m) + scale * nodes, m))
+            h = scale * float(np.dot(weights, values[:-1])) - target
+            slope = float(values[-1])
+            if slope > 0.0 and abs(h) <= NEWTON_TOL * slope:
+                return m - h / slope
+            if h < 0.0:
+                a = m
+            else:
+                b = m
+            m = m - h / slope if slope > 0.0 else b
+            if not a < m < b:
+                m = 0.5 * (a + b)
+            if b - a <= NEWTON_TOL:
+                break
+        return m
+
+
+def _ct_rows(model: CompositeModel, ct) -> tuple[np.ndarray, bool]:
+    """(the CT rows as an (n, d_ct) matrix, whether `ct` was one vector)."""
+    arr = np.asarray(ct, dtype=float)
+    single = arr.ndim == 1
+    rows = np.atleast_2d(arr)
+    if rows.ndim != 2 or rows.shape[1] != model.d_ct:
+        raise ArgumentError(f"expected a {model.d_ct}-dimensional CT vector "
+                            f"or an (n, {model.d_ct}) matrix")
+    if not np.all(np.isfinite(rows)):
+        raise ArgumentError("CT descriptor vector must be finite")
+    return rows, single
 
 
 # ---------------------------------------------------------------------------
 # predictors
 # ---------------------------------------------------------------------------
 
-def _conditional_slice_density(model: CompositeModel, ct: np.ndarray):
-    """Vectorized s -> f_c(ct, s) for a fixed CT-based descriptor vector."""
-    with np.errstate(all="ignore"):
-        log_f = model.f_c.slice_log_density(ct)
-
-    def f(s):
-        with np.errstate(all="ignore"):
-            return np.exp(log_f(np.atleast_1d(np.asarray(s, dtype=float))))
-    return f
+def marginal_composite_ct(model: CompositeModel, ct):
+    """f_c marginalised over the composition coordinate, by quadrature in
+    its copula coordinate: a float for one CT vector, an array for the rows
+    of a matrix."""
+    rows, single = _ct_rows(model, ct)
+    z = CompositionSlices.at(model, rows).z
+    return float(z[0]) if single else z
 
 
-def marginal_composite_ct(model: CompositeModel, ct, density=None) -> float:
-    """f_c marginalized over the composition coordinate by quadrature.
+def conditional_median(model: CompositeModel, ct,
+                       slices: CompositionSlices | None = None):
+    """Median of f_c(x7 | ct): a float for one CT vector, an array for the
+    rows of a matrix.
 
-    `density` is `_conditional_slice_density(model, ct)` when the caller has
-    already built it.
+    Each row's median in the copula coordinate
+    (`CompositionSlices.median_u`) maps back through one vectorised
+    quantile call of the rat marginal for all rows.  `slices` is
+    `CompositionSlices.at(model, rows)` when the caller already has it.
     """
-    ct = np.asarray(ct, dtype=float).ravel()
-    f = density or _conditional_slice_density(model, ct)
-    return adaptive_integral(f, model.epsilon, 1.0 - model.epsilon, tol=QUAD_TOL)
+    rows, single = _ct_rows(model, ct)
+    slices = slices or CompositionSlices.at(model, rows)
+    u = np.array([slices.median_u(i) for i in range(rows.shape[0])])
+    med = model.f_c.marginals[-1].quantile(np.clip(u, COND_CLAMP, 1.0 - COND_CLAMP))
+    return float(med[0]) if single else med
 
 
-def conditional_median(model: CompositeModel, ct, z: float | None = None,
-                       density=None) -> float:
-    """Median of f_c(x7 | ct) via bisection on the quadrature-backed CDF.
-
-    `z` (the normaliser `marginal_composite_ct(model, ct)`) and `density`
-    (`_conditional_slice_density(model, ct)`) are computed here unless the
-    caller already has them.
-    """
-    ct = np.asarray(ct, dtype=float).ravel()
-    f = density or _conditional_slice_density(model, ct)
-    a, b = model.epsilon, 1.0 - model.epsilon
-    if z is None:
-        z = adaptive_integral(f, a, b, tol=QUAD_TOL)
-    if z <= 0.0 or not np.isfinite(z):
-        raise FittingError("conditional composition density has no mass")
-    lo, hi = a, b
-    f_lo = 0.0
-    while hi - lo > MEDIAN_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = f_lo + adaptive_integral(f, lo, mid, tol=QUAD_TOL * z)
-        if f_mid < 0.5 * z:
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def predict_vfvm(model: CompositeModel, ct) -> Prediction:
-    """Predict the valuable-mineral volume fraction from CT descriptors.
+def predict_vfvm(model: CompositeModel, ct):
+    """Predict the valuable-mineral volume fraction from CT descriptors:
+    a `Prediction` for one CT vector, a list of them for the rows of an
+    (n, d_ct) matrix.
 
     Classification compares the class-weighted likelihoods; the valuable
     class wins ties (>=), non-valuable needs strict dominance (>), and the
-    composite branch outputs the conditional median.
+    composite branch outputs the conditional median.  The pure-class
+    likelihoods of all rows take one `log_density` call per class; a row's
+    prediction does not depend on the other rows.
     """
-    ct = np.asarray(ct, dtype=float).ravel()
-    if ct.size != model.d_ct:
-        raise ArgumentError(f"expected a {model.d_ct}-dimensional CT vector")
-    if not np.all(np.isfinite(ct)):
-        raise ArgumentError("CT descriptor vector must be finite")
-
+    rows, single = _ct_rows(model, ct)
     n = model.n
     with np.errstate(all="ignore"):
-        like_v = model.n_v / n * float(np.exp(model.f_v.log_density(ct[None, :]))[0])
-        like_nv = model.n_nv / n * float(np.exp(model.f_nv.log_density(ct[None, :]))[0])
-    density = _conditional_slice_density(model, ct)
-    z = marginal_composite_ct(model, ct, density)
-    like_c = model.n_c / n * z
+        like_v = model.n_v / n * np.exp(model.f_v.log_density(rows))
+        like_nv = model.n_nv / n * np.exp(model.f_nv.log_density(rows))
+    slices = CompositionSlices.at(model, rows)
+    like_c = model.n_c / n * slices.z
 
-    if like_v <= 0.0 and like_nv <= 0.0 and like_c <= 0.0:
-        return Prediction(value=None, label="out_of_support")
-    if like_v >= max(like_c, like_nv):
-        return Prediction(value=1.0, label="valuable")
-    if like_nv > max(like_c, like_v):
-        return Prediction(value=0.0, label="non_valuable")
-    med = conditional_median(model, ct, z, density)
-    return Prediction(value=med, label="composite")
-
+    out: list[Prediction | None] = []
+    for v, nv, c in zip(like_v.tolist(), like_nv.tolist(), like_c.tolist()):
+        if v <= 0.0 and nv <= 0.0 and c <= 0.0:
+            out.append(Prediction(value=None, label="out_of_support"))
+        elif v >= max(c, nv):
+            out.append(Prediction(value=1.0, label="valuable"))
+        elif nv > max(c, v):
+            out.append(Prediction(value=0.0, label="non_valuable"))
+        else:
+            out.append(None)
+    composite = [i for i, p in enumerate(out) if p is None]
+    if composite:
+        medians = conditional_median(model, rows[composite], slices.take(composite))
+        for i, med in zip(composite, medians.tolist()):
+            out[i] = Prediction(value=med, label="composite")
+    return out[0] if single else out

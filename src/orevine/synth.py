@@ -65,6 +65,10 @@ class SceneSpec:
     def __post_init__(self):
         if min(self.dims) < 1:
             raise ArgumentError("scene dims must be positive")
+        # the float64 value grid is the largest array a scene builds
+        if math.prod(self.dims) * 8 > np.iinfo(np.intp).max:
+            raise ArgumentError(f"scene dims {list(self.dims)} hold more voxels "
+                                f"than an array can index")
         if self.noise_sigma < 0.0:
             raise ArgumentError("noise_sigma must be >= 0")
         if self.seed < 0:

@@ -215,6 +215,9 @@ class RVineModel:
     def slice_log_density(self, head):
         return vine_slice_log_density(self, head)
 
+    def copula_slice(self, head):
+        return vine_copula_slice(self, head)
+
     def sample(self, n: int, seed) -> np.ndarray:
         return vine_sample(self, n, seed)
 
@@ -245,24 +248,34 @@ class ArchimedeanModel:
     def slice_log_density(self, head):
         """s -> log f(head, s) with the fixed marginals evaluated once; `head`
         is one point or n rows, as in `vine_slice_log_density`."""
-        head = np.atleast_2d(np.asarray(head, dtype=float))
-        last = self.d - 1
-        if head.shape[1] != last:
-            raise ArgumentError(f"expected {last} fixed coordinates")
-        cols = [head[:, i] for i in range(last)]
-        tail = self.marginals[last]
-        with np.errstate(all="ignore"):
-            head_u = [_cl(m.cdf(c)) for m, c in zip(self.marginals, cols)]
-            head_logm = sum(m.log_density(c) for m, c in zip(self.marginals, cols))
+        const, log_g = self.copula_slice(head)
+        tail = self.marginals[-1]
 
         def log_f(s):
             s = np.asarray(s, dtype=float)
             with np.errstate(all="ignore"):
-                u = np.column_stack(np.broadcast_arrays(*head_u, _cl(tail.cdf(s))))
-                logc = _arch_log_density(self.family, self.theta, u)
-                return logc + (head_logm + tail.log_density(s))
+                return log_g(tail.cdf(s)) + (const + tail.log_density(s))
 
         return log_f
+
+    def copula_slice(self, head):
+        """(const, log_g) of `head`, as in `vine_copula_slice`: const is the
+        fixed marginals' log-density, log_g the copula log-density at
+        (F(head), u)."""
+        head = _check_head(self, head)
+        last = self.d - 1
+        with np.errstate(all="ignore"):
+            head_u = [_cl(m.cdf(head[:, i])) for i, m in enumerate(self.marginals[:last])]
+            const = sum(m.log_density(head[:, i])
+                        for i, m in enumerate(self.marginals[:last]))
+
+        def log_g(u, rows=None):
+            at = head_u if rows is None else [c[rows] for c in head_u]
+            with np.errstate(all="ignore"):
+                u = np.column_stack(np.broadcast_arrays(*at, _cl(u)))
+                return _arch_log_density(self.family, self.theta, u)
+
+        return const, log_g
 
     def sample(self, n: int, seed) -> np.ndarray:
         u = _arch_sample_uniform(self.family, self.theta, self.d, n, seed)
@@ -377,6 +390,7 @@ class _ConditionalCache:
                                  tuple[VineEdge, PairCopula]] = {}
         self.base: _ConditionalCache | None = None
         self.free: int | None = None
+        self.rows: np.ndarray | None = None
         for i in range(0 if u is None else u.shape[1]):
             self.add_column(i, u[:, i])
         for edge, cop in (() if model is None else model.edge_items()):
@@ -390,17 +404,19 @@ class _ConditionalCache:
         for var in edge.conditioned:
             self.by_constraint[(var, lam)] = (edge, cop)
 
-    def with_column(self, var: int, column: np.ndarray) -> "_ConditionalCache":
+    def with_column(self, var: int, column: np.ndarray,
+                    rows: np.ndarray | None = None) -> "_ConditionalCache":
         """A cache that adds the column of `var`, which this one lacks.
 
         Values that involve `var` are memoized in the new cache.  All others
         are looked up in this one, so they are computed once however many
-        columns are passed here.
+        columns are passed here; with `rows` given, they are taken at those
+        rows, so `column[i]` pairs with row `rows[i]` of this cache.
         """
         out = copy.copy(self)
         out.memo = {}
         out.add_column(var, column)
-        out.base, out.free = self, var
+        out.base, out.free, out.rows = self, var, rows
         return out
 
     def value(self, var: int, cond: frozenset[int]) -> np.ndarray:
@@ -408,7 +424,10 @@ class _ConditionalCache:
         if key in self.memo:
             return self.memo[key]
         if self.base is not None and var != self.free and self.free not in cond:
-            return self.base.value(var, cond)
+            if self.rows is None:
+                return self.base.value(var, cond)
+            out = self.memo[key] = self.base.value(var, cond)[self.rows]
+            return out
         hit = self.by_constraint.get((var, cond | {var}))
         if hit is None:
             raise StructuralError(
@@ -438,22 +457,22 @@ def vine_log_density(model: RVineModel | ArchimedeanModel, x) -> np.ndarray | fl
     return float(total[0]) if scalar else total
 
 
-def vine_slice_log_density(model: RVineModel, head):
-    """s -> log f(head, s): the density along the last variable, others fixed.
-
-    `head` is one point of the first d - 1 coordinates, whose terms
-    broadcast against a vector s, or an (n, d - 1) matrix whose rows pair
-    with the n values of s.  Every term that does not involve the last
-    variable is evaluated once: the fixed marginals and each pair density
-    whose constraint set excludes it here, each conditional F(var | S) with
-    var and S free of it on first use.  A call evaluates the rest and adds
-    the marginals, then the pair densities in edge order; `vine_log_density`
-    is this slice at the last column.
-    """
+def _check_head(model, head) -> np.ndarray:
+    """`head` as an (n, d - 1) matrix of the first d - 1 coordinates."""
     head = np.atleast_2d(np.asarray(head, dtype=float))
+    if head.shape[1] != model.d - 1:
+        raise ArgumentError(f"expected {model.d - 1} fixed coordinates")
+    return head
+
+
+def _slice_terms(model: RVineModel, head):
+    """The term list of the slices along the last variable at `head`:
+    (the fixed marginals' log-density, the cache of the fixed conditional
+    CDFs, and per non-independent edge in edge order (edge, copula, its
+    log-density where its constraint set excludes the last variable, else
+    None))."""
+    head = _check_head(model, head)
     last = model.d - 1
-    if head.shape[1] != last:
-        raise ArgumentError(f"expected {last} fixed coordinates")
     margs = model.marginals
     cols = [head[:, i] for i in range(last)]
     fixed = _ConditionalCache(model)
@@ -461,31 +480,78 @@ def vine_slice_log_density(model: RVineModel, head):
         fixed.add_column(i, _cl(m.cdf(c)))
     with np.errstate(divide="ignore"):
         head_total = sum(m.log_density(c) for m, c in zip(margs, cols))
-    terms = []   # (edge, copula, log-density if fixed else None), in edge order
+    terms = []
     for edge, cop in model.edge_items():
         if cop.family == "independence":
             continue
         const = None
         if last not in edge.constraint:
-            j, k = edge.conditioned
-            const = pair_log_density(cop, fixed.value(j, edge.conditioning),
-                                     fixed.value(k, edge.conditioning))
+            const = _pair_term(fixed, edge, cop)
         terms.append((edge, cop, const))
+    return head_total, fixed, terms
+
+
+def _pair_term(cache: _ConditionalCache, edge: VineEdge, cop: PairCopula):
+    j, k = edge.conditioned
+    return pair_log_density(cop, cache.value(j, edge.conditioning),
+                            cache.value(k, edge.conditioning))
+
+
+def _add_terms(total, terms, cache: _ConditionalCache):
+    """total plus each term in order, a None term evaluated in `cache`."""
+    for edge, cop, term in terms:
+        total = total + (_pair_term(cache, edge, cop) if term is None else term)
+    return total
+
+
+def vine_slice_log_density(model: RVineModel, head):
+    """s -> log f(head, s): the density along the last variable, others fixed.
+
+    `head` is one point of the first d - 1 coordinates, whose terms
+    broadcast against a vector s, or an (n, d - 1) matrix whose rows pair
+    with the n values of s.  Every term that does not involve the last
+    variable is evaluated once (`_slice_terms`).  A call evaluates the rest
+    and adds the marginals, then the pair densities in edge order;
+    `vine_log_density` is this slice at the last column.
+    """
+    head_total, fixed, terms = _slice_terms(model, head)
+    last = model.d - 1
+    tail = model.marginals[last]
 
     def log_f(s):
         s = np.asarray(s, dtype=float)
-        cache = fixed.with_column(last, _cl(margs[last].cdf(s)))
+        cache = fixed.with_column(last, _cl(tail.cdf(s)))
         with np.errstate(divide="ignore"):
-            total = head_total + margs[last].log_density(s)
-        for edge, cop, term in terms:
-            if term is None:
-                j, k = edge.conditioned
-                term = pair_log_density(cop, cache.value(j, edge.conditioning),
-                                        cache.value(k, edge.conditioning))
-            total = total + term
-        return total
+            total = head_total + tail.log_density(s)
+        return _add_terms(total, terms, cache)
 
     return log_f
+
+
+def vine_copula_slice(model: RVineModel, head):
+    """The slice along the last variable in its copula coordinate
+    u = F_last(s): (const, log_g) with
+
+        log f(head, s) = const + log f_last(s) + log_g(F_last(s))
+
+    (Sklar's factorization).  const, one value per row of `head`, is the
+    fixed marginals' log-density plus every pair term whose constraint set
+    excludes the last variable; log_g(u, rows) sums the other pair terms.
+    `rows` indexes the rows of `head` that the values of u pair with; when
+    it is None, u pairs with the rows as in `vine_slice_log_density`.  The
+    terms are those of `vine_slice_log_density`, added in another order, so
+    the two agree to rounding, not bit for bit.
+    """
+    head_total, fixed, terms = _slice_terms(model, head)
+    last = model.d - 1
+    const = _add_terms(head_total, [t for t in terms if t[2] is not None], fixed)
+    free = [t for t in terms if t[2] is None]
+
+    def log_g(u, rows=None):
+        cache = fixed.with_column(last, _cl(np.asarray(u, dtype=float)), rows)
+        return _add_terms(np.zeros(np.shape(u)), free, cache)
+
+    return const, log_g
 
 
 # ---------------------------------------------------------------------------

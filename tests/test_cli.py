@@ -469,6 +469,21 @@ class TestCliSynthWeights:
         assert capsys.readouterr().err.startswith("error: malformed scene spec: ")
         assert not (tmp_path / "scene_out_dataset.csv").exists()
 
+    @pytest.mark.parametrize("dims", [[0, 36, 24], [2 ** 70, 4, 4],
+                                      [2 ** 40, 2 ** 40, 2 ** 40]],
+                             ids=["zero", "dim_beyond_intp", "voxels_beyond_intp"])
+    def test_scene_dims_out_of_range_is_argument_error(self, tmp_path, capsys, dims):
+        # only sizes numpy cannot index at all: a size it can index would
+        # start a real allocation
+        spec_path = self.scene_file(tmp_path)
+        spec_path.write_text(json.dumps({**json.loads(spec_path.read_text()),
+                                         "dims": dims}))
+        rc = main(["synth", "--spec", str(spec_path),
+                   "--out-prefix", str(tmp_path / "scene_out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("argument error: scene dims")
+        assert not (tmp_path / "scene_out_dataset.csv").exists()
+
     def test_synth_determinism(self, tmp_path):
         spec_path = self.scene_file(tmp_path)
         out = tmp_path / "run"

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from orevine.copulas import PairCopula
 from orevine.descriptors import COLUMNS, Dataset
@@ -46,6 +49,11 @@ def archimedean_parts(eps=0.01):
     f_c = ArchimedeanModel("frank", 2.0, (beta_m(4, 4), beta_m(3, 3),
                                           beta_m(2, 2, truncation=(eps, 1 - eps))))
     return f_v, f_nv, f_c
+
+
+def archimedean_composite(eps=0.01):
+    return CompositeModel(*archimedean_parts(eps), n_v=227, n_nv=489, n_c=625,
+                          epsilon=eps)
 
 
 def make_dataset(rats):
@@ -182,19 +190,19 @@ class TestPredict:
         assert p.value == pytest.approx(0.5, abs=1e-3)
 
     def test_median_matches_grid_cdf_oracle(self):
-        model = tiny_composite(rat_dependent=True)
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            ct = rng.uniform(0.3, 0.7, 2)
-            med = conditional_median(model, ct)
-            # 1e4-point grid CDF oracle
-            s = np.linspace(model.epsilon, 1 - model.epsilon, 10_001)
-            pts = np.column_stack([np.tile(ct, (s.size, 1)), s])
-            dens = np.exp(model.f_c.log_density(pts))
-            cdf = np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(s))
-            cdf /= cdf[-1]
-            oracle = s[1 + int(np.searchsorted(cdf, 0.5))]
-            assert med == pytest.approx(oracle, abs=1e-3)
+        for model in (tiny_composite(rat_dependent=True), archimedean_composite()):
+            rng = np.random.default_rng(5)
+            for _ in range(5):
+                ct = rng.uniform(0.3, 0.7, 2)
+                med = conditional_median(model, ct)
+                # 1e4-point grid CDF oracle
+                s = np.linspace(model.epsilon, 1 - model.epsilon, 10_001)
+                pts = np.column_stack([np.tile(ct, (s.size, 1)), s])
+                dens = np.exp(model.f_c.log_density(pts))
+                cdf = np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(s))
+                cdf /= cdf[-1]
+                oracle = s[1 + int(np.searchsorted(cdf, 0.5))]
+                assert med == pytest.approx(oracle, abs=1e-3)
 
     def test_composite_value_strictly_inside(self):
         model = tiny_composite(rat_dependent=True)
@@ -226,7 +234,6 @@ class TestPredict:
         assert p.value is None
 
     def test_marginalization_matches_direct_quadrature(self):
-        from scipy import integrate
         model = tiny_composite(rat_dependent=True)
         ct = np.array([0.4, 0.6])
         val = marginal_composite_ct(model, ct)
@@ -236,3 +243,74 @@ class TestPredict:
             model.epsilon, 1 - model.epsilon, epsabs=1e-10, epsrel=1e-10,
             limit=200)
         assert val == pytest.approx(ref, rel=1e-6)
+
+
+class TestBatchedPredict:
+    """`predict_vfvm` on a matrix against one call per row, bit for bit."""
+
+    @pytest.mark.parametrize("model", [tiny_composite(), tiny_composite(rat_dependent=True),
+                                       archimedean_composite()],
+                             ids=["independent_rat", "gumbel_rat", "archimedean"])
+    def test_matrix_equals_rows(self, model):
+        grid = np.linspace(0.05, 0.95, 7)
+        ct = np.vstack([np.array(np.meshgrid(grid, grid)).reshape(2, -1).T,
+                        [[1.5, 0.5]]])                  # out of support
+        batch = predict_vfvm(model, ct)
+        rows = [predict_vfvm(model, row) for row in ct]
+        assert batch == rows
+        labels = {p.label for p in rows}
+        assert labels == {"valuable", "non_valuable", "composite", "out_of_support"}
+        composite = [i for i, p in enumerate(rows) if p.label == "composite"]
+        medians = conditional_median(model, ct[composite])
+        assert medians.tolist() == [rows[i].value for i in composite]
+        z = marginal_composite_ct(model, ct)
+        assert z.tolist() == [marginal_composite_ct(model, row) for row in ct]
+
+    def test_rejects_wrong_width_and_non_finite(self):
+        model = tiny_composite()
+        with pytest.raises(ArgumentError):
+            predict_vfvm(model, np.full((4, 3), 0.5))
+        with pytest.raises(ArgumentError):
+            predict_vfvm(model, np.array([[0.5, 0.5], [np.nan, 0.5]]))
+
+
+@pytest.fixture(scope="module")
+def heldout_fits():
+    """Both engines fitted to the 1341-row benchmark draw of the predict
+    benchmark (generator seed 7), with its 200 held-out rows (seed 11)."""
+    truth = benchmark_truth()
+    train = generate_composite_dataset(truth, 227, 489, 625, seed=7)
+    heldout = generate_composite_dataset(truth, 34, 73, 93, seed=11).matrix[:, :6]
+    return {engine: fit_composite(train, engine=engine)
+            for engine in ("rvine", "archimedean")}, heldout
+
+
+@pytest.mark.parametrize("engine", ["rvine", "archimedean"])
+class TestHeldoutRows:
+    def test_batched_pure_class_log_density_is_per_row(self, heldout_fits, engine):
+        models, ct = heldout_fits
+        for part in (models[engine].f_v, models[engine].f_nv):
+            rows = [part.log_density(row[None, :])[0] for row in ct]
+            assert part.log_density(ct).tolist() == rows
+
+    def test_small_normaliser_is_relatively_accurate(self, heldout_fits, engine):
+        """Z within 1e-6 relative on the 12 rows of smallest Z in 1e-12 to
+        1e-7, against scipy's quad in s on 8 pieces of the composition band
+        at epsrel 1e-12.  An error bar absolute in Z was off by up to 99%
+        there."""
+        models, ct = heldout_fits
+        model = models[engine]
+        z = marginal_composite_ct(model, ct)
+        small = np.flatnonzero((z >= 1e-12) & (z <= 1e-7))
+        assert small.size >= 12
+        edges = np.linspace(model.epsilon, 1 - model.epsilon, 9)
+        for i in small[np.argsort(z[small])][:12]:
+            log_f = model.f_c.slice_log_density(ct[i])
+
+            def f(s):
+                return float(np.exp(log_f(np.array([s])))[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                ref = sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                          for a, b in zip(edges[:-1], edges[1:]))
+            assert abs(z[i] - ref) <= 1e-6 * ref
