@@ -31,6 +31,7 @@ from .errors import ArgumentError, FittingError
 BETA_CLAMP = 1e-6          # beta-family data clamped to [BETA_CLAMP, 1 - BETA_CLAMP]
 COLLAPSE_WEIGHT = 1e-6     # mixing weight below which a component is considered dead
 TABLE_POINTS = 4097        # largest cdf table that seeds the quantile root estimate
+TABLE_MIN_POINTS = 65      # smallest one, so a few values still get a usable estimate
 NEWTON_STEPS = 3           # root steps before an element falls back to plain bisection
 WINDOW = 2.0 ** -40        # relative half-width of the checked quantile window
 NARROW_WINDOW = 2.0 ** -47 # the nested window checked inside a passed WINDOW check
@@ -233,9 +234,15 @@ class MixtureModel:
         checked to hold cdf(a) < p <= cdf(b) with room to spare.
 
         The root estimate r interpolates p in a cdf table over [lo, top] and
-        takes one Newton step.  The table has one point per value, at most
-        TABLE_POINTS: each point costs a cdf evaluation, and a finer table
-        saves less than that on the values' later steps.  The check
+        takes one Newton step.  The table has one point per value, at least
+        TABLE_MIN_POINTS and at most TABLE_POINTS: each point costs a cdf
+        evaluation, and a finer table saves less than that on the values'
+        later steps.  The floor is for few values, a single one above all
+        (each conditional median's back-map): a 2-point table leaves r so
+        far off that its checks fail and bisection calls `cdf` at every
+        level: over the 19 benchmark-truth marginals at 80 uniform
+        probabilities, 53.7 `cdf` calls per value, against 11.1 with 65
+        points (the table's 65 evaluations are one call).  The check
         (`_check_window`) evaluates `cdf` at r -+ w, w = WINDOW * max(1, |r|).
         It asks p - cdf(r - w) and cdf(r + w) - p to be WINDOW_MARGIN or
         more, and the chord through the two values to cross p within w/2
@@ -284,7 +291,7 @@ class MixtureModel:
         times larger; the few that fail that too (the far tails) bisect
         with a `cdf` call at every level.
         """
-        xs = np.linspace(lo, top, min(TABLE_POINTS, p.size + 1))
+        xs = np.linspace(lo, top, min(TABLE_POINTS, max(p.size + 1, TABLE_MIN_POINTS)))
         r = np.interp(p, self.cdf(xs), xs)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = (self.cdf(r) - p) / self.density(r)

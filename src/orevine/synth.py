@@ -130,6 +130,17 @@ def _numbers(value, what: str, count: int | None = None, kinds=(int, float)):
     return value if count is None else tuple(items)
 
 
+def _rotation_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Rz(alpha) Ry(beta) Rz(gamma), the z-y-z Euler rotation of a primitive."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    cg, sg = np.cos(gamma), np.sin(gamma)
+    rz1 = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
+    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
+    rz2 = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]])
+    return rz1 @ ry @ rz2
+
+
 def _primitive_mask(prim: Primitive, dims) -> np.ndarray:
     xs = np.arange(dims[0])[:, None, None]
     ys = np.arange(dims[1])[None, :, None]
@@ -139,9 +150,7 @@ def _primitive_mask(prim: Primitive, dims) -> np.ndarray:
         return ((xs - cx) ** 2 + (ys - cy) ** 2 + (zs - cz) ** 2
                 <= prim.radius ** 2)
     # box / plate: rotated half-extent test
-    a, b, g = np.deg2rad(prim.angles)
-    from .descriptors import _rotation_zyz
-    rot = _rotation_zyz(a, b, g)
+    rot = _rotation_zyz(*np.deg2rad(prim.angles))
     dx = np.broadcast_to(xs - cx, dims).ravel()
     dy = np.broadcast_to(ys - cy, dims).ravel()
     dz = np.broadcast_to(zs - cz, dims).ravel()

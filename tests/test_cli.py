@@ -21,15 +21,14 @@ from orevine.voxel import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # SHA-256 of the synth dataset CSV and of the `descriptors --include-unmatched`
-# CSV per fixture scene, written by the per-(alpha, beta) coarse box scan that
-# the batched one replaced
+# CSV per fixture scene, written with the flush-face calipers box search
 FIXTURE_CSV_DIGESTS = {
     "demo_scene": (
-        "2cf3338242ca9111cbd9bcbc4e907266104b70b4f7a8bd13e7651995939d8815",
-        "6d59738a8cfa9c7d529b8c2cfc2cdd70d3416b650f13c2fec6bf2fd599293e64"),
+        "2bed9eda3fa62617b500071982cf932f44fc0e9e1c71ca3cd18d5e814e66dbde",
+        "63002ee0004f2e243866c68d8484ce66ab83e67a5cf4bcdba1e6ace2455fdb41"),
     "six_particles": (
-        "118d92413ce680c1edadb40579637a3bedd272c7ca47c129a697e3a68a1aec34",
-        "14a8e38dd3c452debfff3c042e659b7da9f30a77c6a3f48089fc8e5ae5d1f172"),
+        "414a4a8b0393d0e612a03c3069f704106a3b5fc4ffaf1fa459cf229ee3f3c9d6",
+        "4e10422cd1ab85a6c7a3da35dc1212df6924eb4a129c2ba2f2033baf39e59b98"),
 }
 
 

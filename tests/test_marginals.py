@@ -781,3 +781,22 @@ class TestQuantileCalls:
         before = count_cdf()
         generate_composite_dataset(truth, 227, 489, 625, seed=7)
         assert (count_cdf() - before) / (1341 * 7) <= 13.8
+
+    def test_one_value(self, monkeypatch):
+        """A single value (a conditional median's back-map) seeds its root
+        from a TABLE_MIN_POINTS-point table: 11.1 `cdf` calls per value over
+        every benchmark-truth marginal, 53.7 with the 2-point table one
+        point per value gave; the bits stay those of bisection."""
+        calls = {"n": 0}
+
+        def counted(self, x, cdf=MixtureModel.cdf):
+            calls["n"] += 1
+            return cdf(self, x)
+
+        ms = benchmark_marginals()
+        ps = np.random.default_rng(80).uniform(0.0, 1.0, 80)
+        want = [bisection_quantile(m, p) for m in ms for p in ps]
+        monkeypatch.setattr(MixtureModel, "cdf", counted)
+        got = [m.quantile(float(p)) for m in ms for p in ps]
+        assert calls["n"] / len(got) <= 12.0
+        assert bit_equal(np.array(got), np.concatenate(want))
