@@ -227,7 +227,11 @@ def _run_sample(args) -> int:
 
 def _run_synth(args) -> int:
     spec = load_scene_spec(args.spec)
-    volume, labels, slices = generate_scene(spec)
+    try:
+        volume, labels, slices = generate_scene(spec)
+    except ArgumentError as exc:
+        # a spec the scene cannot be built from is a fault of the file
+        raise ParseError(f"malformed scene spec: {exc}") from exc
     prefix = args.out_prefix
     write_volume(prefix + "_volume.raw", volume)
     write_labels(prefix + "_labels.raw", labels)

@@ -192,6 +192,17 @@ class MixtureModel:
         it on the subset of elements that need it, or once on a top that
         elements share, gives the brackets, the levels and the result of
         plain bisection bit for bit.
+
+        The stop rule is array-wide (the widest bracket, the largest |hi|),
+        so an element's bits can depend on the other elements of the call:
+        on an unbounded support an element whose bracket has narrowed may
+        go on halving while another's has not.  On a bounded support within
+        [-1, 1], as the composition band of `rat`, |hi| <= 1 and every
+        bracket starts at the support's width and halves in lockstep up to
+        rounding, so all elements stop at the level each would stop at
+        alone; `predict` stays row-independent (on the benchmark set's 200
+        held-out rows, no composite median of either engine differs from
+        its per-row value).
         """
         p = np.asarray(p, dtype=float)
         if not np.all((p > 0.0) & (p < 1.0)):

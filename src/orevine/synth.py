@@ -91,7 +91,8 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
-        """Parse a spec; a fault in its JSON, keys or field types is a ParseError."""
+        """Parse a spec; a fault in its JSON, keys, field types or field
+        values is a ParseError."""
         try:
             doc = json.loads(text)
             if not isinstance(doc, dict):
@@ -114,7 +115,7 @@ class SceneSpec:
                                                 "background_mean"),
                        noise_sigma=_numbers(doc.get("noise_sigma", 0.05), "noise_sigma"),
                        seed=_numbers(doc.get("seed", 0), "seed", kinds=int))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ArgumentError) as exc:
             raise ParseError(f"malformed scene spec: {exc}") from exc
 
 

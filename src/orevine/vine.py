@@ -212,9 +212,6 @@ class RVineModel:
     def log_density(self, x):
         return vine_log_density(self, x)
 
-    def slice_log_density(self, head):
-        return vine_slice_log_density(self, head)
-
     def copula_slice(self, head):
         return vine_copula_slice(self, head)
 
@@ -245,19 +242,6 @@ class ArchimedeanModel:
     def log_density(self, x):
         return vine_log_density(self, x)
 
-    def slice_log_density(self, head):
-        """s -> log f(head, s) with the fixed marginals evaluated once; `head`
-        is one point or n rows, as in `vine_slice_log_density`."""
-        const, log_g = self.copula_slice(head)
-        tail = self.marginals[-1]
-
-        def log_f(s):
-            s = np.asarray(s, dtype=float)
-            with np.errstate(all="ignore"):
-                return log_g(tail.cdf(s)) + (const + tail.log_density(s))
-
-        return log_f
-
     def copula_slice(self, head):
         """(const, log_g) of `head`, as in `vine_copula_slice`: const is the
         fixed marginals' log-density, log_g the copula log-density at
@@ -269,10 +253,10 @@ class ArchimedeanModel:
             const = sum(m.log_density(head[:, i])
                         for i, m in enumerate(self.marginals[:last]))
 
-        def log_g(u, rows=None):
-            at = head_u if rows is None else [c[rows] for c in head_u]
+        def log_g(u, rows):
             with np.errstate(all="ignore"):
-                u = np.column_stack(np.broadcast_arrays(*at, _cl(u)))
+                u = np.column_stack(np.broadcast_arrays(*[c[rows] for c in head_u],
+                                                        _cl(u)))
                 return _arch_log_density(self.family, self.theta, u)
 
         return const, log_g
@@ -405,13 +389,13 @@ class _ConditionalCache:
             self.by_constraint[(var, lam)] = (edge, cop)
 
     def with_column(self, var: int, column: np.ndarray,
-                    rows: np.ndarray | None = None) -> "_ConditionalCache":
-        """A cache that adds the column of `var`, which this one lacks.
+                    rows: np.ndarray) -> "_ConditionalCache":
+        """A cache that adds the column of `var`, which this one lacks;
+        `column[i]` pairs with row `rows[i]` of this cache.
 
         Values that involve `var` are memoized in the new cache.  All others
-        are looked up in this one, so they are computed once however many
-        columns are passed here; with `rows` given, they are taken at those
-        rows, so `column[i]` pairs with row `rows[i]` of this cache.
+        are looked up in this one at `rows`, so they are computed once
+        however many columns are passed here.
         """
         out = copy.copy(self)
         out.memo = {}
@@ -424,8 +408,6 @@ class _ConditionalCache:
         if key in self.memo:
             return self.memo[key]
         if self.base is not None and var != self.free and self.free not in cond:
-            if self.rows is None:
-                return self.base.value(var, cond)
             out = self.memo[key] = self.base.value(var, cond)[self.rows]
             return out
         hit = self.by_constraint.get((var, cond | {var}))
@@ -445,15 +427,43 @@ class _ConditionalCache:
         return out
 
 
+def _add_terms(total, pairs, cache: _ConditionalCache):
+    """total plus the log-density of each (edge, copula) in `pairs`, in
+    order, at the conditional CDFs of `cache`."""
+    for edge, cop in pairs:
+        j, k = edge.conditioned
+        total = total + pair_log_density(cop, cache.value(j, edge.conditioning),
+                                         cache.value(k, edge.conditioning))
+    return total
+
+
+def _dependent_pairs(model: RVineModel):
+    return [(edge, cop) for edge, cop in model.edge_items()
+            if cop.family != "independence"]
+
+
 def vine_log_density(model: RVineModel | ArchimedeanModel, x) -> np.ndarray | float:
     """log f(x) of either engine at one point (a float) or the rows of an
-    (n, d) matrix, -inf outside support: the slice density at the last column."""
+    (n, d) matrix, -inf outside support.
+
+    The pair-copula construction on all rows at once: the marginal
+    log-densities summed in column order, then the Archimedean copula
+    log-density, or each non-independence pair log-density in edge order
+    at the h-function conditionals of one `_ConditionalCache`.
+    """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 1
     arr = np.atleast_2d(arr)
     if arr.shape[1] != model.d:
         raise ArgumentError(f"expected {model.d}-dimensional points")
-    total = model.slice_log_density(arr[:, :-1])(arr[:, -1])
+    margs = model.marginals
+    with np.errstate(all="ignore"):
+        u = np.column_stack([_cl(m.cdf(arr[:, i])) for i, m in enumerate(margs)])
+        total = sum(m.log_density(arr[:, i]) for i, m in enumerate(margs))
+        if isinstance(model, ArchimedeanModel):
+            total = _arch_log_density(model.family, model.theta, u) + total
+        else:
+            total = _add_terms(total, _dependent_pairs(model), _ConditionalCache(model, u))
     return float(total[0]) if scalar else total
 
 
@@ -465,89 +475,33 @@ def _check_head(model, head) -> np.ndarray:
     return head
 
 
-def _slice_terms(model: RVineModel, head):
-    """The term list of the slices along the last variable at `head`:
-    (the fixed marginals' log-density, the cache of the fixed conditional
-    CDFs, and per non-independent edge in edge order (edge, copula, its
-    log-density where its constraint set excludes the last variable, else
-    None))."""
-    head = _check_head(model, head)
-    last = model.d - 1
-    margs = model.marginals
-    cols = [head[:, i] for i in range(last)]
-    fixed = _ConditionalCache(model)
-    for i, (m, c) in enumerate(zip(margs, cols)):
-        fixed.add_column(i, _cl(m.cdf(c)))
-    with np.errstate(divide="ignore"):
-        head_total = sum(m.log_density(c) for m, c in zip(margs, cols))
-    terms = []
-    for edge, cop in model.edge_items():
-        if cop.family == "independence":
-            continue
-        const = None
-        if last not in edge.constraint:
-            const = _pair_term(fixed, edge, cop)
-        terms.append((edge, cop, const))
-    return head_total, fixed, terms
-
-
-def _pair_term(cache: _ConditionalCache, edge: VineEdge, cop: PairCopula):
-    j, k = edge.conditioned
-    return pair_log_density(cop, cache.value(j, edge.conditioning),
-                            cache.value(k, edge.conditioning))
-
-
-def _add_terms(total, terms, cache: _ConditionalCache):
-    """total plus each term in order, a None term evaluated in `cache`."""
-    for edge, cop, term in terms:
-        total = total + (_pair_term(cache, edge, cop) if term is None else term)
-    return total
-
-
-def vine_slice_log_density(model: RVineModel, head):
-    """s -> log f(head, s): the density along the last variable, others fixed.
-
-    `head` is one point of the first d - 1 coordinates, whose terms
-    broadcast against a vector s, or an (n, d - 1) matrix whose rows pair
-    with the n values of s.  Every term that does not involve the last
-    variable is evaluated once (`_slice_terms`).  A call evaluates the rest
-    and adds the marginals, then the pair densities in edge order;
-    `vine_log_density` is this slice at the last column.
-    """
-    head_total, fixed, terms = _slice_terms(model, head)
-    last = model.d - 1
-    tail = model.marginals[last]
-
-    def log_f(s):
-        s = np.asarray(s, dtype=float)
-        cache = fixed.with_column(last, _cl(tail.cdf(s)))
-        with np.errstate(divide="ignore"):
-            total = head_total + tail.log_density(s)
-        return _add_terms(total, terms, cache)
-
-    return log_f
-
-
 def vine_copula_slice(model: RVineModel, head):
     """The slice along the last variable in its copula coordinate
     u = F_last(s): (const, log_g) with
 
-        log f(head, s) = const + log f_last(s) + log_g(F_last(s))
+        log f(head, s) = const + log f_last(s) + log_g(F_last(s), rows)
 
-    (Sklar's factorization).  const, one value per row of `head`, is the
-    fixed marginals' log-density plus every pair term whose constraint set
-    excludes the last variable; log_g(u, rows) sums the other pair terms.
-    `rows` indexes the rows of `head` that the values of u pair with; when
-    it is None, u pairs with the rows as in `vine_slice_log_density`.  The
-    terms are those of `vine_slice_log_density`, added in another order, so
-    the two agree to rounding, not bit for bit.
+    (Sklar's factorization).  `head` is one point or n rows of the first
+    d - 1 coordinates.  const, one value per row of `head`, is the fixed
+    marginals' log-density plus every pair term whose constraint set
+    excludes the last variable, evaluated once; log_g(u, rows) sums the
+    other pair terms, where `rows` indexes the rows of `head` that the
+    values of u pair with.  The terms are those of `vine_log_density`,
+    added in another order, so the two agree to rounding.
     """
-    head_total, fixed, terms = _slice_terms(model, head)
+    head = _check_head(model, head)
     last = model.d - 1
-    const = _add_terms(head_total, [t for t in terms if t[2] is not None], fixed)
-    free = [t for t in terms if t[2] is None]
+    margs = model.marginals[:last]
+    fixed = _ConditionalCache(model)
+    for i, m in enumerate(margs):
+        fixed.add_column(i, _cl(m.cdf(head[:, i])))
+    with np.errstate(divide="ignore"):
+        const = sum(m.log_density(head[:, i]) for i, m in enumerate(margs))
+    pairs = _dependent_pairs(model)
+    const = _add_terms(const, [p for p in pairs if last not in p[0].constraint], fixed)
+    free = [p for p in pairs if last in p[0].constraint]
 
-    def log_g(u, rows=None):
+    def log_g(u, rows):
         cache = fixed.with_column(last, _cl(np.asarray(u, dtype=float)), rows)
         return _add_terms(np.zeros(np.shape(u)), free, cache)
 
@@ -666,8 +620,10 @@ def _gumbel_poly(order: int, alpha: float) -> np.ndarray:
     return q * (-1.0) ** order
 
 
+@functools.cache
 def _eulerian_poly(order: int) -> np.ndarray:
-    """Numerator coefficients N_m of Li_{-m}(g) = N_m(g) / (1-g)^(m+1)."""
+    """Numerator coefficients N_m of Li_{-m}(g) = N_m(g) / (1-g)^(m+1),
+    built once per order and returned read-only."""
     n = np.zeros(order + 2)
     n[1] = 1.0                            # Li_0 = g / (1 - g)
     for m in range(order):
@@ -679,6 +635,7 @@ def _eulerian_poly(order: int) -> np.ndarray:
         term = np.polynomial.polynomial.polyadd(term, (m + 1) * n)
         n = np.polynomial.polynomial.polymulx(term)
         n = np.pad(n, (0, max(0, order + 2 - n.size)))[: order + 2]
+    n.flags.writeable = False
     return n
 
 

@@ -457,8 +457,14 @@ class TestCliSynthWeights:
         lambda doc: {**doc, "phase_planes": [[2]]},
         lambda doc: [1, 2],
         lambda doc: {**doc, "dims": [36, 36]},
+        lambda doc: {**doc, "spacing": 0},
+        lambda doc: {**doc, "particles": [{**doc["particles"][0], "vfvm": 1.5}]},
+        lambda doc: {**doc, "particles": [{**doc["particles"][0], "shape": "cone"}]},
+        lambda doc: {**doc, "phase_planes": [[2, 24]]},
+        lambda doc: {**doc, "particles": [doc["particles"][0], doc["particles"][0]]},
     ], ids=["center_two_elements", "radius_not_number", "phase_plane_one_element",
-            "root_not_object", "dims_two_elements"])
+            "root_not_object", "dims_two_elements", "spacing_zero", "vfvm_above_one",
+            "shape_cone", "phase_plane_outside", "particles_overlap"])
     def test_bad_scene_spec_is_data_error(self, tmp_path, capsys, fault):
         spec_path = self.scene_file(tmp_path)
         spec_path.write_text(json.dumps(fault(json.loads(spec_path.read_text()))))
@@ -473,14 +479,15 @@ class TestCliSynthWeights:
                              ids=["zero", "dim_beyond_intp", "voxels_beyond_intp"])
     def test_scene_dims_out_of_range_is_argument_error(self, tmp_path, capsys, dims):
         # only sizes numpy cannot index at all: a size it can index would
-        # start a real allocation
+        # start a real allocation.  `SceneSpec` raises ArgumentError; read
+        # from a file, the fault is the file's, so exit 3
         spec_path = self.scene_file(tmp_path)
         spec_path.write_text(json.dumps({**json.loads(spec_path.read_text()),
                                          "dims": dims}))
         rc = main(["synth", "--spec", str(spec_path),
                    "--out-prefix", str(tmp_path / "scene_out")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("argument error: scene dims")
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: malformed scene spec: scene dims")
         assert not (tmp_path / "scene_out_dataset.csv").exists()
 
     def test_synth_determinism(self, tmp_path):

@@ -305,10 +305,8 @@ class TestHeldoutRows:
         assert small.size >= 12
         edges = np.linspace(model.epsilon, 1 - model.epsilon, 9)
         for i in small[np.argsort(z[small])][:12]:
-            log_f = model.f_c.slice_log_density(ct[i])
-
             def f(s):
-                return float(np.exp(log_f(np.array([s])))[0])
+                return float(np.exp(model.f_c.log_density(np.append(ct[i], s))))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", integrate.IntegrationWarning)
                 ref = sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]

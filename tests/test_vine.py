@@ -468,6 +468,18 @@ class TestArchimedean:
         got = _arch_log_density("frank", theta, u)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
+    def test_eulerian_poly_is_cached_and_read_only(self):
+        from orevine.vine import _eulerian_poly
+        first = _eulerian_poly(4)
+        # Li_{-4}(g) = g (1 + 11 g + 11 g^2 + g^3) / (1 - g)^5
+        assert first.tolist() == [0.0, 1.0, 11.0, 11.0, 1.0, 0.0]
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        again = _eulerian_poly(4)
+        assert again is first
+        assert again.tolist() == [0.0, 1.0, 11.0, 11.0, 1.0, 0.0]
+
 
 SLICE_EPS = 0.01
 # s at and beside the truncation ends, outside it and outside [0, 1], plus
@@ -509,56 +521,69 @@ def all_rotation_copulas(n):
     return tuple(out)
 
 
-def assert_slice_matches(model, ct, s=SLICE_S):
-    log_f = model.slice_log_density(ct)
+def assert_slice_matches(model, cts, s=SLICE_S):
+    """The slice rebuilt from `copula_slice` at the rows `cts`,
+    const + log f_last(s) + log_g(F_last(s), rows), against `log_density`
+    at each (ct, s): within 1e-12 max(1, |ref|), with the same -inf (and
+    NaN) entries."""
+    cts = np.atleast_2d(cts)
+    rows = np.repeat(np.arange(len(cts)), s.size)
+    s = np.tile(s, len(cts))
+    const, log_g = model.copula_slice(cts)
+    tail = model.marginals[-1]
     with np.errstate(all="ignore"):
-        got = log_f(s)
-        ref = model.log_density(np.column_stack([np.tile(ct, (s.size, 1)), s]))
-    assert np.array_equal(got, ref, equal_nan=True)
+        got = const[rows] + tail.log_density(s) + log_g(_cl(tail.cdf(s)), rows)
+        ref = model.log_density(np.column_stack([cts[rows], s]))
+    finite = np.isfinite(ref)
+    assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
+    assert np.all(np.abs(got[finite] - ref[finite])
+                  <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
 
 
 class TestSliceLogDensity:
-    """The hoisted slice s -> log f(ct, s) against the full density, bit for bit."""
+    """The slice s -> log f(ct, s) that the predictor integrates, rebuilt
+    from the engine's `copula_slice`, against the full density."""
 
     @pytest.mark.parametrize("order", [range(7), [0, 1, 2, 6, 3, 4, 5],
                                        [6, 5, 4, 3, 2, 1, 0]])
-    def test_rvine_bit_identical(self, order):
+    def test_rvine_matches_log_density(self, order):
         structure = dvine_structure(list(order))
         copulas = all_rotation_copulas(len(structure.edges))
         assert {c.rotation for c in copulas if c.family != "independence"} == {
             0, 90, 180, 270}
         model = RVineModel(structure, copulas, slice_marginals())
-        for ct in SLICE_CTS:
-            assert_slice_matches(model, ct)
+        assert_slice_matches(model, np.vstack(SLICE_CTS))
 
     def test_rvine_out_of_support_ct_is_minus_inf(self):
         model = RVineModel(dvine_structure(list(range(7))),
                            all_rotation_copulas(21), slice_marginals())
         with np.errstate(all="ignore"):
-            out = model.slice_log_density(SLICE_CTS[2])(SLICE_S)
+            const, _ = model.copula_slice(SLICE_CTS[2])
+            out = model.log_density(np.column_stack(
+                [np.tile(SLICE_CTS[2], (SLICE_S.size, 1)), SLICE_S]))
+        assert const.tolist() == [-np.inf]
         assert np.all(out == -np.inf)
 
     @pytest.mark.parametrize("family", ARCHIMEDEAN_FAMILIES)
-    def test_archimedean_bit_identical(self, family):
+    def test_archimedean_matches_log_density(self, family):
         theta = 3.0 if family == "frank" else 1.4
         model = ArchimedeanModel(family, theta, slice_marginals())
-        for ct in SLICE_CTS:
-            assert_slice_matches(model, ct)
+        assert_slice_matches(model, np.vstack(SLICE_CTS))
 
     def test_benchmark_truth_composite_class(self):
         f_c = benchmark_truth().f_c
         rng = np.random.default_rng(5)
-        for row in f_c.sample(20, seed=3):
-            assert_slice_matches(f_c, row[:6], np.sort(rng.uniform(0.0, 1.0, 64)))
+        assert_slice_matches(f_c, f_c.sample(20, seed=3)[:, :6],
+                             np.sort(rng.uniform(0.0, 1.0, 64)))
 
     def test_wrong_length_rejected(self):
         model = ArchimedeanModel("frank", 3.0, slice_marginals())
         with pytest.raises(ArgumentError):
-            model.slice_log_density(np.ones(7))
+            model.copula_slice(np.ones(7))
         rvine = RVineModel(dvine_structure(list(range(7))),
                            all_rotation_copulas(21), slice_marginals())
         with pytest.raises(ArgumentError):
-            rvine.slice_log_density(np.ones(5))
+            rvine.copula_slice(np.ones(5))
 
 
 def reference_log_density(model, x):
@@ -610,6 +635,8 @@ class TestReferenceLogDensity:
         with np.errstate(all="ignore"):
             got = model.log_density(pts)
         assert np.array_equal(got, reference_log_density(model, pts), equal_nan=True)
+        # the rows of the out-of-support CT point
+        assert np.all(got[2 * SLICE_S.size:] == -np.inf)
 
     @pytest.mark.parametrize("part", ["f_v", "f_nv", "f_c"])
     def test_benchmark_truth_classes(self, part):
