@@ -52,11 +52,19 @@ ROTATION_TABLE = {
     270: (False, True, True),
 }
 ROTATIONS = tuple(ROTATION_TABLE)
-# the rotations a fit searches and stores: Frank's rotation 0 over both signs
-# covers its other three (radial symmetry, see above), and independence is
-# the same copula at every rotation
+# the rotations a fitted document may store: Frank's rotation 0 over both
+# signs covers its other three (radial symmetry, see above), and independence
+# is the same copula at every rotation
 FIT_ROTATIONS = {"independence": (0,), "frank": (0,), "clayton": ROTATIONS,
                  "gumbel": ROTATIONS, "joe": ROTATIONS}
+# the rotations a fit searches for an empirical tau of each sign.  Every
+# admissible theta of Clayton, Gumbel and Joe has model tau > 0 at rotations
+# 0 and 180 and tau < 0 at 90 and 270 (Czado 2019, ch. 3); Frank's tau has
+# the sign of theta, so it is searched at rotation 0 on the half of tau's
+# sign only.  A skipped candidate could only win near independence, which
+# the pre-test has rejected; the equality with the search over every
+# `FIT_ROTATIONS` rotation and both Frank halves is measured, not proved.
+TAU_SIGN_ROTATIONS = {1: (0, 180), -1: (90, 270)}
 
 # admissible parameter search ranges per family
 THETA_RANGE = {
@@ -562,12 +570,17 @@ def fit_pair(u, v, candidates=DEFAULT_CANDIDATES) -> PairCopula:
 
     The independence pre-test runs first; when it does not reject, the
     independence copula is returned without any likelihood search.
-    Otherwise every candidate family x `FIT_ROTATIONS` (Frank: 0 only) gets
-    its ML theta from `_search_theta`: each range of `_theta_ranges` (both
-    Frank halves) is scored on a grid seeded with the tau-inverted start and
-    its negation, then refined by bounded Brent.  The best fit wins; a later
-    candidate needs a strictly larger log-likelihood, so ties go to the
-    fixed order (frank, clayton, gumbel, joe; then rotation ascending).
+    Otherwise only the candidates whose model tau has the sign of the
+    empirical tau are searched: Clayton, Gumbel and Joe at the
+    `TAU_SIGN_ROTATIONS` of that sign (0/180 or 90/270), and Frank at
+    rotation 0 on the half of theta with that sign.  Each gets its ML theta
+    from `_search_theta`, scored on a grid seeded with the tau-inverted
+    start, then refined by bounded Brent.  On every measured fit this picks
+    the same copula, bit for bit, as searching all `FIT_ROTATIONS` and both
+    Frank halves; that equality is measured, not proved.  The best fit
+    wins; a later candidate needs a strictly larger log-likelihood, so ties
+    go to the fixed order (frank, clayton, gumbel, joe; then rotation
+    ascending).
     When every search fails numerically, an independence copula marked
     `fallback` is returned.
     """
@@ -583,12 +596,15 @@ def refit_theta(cop: PairCopula, u, v) -> PairCopula:
 
     The shared search of `fit_pair` runs on the family's range, for Frank
     only the half of the template's sign, seeded with the template theta
-    clipped into that range.  Raises FittingError when the search fails.
+    clipped into that range.  Raises ArgumentError for samples of unequal
+    length and FittingError when the search fails.
     """
     if cop.family == "independence":
         return cop
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
+    if u.shape != v.shape:
+        raise ArgumentError("refit_theta requires equal-length samples")
     ranges = _theta_ranges(cop.family, 1 if cop.theta > 0 else -1)
     found = _search_theta(_pair_loglik(cop.family, cop.rotation, u, v), ranges,
                           seeds=[float(np.clip(cop.theta, *ranges[0]))])
@@ -601,15 +617,17 @@ def _fit_pair_with_tau(u, v, tau: float, candidates) -> PairCopula:
     if independence_test(tau, u.size):
         return PairCopula("independence")
 
+    sign = 1 if tau > 0 else -1
     best: tuple[float, PairCopula] | None = None
     for family in candidates:
         if family == "independence":
             continue
-        ranges = _theta_ranges(family)
+        ranges = _theta_ranges(family, sign)
         seed = _tau_theta_start(family, tau)
-        for rotation in FIT_ROTATIONS[family]:
+        rotations = FIT_ROTATIONS[family] if family == "frank" else TAU_SIGN_ROTATIONS[sign]
+        for rotation in rotations:
             found = _search_theta(_pair_loglik(family, rotation, u, v), ranges,
-                                  seeds=(seed, -seed))
+                                  seeds=(seed,))
             if found is not None and (best is None or found[0] > best[0]):
                 best = (found[0], PairCopula(family, rotation, found[1]))
 

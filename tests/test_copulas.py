@@ -3,10 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import orevine.vine
 from orevine.copulas import (
+    FIT_ROTATIONS,
     PairCopula,
+    ROTATION_TABLE,
     ROTATIONS,
+    TAU_SIGN_ROTATIONS,
+    THETA_RANGE,
     fit_pair,
     independence_test,
     kendall_tau,
@@ -20,8 +26,16 @@ from orevine.copulas import (
     pseudo_observations,
     refit_theta,
 )
-from orevine.copulas import _pair_loglik, _search_theta, _theta_ranges
+from orevine.copulas import (
+    _fit_pair_with_tau,
+    _pair_loglik,
+    _search_theta,
+    _tau_theta_start,
+    _theta_ranges,
+)
 from orevine.errors import ArgumentError
+from orevine.model import fit_composite
+from orevine.synth import benchmark_truth, generate_composite_dataset
 
 # moderate parameters keep the 200x200 midpoint integral test meaningful;
 # heavier tail dependence concentrates mass the grid cannot resolve
@@ -382,6 +396,128 @@ class TestFitPair:
                 continue
             ll = float(np.sum(np.log(pair_density(fit, u[:, 0], u[:, 1]))))
             assert ll >= 0.0, (trial, fit)
+
+
+class TestRefitTheta:
+    @pytest.mark.parametrize("n_u", [1, 49])
+    def test_unequal_lengths_rejected(self, n_u):
+        u, v = sample_pair(PairCopula("clayton", 0, 2.0), 50, seed=4)
+        with pytest.raises(ArgumentError, match="requires equal-length samples"):
+            refit_theta(PairCopula("clayton", 0, 2.0), u[:n_u], v)
+
+
+def exhaustive_fit_pair(u, v, tau: float, candidates) -> PairCopula:
+    """The search `fit_pair` ran before it kept to tau's sign: every family
+    at every `FIT_ROTATIONS` rotation, Frank over both halves, each seeded
+    with the tau-inverted start and its negation.  The test reference of
+    the sign-consistent search."""
+    if independence_test(tau, u.size):
+        return PairCopula("independence")
+
+    best: tuple[float, PairCopula] | None = None
+    for family in candidates:
+        if family == "independence":
+            continue
+        ranges = _theta_ranges(family)
+        seed = _tau_theta_start(family, tau)
+        for rotation in FIT_ROTATIONS[family]:
+            found = _search_theta(_pair_loglik(family, rotation, u, v), ranges,
+                                  seeds=(seed, -seed))
+            if found is not None and (best is None or found[0] > best[0]):
+                best = (found[0], PairCopula(family, rotation, found[1]))
+
+    if best is None:
+        return PairCopula("independence", fallback=True)
+    return best[1]
+
+
+def _bits(cop: PairCopula):
+    return cop.family, cop.rotation, cop.fallback, repr(cop.theta)
+
+
+class TestSignConsistentSearch:
+    """The search over the sign-consistent candidates against the search over
+    all of them, on every edge that rvine fits of the benchmark truth reach.
+    The two agree on these fits by measurement, not by proof."""
+
+    @pytest.mark.parametrize("counts,seed", [((227, 489, 625), 7), ((34, 73, 93), 21),
+                                             ((34, 73, 93), 22), ((34, 73, 93), 23)])
+    def test_rvine_edges_match_exhaustive_search(self, monkeypatch, counts, seed):
+        edges = []
+
+        def recording(u, v, tau, candidates):
+            cop = _fit_pair_with_tau(u, v, tau, candidates)
+            edges.append((u.copy(), v.copy(), tau, tuple(candidates), cop))
+            return cop
+
+        monkeypatch.setattr(orevine.vine, "_fit_pair_with_tau", recording)
+        fit_composite(generate_composite_dataset(benchmark_truth(), *counts, seed=seed),
+                      engine="rvine")
+        searched = [e for e in edges if not independence_test(e[2], e[0].size)]
+        assert len(edges) == 51 and len(searched) >= 8
+        for u, v, tau, candidates, cop in searched:
+            assert _bits(cop) == _bits(exhaustive_fit_pair(u, v, tau, candidates)), tau
+
+
+def model_tau(cop: PairCopula) -> float:
+    """Kendall's tau of a copula: closed forms for Clayton, Gumbel and Frank
+    (Debye function by quadrature), times -1 for a rotation that reflects
+    exactly one argument.  For Joe, the tau of a seeded `pair_h_inverse`
+    sample, which has the model's sign but not its size: the sample is the
+    product of 60 probabilities and 60 conditioning values, so even near
+    independence the equal-p pairs order as h^-1(p | v) does in v, and the
+    other pairs cancel."""
+    theta = cop.theta
+    if cop.family == "joe":
+        rng = np.random.default_rng(61)
+        p, v = np.meshgrid(rng.uniform(1e-6, 1 - 1e-6, 60), rng.uniform(1e-6, 1 - 1e-6, 60))
+        return kendall_tau(pair_h_inverse(cop, p.ravel(), v.ravel()), v.ravel())
+    if cop.family == "clayton":
+        tau = theta / (theta + 2.0)
+    elif cop.family == "gumbel":
+        tau = 1.0 - 1.0 / theta
+    else:   # frank: 1 + 4 (D1(theta) - 1) / theta
+        debye = quad(lambda t: t / np.expm1(t) if t else 1.0, 0.0, theta,
+                     epsabs=0.0, epsrel=1e-13)[0] / theta
+        tau = 1.0 + 4.0 * (debye - 1.0) / theta
+    reflect_u, reflect_v, _ = ROTATION_TABLE[cop.rotation]
+    return -tau if reflect_u != reflect_v else tau
+
+
+class TestTauSignContract:
+    """Every admissible theta of a family at a rotation gives a model tau of
+    one sign, which is what lets `fit_pair` search only the candidates of
+    the empirical tau's sign."""
+
+    def test_sign_rotations_cover_fit_rotations(self):
+        assert sorted(TAU_SIGN_ROTATIONS[1] + TAU_SIGN_ROTATIONS[-1]) == list(ROTATIONS)
+        assert set(FIT_ROTATIONS) - set(THETA_RANGE) == {"independence"}
+
+    @pytest.mark.parametrize("family,rotation", [
+        (family, rotation) for family in THETA_RANGE for rotation in FIT_ROTATIONS[family]])
+    def test_model_tau_sign(self, family, rotation):
+        # each candidate searched for a tau sign: its range's ends, midpoint
+        # and one interior point
+        for sign in (1, -1):
+            if family != "frank" and rotation not in TAU_SIGN_ROTATIONS[sign]:
+                continue
+            for lo, hi in _theta_ranges(family, sign):
+                for theta in (lo, hi, 0.5 * (lo + hi), lo + 0.05 * (hi - lo)):
+                    tau = model_tau(PairCopula(family, rotation, theta))
+                    assert sign * tau >= 0.0, (sign, theta, tau)
+
+    def test_closed_forms_match_samples(self):
+        # the closed forms and rotation signs above against seeded samples
+        for cop in (PairCopula("clayton", 90, 2.0), PairCopula("gumbel", 180, 2.0),
+                    PairCopula("frank", 0, -6.0)):
+            u, v = sample_pair(cop, 4000, seed=62)
+            assert kendall_tau(u, v) == pytest.approx(model_tau(cop), abs=0.03)
+
+    def test_negative_tau_fits_a_negative_candidate(self):
+        u, v = sample_pair(PairCopula("gumbel", 270, 1.6), 1500, seed=63)
+        assert kendall_tau(u, v) < 0.0
+        fit = fit_pair(u, v)
+        assert fit.rotation in (90, 270) or (fit.family == "frank" and fit.theta < 0)
 
 
 class TestFrankRadialSymmetry:
