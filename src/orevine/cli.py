@@ -213,12 +213,8 @@ def _run_evaluate(args) -> int:
 def _run_sample(args) -> int:
     if args.n < 0:
         raise ArgumentError("sample size must be >= 0")
-    model = load_model(args.model)
-    if args.n == 0:
-        ds = Dataset(np.zeros(0, dtype=np.int64), np.zeros((0, 7)), COLUMNS)
-    else:
-        rows = model.sample(args.n, seed=args.seed)
-        ds = Dataset(np.arange(1, args.n + 1, dtype=np.int64), rows, COLUMNS)
+    rows = load_model(args.model).sample(args.n, seed=args.seed)
+    ds = Dataset(np.arange(1, args.n + 1, dtype=np.int64), rows, COLUMNS)
     ds.to_csv(args.out)
     _manifest_for(args, args.out)
     print(f"wrote {len(ds)} sampled rows to {args.out}")

@@ -7,8 +7,9 @@ engine is the submodels' `type`, the atom width is epsilon, a vine's
 dimension its number of marginals, and its edges' conditioned and
 conditioning sets follow from the tree edges; Frank is at rotation 0.
 Other schemas fail with a migration error.  Loading checks a document as
-strictly as a fit (every key the writer emits, boolean flags, positive
-finite component parameters, weights in [0, 1], thetas in the fitted
+strictly as a fit (every key the writer emits, boolean flags, numbers
+that are JSON numbers rather than booleans or strings, positive finite
+component parameters, weights in [0, 1], thetas in the fitted
 ranges, rotations a fit stores, non-negative integer counts, epsilon in
 (0, 0.5), a valid vine, one submodel type, `FitSettings` valid for it, and
 no truncation but the composition marginal's, to exactly (epsilon,
@@ -30,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .copulas import FIT_ROTATIONS, PairCopula, _theta_ranges
+from .copulas import FIT_ROTATIONS, PairCopula
 from .errors import ArgumentError, ParseError, SchemaError, StructuralError
 from .marginals import BetaParams, GammaParams, MixtureModel
 from .model import CompositeModel, FitSettings
@@ -55,11 +56,11 @@ def _mixture_doc(m: MixtureModel) -> dict:
 
 
 def _mixture_from(doc: dict) -> MixtureModel:
-    comp = (lambda c: GammaParams(c["alpha"], c["beta"]) if doc["family"] == "gamma"
-            else BetaParams(c["p"], c["q"]))
+    comp = (lambda c: GammaParams(_number(c, "alpha"), _number(c, "beta"))
+            if doc["family"] == "gamma" else BetaParams(_number(c, "p"), _number(c, "q")))
     c1, c2 = comp(doc["comp1"]), comp(doc["comp2"])
     trunc = tuple(doc["truncation"]) if doc["truncation"] is not None else None
-    return MixtureModel(doc["family"], c1, c2, doc["lam"], truncation=trunc,
+    return MixtureModel(doc["family"], c1, c2, _number(doc, "lam"), truncation=trunc,
                         degenerate=_flag(doc, "degenerate"))
 
 
@@ -69,26 +70,26 @@ def _flag(doc: dict, key: str) -> bool:
     return doc[key]
 
 
+def _number(doc: dict, key: str) -> int | float:
+    """A number of the document: a JSON int or float, never a boolean or a
+    string."""
+    if type(doc[key]) not in (int, float):
+        raise ParseError(f"model document {key} {doc[key]!r} is not a number")
+    return doc[key]
+
+
 def _copula_doc(c: PairCopula) -> dict:
     return {"family": c.family, "rotation": c.rotation, "theta": c.theta,
             "fallback": c.fallback}
 
 
-def _check_theta(family: str, theta, ranges) -> None:
-    """Every fitted theta comes from a search over these ranges."""
-    if not any(lo <= theta <= hi for lo, hi in ranges):
-        raise ParseError(f"model document {family} theta {theta!r} lies outside "
-                         f"the fitted range {ranges}")
-
-
 def _copula_from(doc: dict) -> PairCopula:
-    cop = PairCopula(doc["family"], doc["rotation"], doc["theta"],
-                     _flag(doc, "fallback"))
+    # PairCopula admits exactly the thetas a fit stores
+    theta = None if doc["theta"] is None else _number(doc, "theta")
+    cop = PairCopula(doc["family"], doc["rotation"], theta, _flag(doc, "fallback"))
     if type(cop.rotation) is not int or cop.rotation not in FIT_ROTATIONS[cop.family]:
         raise ParseError(f"model document {cop.family} copula at rotation "
                          f"{cop.rotation}, which no fit stores")
-    if cop.family != "independence":
-        _check_theta(cop.family, cop.theta, _theta_ranges(cop.family))
     return cop
 
 
@@ -119,9 +120,12 @@ def _engine_from(doc: dict):
             raise StructuralError(f"model document vine is invalid: {problem}")
         return model
     if doc["type"] == "archimedean":
-        model = ArchimedeanModel(doc["family"], doc["theta"], marginals)
-        _check_theta(model.family, model.theta,
-                     arch_theta_ranges(model.family, model.d))
+        model = ArchimedeanModel(doc["family"], _number(doc, "theta"), marginals)
+        # every fitted theta comes from a search over these ranges
+        ranges = arch_theta_ranges(model.family, model.d)
+        if not any(lo <= model.theta <= hi for lo, hi in ranges):
+            raise ParseError(f"model document {model.family} theta {model.theta!r} "
+                             f"lies outside the fitted range {ranges}")
         return model
     raise SchemaError(f"unknown engine type {doc['type']!r}")
 
@@ -160,9 +164,9 @@ def composite_from_doc(doc) -> CompositeModel:
         f_v, f_nv, f_c = (_engine_from(doc["submodels"][c]) for c in classes)
         fit = doc["settings"]
         model = CompositeModel(f_v, f_nv, f_c, *counts,
-                               epsilon=float(doc["epsilon"]),
-                               settings=FitSettings(fit["candidates"],
-                                                    fit["min_rows"], fit["em_tol"]))
+                               epsilon=float(_number(doc, "epsilon")),
+                               settings=FitSettings(fit["candidates"], fit["min_rows"],
+                                                    _number(fit, "em_tol")))
         eps = model.epsilon
         # only the composite class's composition marginal, the last one,
         # is truncated, and to exactly the open composite band

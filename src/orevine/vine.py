@@ -723,7 +723,7 @@ def _arch_cond_cdf(family: str, theta: float, m: int, t_prev: np.ndarray,
 def _arch_sample_uniform(family: str, theta: float, d: int, n: int, seed) -> np.ndarray:
     """Conditional-inversion sampling of the Archimedean copula itself."""
     rng = np.random.default_rng(seed)
-    w = rng.uniform(1e-12, 1.0 - 1e-12, size=(n, d))
+    w = rng.uniform(COND_CLAMP, 1.0 - COND_CLAMP, size=(n, d))
     u = np.empty((n, d))
     u[:, 0] = w[:, 0]
     t_prev = _arch_phi(family, theta, u[:, 0])

@@ -128,6 +128,34 @@ def archimedean_candidates_independence(doc):
     doc["settings"]["candidates"] = ["independence"]
 
 
+def lam_boolean(doc):
+    doc["submodels"]["valuable"]["marginals"][0]["lam"] = True
+
+
+def gamma_alpha_boolean(doc):
+    doc["submodels"]["valuable"]["marginals"][0]["comp1"]["alpha"] = True
+
+
+def settings_em_tol_boolean(doc):
+    doc["settings"]["em_tol"] = True
+
+
+def epsilon_string(doc):
+    doc["epsilon"] = str(doc["epsilon"])
+
+
+def frank_edge_theta_boolean(doc):
+    doc["submodels"]["composite"]["edges"][0].update(
+        family="frank", rotation=0, theta=True)
+
+
+def archimedean_theta_boolean(doc):
+    for name, sub in doc["submodels"].items():
+        doc["submodels"][name] = {"type": "archimedean", "family": "frank",
+                                  "theta": 2.0, "marginals": sub["marginals"]}
+    doc["submodels"]["valuable"]["theta"] = True
+
+
 def composition_truncation_null(doc):
     doc["submodels"]["composite"]["marginals"][-1]["truncation"] = None
 
@@ -201,6 +229,10 @@ class TestPersistence:
                                        edge_rotation_deleted,
                                        frank_edge_at_rotation_90,
                                        archimedean_candidates_independence,
+                                       lam_boolean, gamma_alpha_boolean,
+                                       settings_em_tol_boolean, epsilon_string,
+                                       frank_edge_theta_boolean,
+                                       archimedean_theta_boolean,
                                        [1], 3, None],
                              ids=lambda f: (f.__name__ if callable(f)
                                             else f"root_{json.dumps(f)}"))

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 import orevine.vine
 from orevine.copulas import (
+    DENSITY_CLAMP,
     FIT_ROTATIONS,
     PairCopula,
     ROTATION_TABLE,
@@ -124,9 +125,11 @@ class TestDensity:
         cop = PairCopula("independence")
         assert pair_density(cop, 0.2, 0.9) == pytest.approx(1.0)
 
-    def test_frank_small_theta_limit(self):
-        cop = PairCopula("frank", 0, 1e-7)
-        assert pair_density(cop, 0.5, 0.5) == pytest.approx(1.0, abs=1e-4)
+    def test_frank_small_theta_rejected(self):
+        # no fit stores |theta| < FRANK_MIN_ABS, so no copula takes one
+        for theta in (1e-7, -1e-7, np.nextafter(1e-4, 0.0)):
+            with pytest.raises(ArgumentError, match="outside the fitted range"):
+                PairCopula("frank", 0, theta)
 
     def test_gumbel_matches_mixed_finite_difference(self):
         cop = PairCopula("gumbel", 0, 2.0)
@@ -157,6 +160,34 @@ class TestDensity:
         for u, v in rng.uniform(0.05, 0.95, size=(25, 2)):
             assert pair_density(rot, u, v) == \
                 pytest.approx(pair_density(base, 1 - u, 1 - v), rel=1e-10)
+
+
+# 60-digit mpmath values of Joe's log c, h(u|v) and C at u = v, the float
+# nearest 1 - eps: with a = (1 - u)^theta and t = 2 a - a^2,
+# log c = (1/theta - 2) log t + 2 (theta - 1) log(1 - u) + log(theta - 1 + t),
+# h = t^(1/theta - 1) (1 - u)^(theta - 1) (1 - a) and C = 1 - t^(1/theta)
+JOE_CORNER = [
+    (35.0, 1e-10, 25.185721215855215615, 0.51000080471059955354, 0.99999999989799983062),
+    (50.0, 1e-7, 18.637484532086610534, 0.50697973989501456935, 0.99999989860405207437),
+]
+
+
+class TestJoeCorner:
+    """Joe next to its upper corner, where (1 - u)^theta underflows;
+    rotation 180 mirrors it at the lower corner."""
+
+    @pytest.mark.parametrize("theta,eps,log_c,h,cdf", JOE_CORNER, ids=["theta35", "theta50"])
+    def test_reference_values(self, theta, eps, log_c, h, cdf):
+        u = 1.0 - eps
+        cop = PairCopula("joe", 0, theta)
+        assert pair_log_density(cop, u, u) == pytest.approx(log_c, rel=1e-13)
+        assert pair_h(cop, u, u) == pytest.approx(h, rel=1e-12)
+        assert pair_cdf(cop, u, u) == pytest.approx(cdf, abs=1e-15)
+        mirror = PairCopula("joe", 180, theta)
+        w = 1.0 - u
+        assert pair_log_density(mirror, w, w) == pytest.approx(log_c, rel=1e-13)
+        assert pair_h(mirror, w, w) == pytest.approx(1.0 - h, rel=1e-12)
+        assert pair_cdf(mirror, w, w) == pytest.approx(2.0 * w - 1.0 + cdf, abs=1e-15)
 
 
 class TestH:
@@ -246,6 +277,42 @@ class TestHInverse:
             inverse(cop, np.nan, 0.5)
         with pytest.raises(ArgumentError):
             inverse(cop, np.array([0.3, np.nan]), np.array([0.5, 0.5]))
+
+
+# the edge sweep's points: next to both boundaries, down to the
+# DENSITY_CLAMP edge, and the centre
+EDGE_GRID = np.array([1e-10, 1e-7, 1e-4, 0.5, 1.0 - 1e-4, 1.0 - 1e-7, 1.0 - 1e-10])
+
+
+def assert_inverse_contract(h, cop, p, cond, x):
+    """The contract of `pair_h_inverse`: x in the clamp range and within
+    1e-11 of a solution, to 1e-13 in p, or at the clamp bound beyond
+    which the solution lies."""
+    lo, hi = DENSITY_CLAMP, 1.0 - DENSITY_CLAMP
+    assert np.all((x >= lo) & (x <= hi))
+    near = (h(cop, x - 1e-11, cond) - 1e-13 <= p) & (p <= h(cop, x + 1e-11, cond) + 1e-13)
+    ok = np.where(p < h(cop, lo, cond), x <= lo + 1e-11,
+                  np.where(p > h(cop, hi, cond), x >= hi - 1e-11, near))
+    assert ok.all(), list(zip(p[~ok], cond[~ok], x[~ok]))
+
+
+class TestEdgeSweep:
+    """Every family at every `FIT_ROTATIONS` rotation, at both ends, the
+    midpoint and one interior point of each of its `_theta_ranges` (Frank:
+    of each half), on every pair of `EDGE_GRID` points."""
+
+    @pytest.mark.parametrize("family,rotation", [
+        (family, rotation) for family in THETA_RANGE for rotation in FIT_ROTATIONS[family]])
+    def test_edges(self, family, rotation):
+        uu, vv = (a.ravel() for a in np.meshgrid(EDGE_GRID, EDGE_GRID))
+        for lo, hi in _theta_ranges(family):
+            for theta in (lo, hi, 0.5 * (lo + hi), lo + 0.05 * (hi - lo)):
+                cop = PairCopula(family, rotation, theta)
+                assert np.isfinite(pair_log_density(cop, uu, vv)).all(), theta
+                for h, inverse in ((pair_h, pair_h_inverse), (pair_h2, pair_h2_inverse)):
+                    hv = h(cop, uu, vv)
+                    assert np.all((hv >= 0.0) & (hv <= 1.0)), theta
+                    assert_inverse_contract(h, cop, uu, vv, inverse(cop, uu, vv))
 
 
 class TestKendallTau:
@@ -562,11 +629,10 @@ class TestGridIntegral:
 # golden outputs: the exact bytes of every rotation-aware operation
 # ---------------------------------------------------------------------------
 
-# 41 even steps plus points next to the boundary; the two 5e-6 Frank values
-# take the independence-limit series branch
+# 41 even steps plus points next to the boundary
 GOLDEN_GRID = np.unique(np.r_[np.linspace(0.0, 1.0, 41),
                               1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12])
-GOLDEN_THETAS = {"independence": (None,), "frank": (4.0, -3.5, 5e-6, -5e-6),
+GOLDEN_THETAS = {"independence": (None,), "frank": (4.0, -3.5),
                  "clayton": (2.0, 25.0), "gumbel": (2.5, 15.0),
                  "joe": (1.8, 12.0)}
 
@@ -615,22 +681,6 @@ GOLDEN_DIGESTS = {
         'bed40f4632d1ea9f', '2eaf30461266efbd', '2eaf30461266efbd'),
     ('frank', -3.5, 270): ('7c9052ebfb2b2fa8', '90454b1056df2c77', 'a28b1bee5b21fda7',
         '6d88135d03b0c797', '59016b416fa76c46', '84a7e1bfe5e5e5c4'),
-    ('frank', 5e-06, 0): ('aece51a54c8bb91c', '050b6bcd4f225de8', 'fd5e91404c0841f8',
-        'fd5e91404c0841f8', '9126e954342a69b6', '9126e954342a69b6'),
-    ('frank', 5e-06, 90): ('e45bd39cc3fc196c', 'ee7a4bf5e35528d5', '7ec3559b57973604',
-        '6388d7eaa4fbe7c0', '70357e5cd3e0f9fb', '22a7baf4dbc6bd0f'),
-    ('frank', 5e-06, 180): ('815a51181e44439c', '0b49b3d2a57222c9', '3c6a897e3d958513',
-        '3c6a897e3d958513', '51e8ef8e9b9ae5e2', '51e8ef8e9b9ae5e2'),
-    ('frank', 5e-06, 270): ('6bf917b83ff50492', 'c5c93dfc5221c490', '6388d7eaa4fbe7c0',
-        '7ec3559b57973604', '22a7baf4dbc6bd0f', '70357e5cd3e0f9fb'),
-    ('frank', -5e-06, 0): ('964f43a599906698', '8210b6e75b5da7cd', '6388d7eaa4fbe7c0',
-        '6388d7eaa4fbe7c0', '22a7baf4dbc6bd0f', '22a7baf4dbc6bd0f'),
-    ('frank', -5e-06, 90): ('1bdea0a89d57d6e3', 'a64f4bf510a17546', '3c6a897e3d958513',
-        'fd5e91404c0841f8', '51e8ef8e9b9ae5e2', '9126e954342a69b6'),
-    ('frank', -5e-06, 180): ('26d3fac2b222634f', 'c474fc2c846971ca', '7ec3559b57973604',
-        '7ec3559b57973604', '70357e5cd3e0f9fb', '70357e5cd3e0f9fb'),
-    ('frank', -5e-06, 270): ('a286e8691c8b69ad', 'b934a8322b2e1a7e', 'fd5e91404c0841f8',
-        '3c6a897e3d958513', '9126e954342a69b6', '51e8ef8e9b9ae5e2'),
     ('clayton', 2.0, 0): ('11d7d260aa7d1292', 'b1c5b752a6ac8101', 'c75be455ae8bcc95',
         'c75be455ae8bcc95', 'cdbdbe2511607231', 'cdbdbe2511607231'),
     ('clayton', 2.0, 90): ('eb5f1075dcf39f3d', 'f0859b2da061831e', '26b8e522d658085a',
@@ -697,10 +747,10 @@ class TestGoldenBytes:
 # template refits, generated before the pair fits shared one theta search and
 # regenerated when bounded Brent replaced golden section as its refinement:
 # name -> (template, generating copula, fitted (family, rotation, repr(theta))).
-# The Clayton template's theta 60 lies above its search range and seeds the
-# search clipped to 50; the Frank template's sign picks the negative half.
+# The Clayton template sits at the top of its search range, 50; the Frank
+# template's sign picks the negative half.
 GOLDEN_REFITS = {
-    "clayton_60": (PairCopula("clayton", 0, 60.0), PairCopula("clayton", 0, 8.0),
+    "clayton_50": (PairCopula("clayton", 0, 50.0), PairCopula("clayton", 0, 8.0),
                    ("clayton", 0, "7.868707571174305")),
     "frank_negative": (PairCopula("frank", 90, -3.0), PairCopula("frank", 90, -4.0),
                        ("frank", 90, "-3.826367386035609")),
