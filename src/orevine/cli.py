@@ -8,8 +8,8 @@ weights (labels -> training weight-map volume).
 
 Every run writes a `<output>.manifest.json` with the resolved
 configuration, its hash, the seed, and library versions.  Exit codes:
-0 success, 2 argument/config error, 3 data/parse error, 4 numerical
-fitting failure.
+0 success, 2 argument/config error (a path that cannot be opened
+included), 3 data/parse error, 4 numerical fitting failure.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     except FittingError as exc:
         print(f"fitting error: {exc}", file=sys.stderr)
         return EXIT_FITTING
-    except (ArgumentError, FileNotFoundError) as exc:
+    except (ArgumentError, OSError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
     except OrevineError as exc:

@@ -104,11 +104,14 @@ def count_parameters(model) -> tuple[int, dict]:
 
 
 def prediction_errors(predictions, truth) -> tuple[float, float]:
-    """(MAE, MSE) between predicted and observed composition values."""
+    """(MAE, MSE) between predicted and observed composition values; both
+    NaN when there are none (every LOO fold of a subset excluded)."""
     p = np.asarray(predictions, dtype=float).ravel()
     t = np.asarray(truth, dtype=float).ravel()
-    if p.shape != t.shape or p.size == 0:
-        raise ArgumentError("predictions and truth must be equal-length, non-empty")
+    if p.shape != t.shape:
+        raise ArgumentError("predictions and truth must be equal-length")
+    if p.size == 0:
+        return float("nan"), float("nan")
     err = p - t
     return float(np.mean(np.abs(err))), float(np.mean(err ** 2))
 
@@ -234,7 +237,8 @@ def loo_cv(model: CompositeModel, dataset: Dataset, fast: bool = False,
     or its prediction raises `FittingError`, or when its prediction has no
     support.  A `FittingError` of a reused class fit excludes every fold
     that reuses it; a `FittingError` of the fold's own class excludes that
-    fold only.  Any other exception propagates, and no worker process
+    fold only.  A subset whose folds are all excluded scores NaN MAE/MSE.
+    Any other exception propagates, and no worker process
     outlives the call.  At most one worker per row runs, and results do not
     depend on `parallelism`.
     """
@@ -270,10 +274,7 @@ def loo_cv(model: CompositeModel, dataset: Dataset, fast: bool = False,
 
     mae_all, mse_all = prediction_errors(predictions[valid], truths[valid])
     c_valid = valid & composite_mask
-    if c_valid.any():
-        mae_c, mse_c = prediction_errors(predictions[c_valid], truths[c_valid])
-    else:
-        mae_c = mse_c = float("nan")
+    mae_c, mse_c = prediction_errors(predictions[c_valid], truths[c_valid])
 
     report_all, report_c = fit_scores(model, dataset)
     report_all = replace(report_all, mae=mae_all, mse=mse_all,

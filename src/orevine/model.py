@@ -60,6 +60,12 @@ GAMMA_COLUMNS = ("med", "iqr", "vol")
 EngineModel = RVineModel | ArchimedeanModel
 
 
+def check_epsilon(epsilon: float) -> None:
+    """The one rule for the composition band width: 0 < epsilon < 0.5."""
+    if not (0.0 < epsilon < 0.5):
+        raise ArgumentError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
+
+
 def composition_bands(rat, epsilon: float):
     """(valuable, non_valuable, composite) masks of compositions `rat`:
     rat >= 1 - eps, rat <= eps and the open band between; a NaN is in no
@@ -112,8 +118,7 @@ class CompositeModel:
     settings: FitSettings = FitSettings()
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 0.5):
-            raise ArgumentError("epsilon must lie in (0, 0.5)")
+        check_epsilon(self.epsilon)
         if len({type(m) for m in (self.f_v, self.f_nv, self.f_c)}) != 1:
             raise ArgumentError("class densities come from different engines")
         if self.f_v.d != self.f_nv.d or self.f_c.d != self.f_v.d + 1:
@@ -173,6 +178,7 @@ class Prediction:
 
 def partition_dataset(dataset: Dataset, epsilon: float = DEFAULT_EPSILON):
     """Split by composition: (D_v, D_nv, D_c); the pure classes drop rat."""
+    check_epsilon(epsilon)
     if not dataset.has_rat:
         raise ArgumentError("partitioning requires the rat column")
     rat = dataset.column("rat")

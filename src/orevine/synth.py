@@ -161,7 +161,12 @@ def _primitive_mask(prim: Primitive, dims) -> np.ndarray:
 
 
 def generate_scene(spec: SceneSpec):
-    """Render the scene: (grayscale volume, ground-truth labels, phase slices)."""
+    """Render the scene: (grayscale volume, ground-truth labels, phase slices).
+
+    One slice per distinct phase plane, in spec order.  A voxel on several
+    planes is phased on the first and left 0 on the others, which is what
+    registration's first-slice rule reads back.
+    """
     rng = np.random.default_rng(spec.seed)
     labels = np.zeros(spec.dims, dtype=np.uint32)
     for pid, prim in enumerate(spec.particles, start=1):
@@ -181,39 +186,26 @@ def generate_scene(spec: SceneSpec):
     label_volume = LabelVolume(labels, spec.spacing)
     volume = VoxelVolume(values, spec.spacing)
 
-    # phase assignment: pool each particle's slice voxels, planar cut along x
-    plane_grids = {}
+    # phase assignment: a planar cut along x through each particle's plane
+    # voxels; a voxel on several planes is phased on the first of them only
+    planes = {}
+    unclaimed = np.zeros(spec.dims, dtype=bool)
     for axis, index in spec.phase_planes:
         if not (0 <= axis <= 2) or not (0 <= index < spec.dims[axis]):
             raise ArgumentError(f"phase plane ({axis}, {index}) outside volume")
-        shape = tuple(s for a, s in enumerate(spec.dims) if a != axis)
-        plane_grids[(axis, index)] = np.zeros(shape, dtype=np.int64)
-
+        planes[(axis, index)] = sel = (slice(None),) * axis + (index,)
+        unclaimed[sel] = True
+    on_plane = np.flatnonzero(unclaimed & (labels > 0))      # x, y, z order
+    pids = labels.flat[on_plane]
+    phases = np.zeros(spec.dims, dtype=np.int64)
     for pid, prim in enumerate(spec.particles, start=1):
-        pool = []
-        for (axis, index), grid in plane_grids.items():
-            sel = [slice(None)] * 3
-            sel[axis] = index
-            cross = labels[tuple(sel)] == pid
-            coords2 = np.argwhere(cross)
-            for c2 in coords2:
-                full = np.insert(c2, axis, index)
-                pool.append((tuple(full), (axis, index), tuple(c2)))
-        if not pool:
-            continue
-        pool.sort(key=lambda item: item[0])
-        seen = set()
-        unique_pool = []
-        for item in pool:
-            if item[0] not in seen:
-                seen.add(item[0])
-                unique_pool.append(item)
-        n_val = round(prim.vfvm * len(unique_pool))
-        for rank, (_, plane, c2) in enumerate(unique_pool):
-            plane_grids[plane][c2] = 1 if rank < n_val else 2
-
-    slices = [PhaseSlice.from_plane(axis, index, grid)
-              for (axis, index), grid in plane_grids.items()]
+        cut = on_plane[pids == pid]
+        phases.flat[cut] = 2
+        phases.flat[cut[:round(prim.vfvm * cut.size)]] = 1
+    slices = []
+    for (axis, index), sel in planes.items():
+        slices.append(PhaseSlice.from_plane(axis, index, phases[sel] * unclaimed[sel]))
+        unclaimed[sel] = False
     return volume, label_volume, slices
 
 

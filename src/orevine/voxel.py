@@ -104,21 +104,9 @@ class PhaseSlice:
             raise ArgumentError("plane grid must be 2-D")
         if axis not in (0, 1, 2):
             raise ArgumentError("axis must be 0, 1 or 2")
-        other = [a for a in range(3) if a != axis]
-        ii, jj = np.meshgrid(np.arange(grid.shape[0]), np.arange(grid.shape[1]),
-                             indexing="ij")
-        coords = np.zeros((grid.size, 3), dtype=np.int64)
-        coords[:, axis] = index
-        coords[:, other[0]] = ii.ravel()
-        coords[:, other[1]] = jj.ravel()
+        # every grid cell in row-major order, the plane index put at `axis`
+        coords = np.insert(np.argwhere(np.ones(grid.shape, dtype=bool)), axis, index, axis=1)
         return cls(coords, grid.ravel().astype(np.int64), plane=(axis, index))
-
-    def check_inside(self, dims) -> None:
-        if self.coords.size == 0:
-            return
-        if (self.coords.min() < 0
-                or np.any(self.coords.max(axis=0) >= np.asarray(dims))):
-            raise StructuralError("phase slice extends outside the volume")
 
 
 @dataclass(frozen=True)
@@ -177,8 +165,7 @@ def binarize_and_label(volume: VoxelVolume, threshold: float,
     keep = [k for k in range(1, n_raw + 1) if sizes[k] >= min_size]
     keep.sort(key=lambda k: (-sizes[k], first_index[k]))
     mapping = np.zeros(n_raw + 1, dtype=np.uint32)
-    for new_id, k in enumerate(keep, start=1):
-        mapping[k] = new_id
+    mapping[keep] = np.arange(1, len(keep) + 1)
     return LabelVolume(mapping[raw], volume.spacing)
 
 
@@ -227,8 +214,13 @@ def compute_weight_map(labels: LabelVolume, annotated_slices,
     Background weights follow floor + exp(-(d1^2 + d2^2)/decay) with the
     truncated in-slice distances to the closest and second-closest
     particle; foreground voxels all receive the constant c_f that balances
-    the foreground and background sums.
+    the foreground and background sums.  The decay must be finite and > 0,
+    d_hat > 0 (inf: no cutoff).
     """
+    if not (0.0 < decay < math.inf):
+        raise ArgumentError(f"decay must be finite and > 0, got {decay!r}")
+    if not d_hat > 0.0:
+        raise ArgumentError(f"d_hat must be > 0, got {d_hat!r}")
     slices = list(annotated_slices)
     if not slices:
         raise ArgumentError("need at least one annotated slice")
@@ -289,45 +281,29 @@ class PhaseRegistration:
     flagged: frozenset
 
     def mineral_ratio(self, label: int) -> float | None:
-        if label not in self.counts:
-            return None
-        _, n_v, n_nv = self.counts[label]
-        denom = n_v + n_nv
-        if denom == 0:
-            return None
-        return n_v / denom
+        _, n_v, n_nv = self.counts.get(label, (0, 0, 0))
+        return n_v / (n_v + n_nv) if n_v + n_nv else None
 
 
 def register_phase_slices(labels: LabelVolume, slices) -> PhaseRegistration:
-    """Intersect every particle with the union of slice voxels.
+    """Intersect every particle with the union of slice voxels, in one pass.
 
-    Voxels appearing in several slices are counted once (first slice
-    wins); a slice reaching outside the volume is a structural error.
+    A voxel outside the volume is a structural error.  Each voxel counts
+    once, with the phase of the first slice holding it, in one (K+1) x 3
+    table indexed by label and phase.
     """
-    dims = labels.dims
-    seen: dict[int, int] = {}
-    for sl in slices:
-        sl.check_inside(dims)
-        if sl.coords.size == 0:
-            continue
-        linear = np.ravel_multi_index(sl.coords.T, dims)
-        for idx, ph in zip(linear.tolist(), sl.phases.tolist()):
-            if idx not in seen:
-                seen[idx] = ph
-
-    counts: dict[int, tuple[int, int, int]] = {}
-    if seen:
-        lin = np.fromiter(seen.keys(), dtype=np.int64, count=len(seen))
-        phs = np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
-        labs = labels.labels.ravel()[lin]
-        for lab, ph in zip(labs.tolist(), phs.tolist()):
-            if lab == 0:
-                continue
-            c = counts.setdefault(lab, [0, 0, 0])
-            c[ph] += 1
-    counts = {k: tuple(v) for k, v in counts.items()}
-    flagged = frozenset(k for k in range(1, labels.n_particles + 1)
-                        if k not in counts)
+    slices = [sl for sl in slices if sl.coords.size]
+    coords = np.vstack([np.empty((0, 3), np.int64), *(sl.coords for sl in slices)])
+    phases = np.concatenate([np.empty(0, np.int64), *(sl.phases for sl in slices)])
+    if coords.size and (coords.min() < 0
+                        or np.any(coords.max(axis=0) >= np.asarray(labels.dims))):
+        raise StructuralError("phase slice extends outside the volume")
+    linear = np.ravel_multi_index(coords.T, labels.dims)
+    _, first = np.unique(linear, return_index=True)
+    table = np.zeros((labels.n_particles + 1, 3), dtype=np.int64)
+    np.add.at(table, (labels.labels.ravel()[linear[first]], phases[first]), 1)
+    counts = {k: tuple(row) for k, row in enumerate(table.tolist()) if k and any(row)}
+    flagged = frozenset(range(1, labels.n_particles + 1)).difference(counts)
     return PhaseRegistration(counts=counts, flagged=flagged)
 
 
@@ -384,8 +360,11 @@ def _read_grid(path: Path):
     try:
         dims = tuple(header["dims"])
         dtype = header["dtype"]
-        spacing = float(header.get("spacing", 1.0))
-    except (KeyError, TypeError, ValueError) as exc:
+        spacing = header.get("spacing", 1.0)
+        if type(spacing) not in (int, float):      # not a boolean or a string
+            raise TypeError(f"spacing must be a number, got {spacing!r}")
+        spacing = float(spacing)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{source}: malformed volume header: {exc}") from exc
     if len(dims) != 3 or not all(type(d) is int and d >= 0 for d in dims):
         raise ParseError(f"{source}: dims must be three non-negative integers, "

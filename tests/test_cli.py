@@ -433,14 +433,17 @@ class TestCliFitPredict:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("option, value", [("--em-tol", "nan"), ("--em-tol", "-1"),
-                                               ("--min-rows", "-5")])
+                                               ("--min-rows", "-5"), ("--epsilon", "0.7"),
+                                               ("--epsilon", "0.5"), ("--epsilon", "nan")])
     def test_bad_fit_setting_is_argument_error(self, tmp_path, small_dataset,
                                                capsys, option, value):
         data_path, _ = small_dataset
         rc = main(["fit", "--data", str(data_path), option, value,
                    "--out", str(tmp_path / "m.json")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("argument error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("argument error: ")
+        assert f"{option[2:].replace('-', '_')} must" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_exit_code(self, tmp_path):
@@ -448,6 +451,19 @@ class TestCliFitPredict:
                    "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_directory_path_is_argument_error(self, tmp_path, small_dataset,
+                                              fitted_model_path, capsys, command):
+        data_path, _ = small_dataset
+        if command == "fit":      # a directory where the data file should be
+            argv = ["fit", "--data", str(tmp_path), "--out", str(tmp_path / "m.json")]
+        else:                     # a directory where the output file should be
+            argv = ["predict", "--model", str(fitted_model_path),
+                    "--data", str(data_path), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("argument error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliSynthWeights:
@@ -482,6 +498,37 @@ class TestCliSynthWeights:
         from orevine.voxel import read_volume
         wm = read_volume(wout)
         assert wm.values[:, :, 11].sum() == 0.0  # only z=12 annotated
+
+    @pytest.mark.parametrize("option, value", [("--decay", "0"), ("--decay", "-1"),
+                                               ("--decay", "inf"), ("--d-hat", "-1"),
+                                               ("--d-hat", "nan"), ("--d-hat", "0")])
+    def test_bad_weight_parameter_is_argument_error(self, tmp_path, capsys, option, value):
+        prefix = str(tmp_path / "scene_out")
+        assert main(["synth", "--spec", str(self.scene_file(tmp_path)),
+                     "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        wout = tmp_path / "weights.raw"
+        rc = main(["weights", "--labels", prefix + "_labels.raw", "--slices", "12",
+                   option, value, "--out", str(wout)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("argument error: ")
+        assert f"{option[2:].replace('-', '_')} must" in err
+        assert not wout.exists()
+
+    def test_infinite_d_hat_means_no_cutoff(self, tmp_path):
+        from orevine.voxel import read_volume
+        prefix = str(tmp_path / "scene_out")
+        assert main(["synth", "--spec", str(self.scene_file(tmp_path)),
+                     "--out-prefix", prefix]) == 0
+        above_floor = []
+        for d_hat in ("5", "inf"):
+            wout = tmp_path / f"weights_{d_hat}.raw"
+            assert main(["weights", "--labels", prefix + "_labels.raw", "--slices", "12",
+                         "--d-hat", d_hat, "--out", str(wout)]) == 0
+            above_floor.append(int((read_volume(wout).values[:, :, 12] > 0.04).sum()))
+        # past d_hat a voxel keeps only the floor; with no cutoff it keeps more
+        assert above_floor[1] > above_floor[0]
 
     @pytest.mark.parametrize("fault", [
         lambda doc: {**doc, "particles": [{**doc["particles"][0], "center": [10, 10]}]},
@@ -554,12 +601,36 @@ def short_dims(d):
     return sidecar
 
 
-def nan_spacing(d):
+def sidecar_spacing(d, value):
     sidecar = d / "vol.raw.json"
     doc = json.loads(sidecar.read_text())
-    doc["spacing"] = float("nan")
+    doc["spacing"] = value
     sidecar.write_text(json.dumps(doc))
     return sidecar
+
+
+def nan_spacing(d):
+    return sidecar_spacing(d, float("nan"))
+
+
+def string_spacing(d):
+    return sidecar_spacing(d, "2.5")        # would read as 2.5
+
+
+def huge_integer_spacing(d):
+    return sidecar_spacing(d, 10 ** 400)    # a JSON integer no float can hold
+
+
+def boolean_spacing(d):
+    raw = d / "vol.raw"          # a container header this time
+    write_volume(raw, VoxelVolume(np.ones((6, 6, 6))), container=True)
+    data = raw.read_bytes()
+    hlen = int.from_bytes(data[4:12], "little")
+    header = json.loads(data[12:12 + hlen])
+    header["spacing"] = True     # would read as 1.0
+    text = json.dumps(header).encode()
+    raw.write_bytes(data[:4] + len(text).to_bytes(8, "little") + text + data[12 + hlen:])
+    return raw
 
 
 def sidecar_not_json(d):
@@ -628,6 +699,7 @@ def negative_label(d):
 
 class TestCliDescriptors:
     @pytest.mark.parametrize("fault", [truncate_raw, short_dims, nan_spacing,
+                                       string_spacing, boolean_spacing, huge_integer_spacing,
                                        sidecar_not_json, container_header_not_json,
                                        nan_voxel, label_gap, float_label,
                                        negative_label, phase_root_not_object,

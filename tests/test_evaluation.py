@@ -1,5 +1,5 @@
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -132,6 +132,9 @@ class TestPredictionErrors:
         with pytest.raises(ArgumentError):
             prediction_errors([0.1], [0.1, 0.2])
 
+    def test_no_values_is_nan(self):
+        assert np.isnan(prediction_errors([], [])).all()
+
 
 def make_labeled_dataset(n=12, seed=0):
     rng = np.random.default_rng(seed)
@@ -249,6 +252,17 @@ class TestLooCv:
         result = loo_cv(_independence_composite(ds), ds)
         assert result.excluded_folds == 1
         assert np.isnan(result.predictions[3])
+
+    def test_every_fold_excluded_scores_nan(self, monkeypatch):
+        # classes of exactly min_rows: each fold's class falls one row short
+        ds = make_labeled_dataset(9)
+        scored = replace(_independence_composite(ds), settings=FitSettings(min_rows=3))
+        stub_loo(monkeypatch)
+        result = loo_cv(scored, ds)
+        assert result.excluded_folds == 9
+        assert result.report_composite.excluded_folds == 3
+        for report in (result.report_all, result.report_composite):
+            assert np.isnan(report.mae) and np.isnan(report.mse)
 
     def test_errors_csv(self, tmp_path, monkeypatch):
         ds = make_labeled_dataset(9)

@@ -23,7 +23,42 @@ def ball_spec(vfvm=0.75, seed=3):
         seed=seed)
 
 
+def reference_phase_grids(spec, labels):
+    """The phase cut voxel by voxel: pool each particle's plane voxels by
+    full coordinate (the first plane keeps a shared voxel), sort them by x,
+    y, z and mark the leading round(vfvm * count) valuable."""
+    grids = {}
+    for axis, index in spec.phase_planes:
+        grids[(axis, index)] = np.zeros(np.delete(spec.dims, axis), dtype=np.int64)
+    for pid, prim in enumerate(spec.particles, start=1):
+        pool = {}
+        for (axis, index), grid in grids.items():
+            for c2 in np.argwhere(np.take(labels, index, axis=axis) == pid):
+                pool.setdefault(tuple(np.insert(c2, axis, index)), (grid, tuple(c2)))
+        n_val = round(prim.vfvm * len(pool))
+        for rank, key in enumerate(sorted(pool)):
+            grid, c2 = pool[key]
+            grid[c2] = 1 if rank < n_val else 2
+    return grids
+
+
 class TestGenerateScene:
+    def test_phase_cut_matches_voxel_loop(self):
+        # crossing planes, one listed twice, and particles they share voxels of
+        spec = SceneSpec(
+            dims=(30, 26, 22),
+            particles=(Primitive("ball", center=(9, 9, 10), radius=6, vfvm=0.4),
+                       Primitive("box", center=(21, 16, 11), size=(7, 9, 5),
+                                 angles=(20, 30, 40), vfvm=0.7),
+                       Primitive("ball", center=(8, 20, 16), radius=3, vfvm=0.5)),
+            phase_planes=((2, 10), (0, 9), (1, 16), (0, 21), (2, 10)),
+            seed=4)
+        _, labels, slices = generate_scene(spec)
+        grids = reference_phase_grids(spec, labels.labels)
+        assert [sl.plane for sl in slices] == list(grids)
+        for sl, grid in zip(slices, grids.values()):
+            assert np.array_equal(sl.phases, grid.ravel())
+
     def test_ball_vfvm_by_construction(self):
         spec = ball_spec(vfvm=0.75)
         volume, labels, slices = generate_scene(spec)

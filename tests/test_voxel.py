@@ -223,10 +223,40 @@ class TestPhaseRegistration:
         grid = np.zeros((6, 6), dtype=int)
         grid[0:2, 0:2] = 1
         a = PhaseSlice.from_plane(2, 2, grid)
-        b = PhaseSlice.from_plane(2, 2, grid)  # duplicate slice
-        reg = register_phase_slices(lab, [a, b])
-        # brute-force union oracle: 4 distinct voxels
-        assert reg.counts[1] == (0, 4, 0)
+        # the same plane again, non-valuable on two of the shared voxels,
+        # plus one voxel of particle 1 that only this slice holds
+        b = PhaseSlice(np.array([[0, 0, 2], [1, 1, 2], [0, 0, 3]]), np.array([2, 2, 2]))
+        # brute-force union oracle: 4 distinct voxels from a, the first slice
+        # holding them, and one more from b
+        assert register_phase_slices(lab, [a, b]).counts[1] == (0, 4, 1)
+        assert register_phase_slices(lab, [b, a]).counts[1] == (0, 2, 3)
+
+    def test_matches_voxel_loop(self):
+        rng = np.random.default_rng(7)
+        labels = np.zeros((7, 6, 5), dtype=np.uint32)
+        labels[0:3, 0:3, :] = 1
+        labels[4:7, 2:6, 1:4] = 2
+        labels[0:2, 4:6, 4] = 3
+        lab = LabelVolume(labels)
+        slices = [PhaseSlice.from_plane(2, 2, rng.integers(0, 3, (7, 6))),
+                  PhaseSlice.from_plane(0, 1, rng.integers(0, 3, (6, 5))),
+                  PhaseSlice(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))]
+        for m in (40, 60):
+            coords = np.column_stack([rng.integers(0, d, m) for d in lab.dims])
+            slices.append(PhaseSlice(coords, rng.integers(0, 3, m)))
+        for order in (slices, slices[::-1]):
+            # reference: first phase per voxel in slice order, then a count per label
+            phase_of = {}
+            for sl in order:
+                for c, ph in zip(map(tuple, sl.coords.tolist()), sl.phases.tolist()):
+                    phase_of.setdefault(c, ph)
+            counts = {}
+            for c, ph in phase_of.items():
+                if labels[c]:
+                    counts.setdefault(int(labels[c]), [0, 0, 0])[ph] += 1
+            reg = register_phase_slices(lab, order)
+            assert reg.counts == {k: tuple(v) for k, v in counts.items()}
+            assert reg.flagged == frozenset({1, 2, 3} - set(counts))
 
     def test_slice_outside_volume(self):
         lab = self.build_labels()
