@@ -122,6 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(*paths) -> None:
+    """Reject, before any work, an output path whose directory is missing
+    or that is itself a directory; None stands for an output not asked for."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise ArgumentError(f"output path {path} is a directory")
+        if not path.parent.is_dir():
+            raise ArgumentError(f"output directory {path.parent} does not exist")
+
+
 def _manifest_for(args: argparse.Namespace, anchor: str) -> None:
     config = {k: v for k, v in vars(args).items() if k != "command"}
     write_manifest(str(anchor) + ".manifest.json", args.command, config,
@@ -162,6 +172,9 @@ def _run_descriptors(args) -> int:
 
 
 def _run_fit(args) -> int:
+    report = args.report_prefix
+    _check_outputs(args.out, args.out + ".manifest.json",
+                   report and report + ".txt", report and report + ".json")
     ds = Dataset.from_csv(args.data)
     _check_cells(ds, args.data, rat=True)
     model = fit_composite(ds, engine=args.engine, epsilon=args.epsilon,
@@ -170,15 +183,16 @@ def _run_fit(args) -> int:
     save_model(args.out, model)
     scores = fit_scores(model, ds)
     text = render_report(scores)
-    if args.report_prefix:
-        Path(args.report_prefix + ".txt").write_text(text)
-        Path(args.report_prefix + ".json").write_text(scores_to_json(scores))
+    if report:
+        Path(report + ".txt").write_text(text)
+        Path(report + ".json").write_text(scores_to_json(scores))
     _manifest_for(args, args.out)
     print(text)
     return EXIT_OK
 
 
 def _run_predict(args) -> int:
+    _check_outputs(args.out, args.out + ".manifest.json")
     model = load_model(args.model)
     ds = Dataset.from_csv(args.data)
     _check_cells(ds, args.data, rat=False)
@@ -194,6 +208,9 @@ def _run_predict(args) -> int:
 
 
 def _run_evaluate(args) -> int:
+    prefix = args.out_prefix
+    _check_outputs(*(prefix + suffix for suffix in
+                     (".txt", ".json", "_errors.csv", ".manifest.json")))
     model = load_model(args.model)
     ds = Dataset.from_csv(args.data)
     _check_cells(ds, args.data, rat=True)
@@ -201,7 +218,6 @@ def _run_evaluate(args) -> int:
                     parallelism=args.parallelism)
     scores = [result.report_all, result.report_composite]
     text = render_report(scores)
-    prefix = args.out_prefix
     Path(prefix + ".txt").write_text(text)
     Path(prefix + ".json").write_text(scores_to_json(scores))
     result.write_errors_csv(prefix + "_errors.csv")
@@ -213,6 +229,7 @@ def _run_evaluate(args) -> int:
 def _run_sample(args) -> int:
     if args.n < 0:
         raise ArgumentError("sample size must be >= 0")
+    _check_outputs(args.out, args.out + ".manifest.json")
     rows = load_model(args.model).sample(args.n, seed=args.seed)
     ds = Dataset(np.arange(1, args.n + 1, dtype=np.int64), rows, COLUMNS)
     ds.to_csv(args.out)

@@ -36,6 +36,7 @@ definition (ties contribute zero through sgn(0) = 0).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,7 @@ THETA_RANGE = {
 FRANK_MIN_ABS = 1e-4   # Frank's search halves stop this far from zero
 DENSITY_CLAMP = 1e-10   # boundary inputs pulled to this interior margin
 THETA_XTOL = 1e-6       # absolute tolerance of the bounded-Brent theta refinement
+WARM_BRACKET = 0.5      # a refit brackets theta0 +- this times max(|theta0|, 1)
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,8 @@ class PairCopula:
 
 
 def _clamp(u, eps: float = DENSITY_CLAMP):
-    return np.clip(np.asarray(u, dtype=float), eps, 1.0 - eps)
+    # the ndarray method is np.clip's ufunc without its dispatch wrapper
+    return np.asarray(u, dtype=float).clip(eps, 1.0 - eps)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +262,8 @@ def _base_h_inverse(family: str, theta: float, p, v):
         av = np.exp(-theta * v)
         a1 = np.exp(-theta)
         au = (av - p * (av - a1)) / (p * (1.0 - av) + av)
-        au = np.clip(au, 1e-300, None)
-        return np.clip(-np.log(au) / theta, 0.0, 1.0)
+        au = au.clip(1e-300, None)
+        return (-np.log(au) / theta).clip(0.0, 1.0)
     # gumbel, joe: monotone bisection
     p, v = np.broadcast_arrays(p, v)
     return _bisect_increasing(lambda u: _base_h(family, theta, u, v), p,
@@ -295,8 +298,8 @@ def _base_args(rotation: int, u, v):
 
 def pair_cdf(cop: PairCopula, u, v):
     """C(u, v) with grounded margins; accepts scalars or arrays in [0, 1]."""
-    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-    v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
+    u = np.asarray(u, dtype=float).clip(0.0, 1.0)
+    v = np.asarray(v, dtype=float).clip(0.0, 1.0)
     reflect_u, reflect_v, _ = ROTATION_TABLE[cop.rotation]
     if cop.family == "independence" and not (reflect_u or reflect_v):
         out = u * v      # unclamped, so exact next to the boundary
@@ -311,7 +314,7 @@ def pair_cdf(cop: PairCopula, u, v):
             out = u - c
         else:
             out = c
-    out = np.clip(out, 0.0, 1.0)
+    out = out.clip(0.0, 1.0)
     # exact margins on the boundary
     out = np.where(u == 0.0, 0.0, out)
     out = np.where(v == 0.0, 0.0, out)
@@ -335,14 +338,14 @@ def pair_density(cop: PairCopula, u, v):
 
 def _h(cop: PairCopula, reflect_u: bool, reflect_v: bool, u, cond):
     """h(u | cond) of the base family reflected as the two flags say."""
-    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    u = np.asarray(u, dtype=float).clip(0.0, 1.0)
     uc = _clamp(u)
     vc = _clamp(cond)
     out = _base_h(cop.family, cop.theta, 1.0 - uc if reflect_u else uc,
                   1.0 - vc if reflect_v else vc)
     if reflect_u:
         out = 1.0 - out
-    out = np.clip(out, 0.0, 1.0)
+    out = out.clip(0.0, 1.0)
     out = np.where(u == 0.0, 0.0, out)
     out = np.where(u == 1.0, 1.0, out)
     return out if out.ndim else float(out)
@@ -359,7 +362,7 @@ def _h_inverse(cop: PairCopula, reflect_u: bool, reflect_v: bool, p, cond):
                           1.0 - vc if reflect_v else vc)
     if reflect_u:
         out = 1.0 - out
-    out = np.clip(out, DENSITY_CLAMP, 1.0 - DENSITY_CLAMP)
+    out = _clamp(out)
     return out if out.ndim else float(out)
 
 
@@ -548,7 +551,8 @@ def _search_theta(loglik, ranges, seeds=()):
     """The ML theta over the ranges: (loglik, theta), or None when every
     range fails.
 
-    The one search of `fit_pair`, `refit_theta` and `vine.fit_archimedean`:
+    The cold search of `fit_pair` and `vine.fit_archimedean`, and the
+    fallback of `refit_theta` where its warm bracket holds no maximum:
     each range by `_maximize_theta`, with the seeds that lie in it.  A range
     whose search raises or ends non-finite is skipped; a later range wins
     only with a strictly larger log-likelihood.
@@ -591,13 +595,42 @@ def fit_pair(u, v, candidates=DEFAULT_CANDIDATES) -> PairCopula:
     return _fit_pair_with_tau(u, v, kendall_tau(u, v), candidates)
 
 
+def _warm_theta(loglik, theta0: float, lo: float, hi: float):
+    """The ML theta near theta0: (loglik, theta), or None when the warm
+    bracket does not hold a maximum.
+
+    The bracket is a = max(lo, theta0 - h) < theta0 < b = min(hi, theta0 + h),
+    h = `WARM_BRACKET` max(|theta0|, 1).  When loglik at theta0 is finite
+    and strictly above its value at both ends, Brent's method (parabolic
+    steps, golden-section safeguard) refines from that triple to an
+    absolute tolerance of at most `THETA_XTOL`.  Brent moves only to a
+    point that scores at least as high, so, as in `_maximize_theta`, the
+    best evaluated point wins.  `loglik` should be memoised: Brent scores
+    the triple again.
+    """
+    h = WARM_BRACKET * max(abs(theta0), 1.0)
+    a, b = max(lo, theta0 - h), min(hi, theta0 + h)
+    if not a < theta0 < b:
+        return None
+    f0 = loglik(theta0)
+    if not (np.isfinite(f0) and f0 > loglik(a) and f0 > loglik(b)):
+        return None
+    # Brent's tolerance is relative to |theta|, which stays below max(|a|, |b|)
+    res = minimize_scalar(lambda t: -loglik(t), bracket=(a, theta0, b), method="brent",
+                          options={"xtol": THETA_XTOL / max(abs(a), abs(b))})
+    return -res.fun, float(res.x)
+
+
 def refit_theta(cop: PairCopula, u, v) -> PairCopula:
     """Re-estimate theta keeping family and rotation fixed (fast refits).
 
-    The shared search of `fit_pair` runs on the family's range, for Frank
-    only the half of the template's sign, seeded with the template theta,
-    which lies in that range.  Raises ArgumentError for samples of unequal
-    length and FittingError when the search fails.
+    The optimum of a refit on nearly the template's data lies close to the
+    template theta, so `_warm_theta` first searches a bracket around it.
+    Where the bracket holds no maximum, the shared search of `fit_pair`
+    runs on the family's range, for Frank only the half of the template's
+    sign, seeded with the template theta, which lies in that range.
+    Raises ArgumentError for samples of unequal length and FittingError
+    when the search fails.
     """
     if cop.family == "independence":
         return cop
@@ -605,9 +638,11 @@ def refit_theta(cop: PairCopula, u, v) -> PairCopula:
     v = np.asarray(v, dtype=float).ravel()
     if u.shape != v.shape:
         raise ArgumentError("refit_theta requires equal-length samples")
-    ranges = _theta_ranges(cop.family, 1 if cop.theta > 0 else -1)
-    found = _search_theta(_pair_loglik(cop.family, cop.rotation, u, v), ranges,
-                          seeds=[float(cop.theta)])
+    ranges = _theta_ranges(cop.family, 1 if cop.theta > 0 else -1)   # one range
+    loglik = functools.cache(_pair_loglik(cop.family, cop.rotation, u, v))
+    theta0 = float(cop.theta)
+    found = (_warm_theta(loglik, theta0, *ranges[0])
+             or _search_theta(loglik, ranges, seeds=[theta0]))
     if found is None:
         raise FittingError(f"{cop.family} theta refit failed numerically")
     return PairCopula(cop.family, cop.rotation, found[1])

@@ -103,7 +103,7 @@ class BetaParams:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return special.betainc(self.p, self.q, np.clip(x, 0.0, 1.0))
+        return special.betainc(self.p, self.q, x.clip(0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ class MixtureModel:
         if self.truncation is None:
             return self._raw_cdf(x)
         lo, hi = self.truncation
-        scaled = (self._raw_cdf(np.clip(x, lo, hi)) - self._cdf_lo) / self._mass
-        return np.clip(scaled, 0.0, 1.0)
+        scaled = (self._raw_cdf(x.clip(lo, hi)) - self._cdf_lo) / self._mass
+        return scaled.clip(0.0, 1.0)
 
     def quantile(self, p):
         """Inverse CDF by bisection.

@@ -53,7 +53,7 @@ ARCHIMEDEAN_FAMILIES = ("frank", "clayton", "gumbel", "joe")
 
 
 def _cl(a):
-    return np.clip(a, COND_CLAMP, 1.0 - COND_CLAMP)
+    return np.asarray(a, dtype=float).clip(COND_CLAMP, 1.0 - COND_CLAMP)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +502,7 @@ def vine_copula_slice(model: RVineModel, head):
     free = [p for p in pairs if last in p[0].constraint]
 
     def log_g(u, rows):
-        cache = fixed.with_column(last, _cl(np.asarray(u, dtype=float)), rows)
+        cache = fixed.with_column(last, _cl(u), rows)
         return _add_terms(np.zeros(np.shape(u)), free, cache)
 
     return const, log_g

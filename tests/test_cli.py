@@ -793,6 +793,51 @@ class TestCliEvaluate:
         assert evaluated == fitted
 
 
+class TestOutputPaths:
+    """An output that cannot be written exits 2 before any work runs."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran before the output check")
+
+        for name in ("fit_composite", "load_model", "loo_cv"):
+            monkeypatch.setattr(f"orevine.cli.{name}", fail)
+
+    def argv(self, command, data_path, model_path, out):
+        return {"fit": ["fit", "--data", str(data_path), "--out", out],
+                "fit_report": ["fit", "--data", str(data_path), "--out",
+                               str(Path(out).parent.parent / "m.json"),
+                               "--report-prefix", out],
+                "predict": ["predict", "--model", str(model_path),
+                            "--data", str(data_path), "--out", out],
+                "evaluate": ["evaluate", "--model", str(model_path), "--data",
+                             str(data_path), "--out-prefix", out, "--fast-loo"],
+                "sample": ["sample", "--model", str(model_path), "--n", "10",
+                           "--out", out]}[command]
+
+    @pytest.mark.parametrize("command", ["fit", "fit_report", "predict",
+                                         "evaluate", "sample"])
+    def test_missing_directory_exits_2(self, tmp_path, small_dataset, fitted_model_path,
+                                       capsys, no_work, command):
+        data_path, _ = small_dataset
+        out = str(tmp_path / "missing" / "out")
+        assert main(self.argv(command, data_path, fitted_model_path, out)) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "evaluate", "sample"])
+    def test_directory_output_exits_2(self, tmp_path, small_dataset, fitted_model_path,
+                                      capsys, no_work, command):
+        data_path, _ = small_dataset
+        out = tmp_path / "out"
+        target = out.with_suffix(".txt") if command == "evaluate" else out
+        target.mkdir()
+        assert main(self.argv(command, data_path, fitted_model_path, str(out))) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
 class TestDeterminism:
     def run_twice(self, cmd, out_dir):
         assert main(cmd) == 0

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import orevine.vine
+from orevine import copulas
 from orevine.copulas import (
     DENSITY_CLAMP,
     FIT_ROTATIONS,
@@ -28,14 +30,19 @@ from orevine.copulas import (
     refit_theta,
 )
 from orevine.copulas import (
+    _clamp,
     _fit_pair_with_tau,
     _pair_loglik,
     _search_theta,
     _tau_theta_start,
     _theta_ranges,
+    _warm_theta,
 )
+from orevine.descriptors import COLUMNS, Dataset
 from orevine.errors import ArgumentError
+from orevine.evaluation import loo_cv
 from orevine.model import fit_composite
+from orevine.vine import COND_CLAMP, _cl
 from orevine.synth import benchmark_truth, generate_composite_dataset
 
 # moderate parameters keep the 200x200 midpoint integral test meaningful;
@@ -766,6 +773,122 @@ class TestGoldenRefit:
         u, v = sample_pair(gen, 600, seed=seed)
         got = refit_theta(template, u, v)
         assert (got.family, got.rotation, repr(got.theta)) == want
+
+
+def loo_workload_rows(seed: int) -> Dataset:
+    """The rows of the `loo` benchmark workload at a run seed: the pinned
+    93-row draw (generator seed 6, 31 rows per class) permuted by the seed."""
+    ds = generate_composite_dataset(benchmark_truth(), 31, 31, 31, seed=6)
+    perm = np.random.default_rng((seed, 1)).permutation(len(ds))
+    return Dataset(np.arange(1, len(ds) + 1, dtype=np.int64), ds.matrix[perm], COLUMNS)
+
+
+@pytest.fixture(scope="class")
+def loo_refits():
+    """Every searching refit of a serial fast-LOO pass over the `loo` rows
+    at run seed 1, as (template, u, v, refitted copula), and the pass's
+    count of refit log-likelihood evaluations and full-search fallbacks."""
+    rows = loo_workload_rows(1)
+    scored = fit_composite(rows, engine="rvine")
+    counts = {"evaluations": 0, "fallbacks": 0}
+    refits = []
+
+    def counted_loglik(*args):
+        loglik = _pair_loglik(*args)
+
+        def counted(theta):
+            counts["evaluations"] += 1
+            return loglik(theta)
+        return counted
+
+    def counted_search(*args, **kwargs):
+        counts["fallbacks"] += 1
+        return _search_theta(*args, **kwargs)
+
+    def recorded_refit(cop, u, v):
+        new = refit_theta(cop, u, v)
+        if cop.family != "independence":
+            refits.append((cop, np.array(u), np.array(v), new))
+        return new
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(copulas, "_pair_loglik", counted_loglik)
+        mp.setattr(copulas, "_search_theta", counted_search)
+        mp.setattr(orevine.vine, "refit_theta", recorded_refit)
+        loo_cv(scored, rows, fast=True, parallelism=1)
+    return refits, counts
+
+
+def template_ranges(template: PairCopula):
+    return _theta_ranges(template.family, 1 if template.theta > 0 else -1)
+
+
+# templates whose warm bracket cannot hold a maximum, with the copula their
+# data are drawn from: the ends of the search ranges, where theta0 is not
+# inside the bracket, and the `GOLDEN_REFITS` templates, whose optimum lies
+# beyond the bracket
+FALLBACK_REFITS = {
+    "clayton_top": (PairCopula("clayton", 0, 50.0), PairCopula("clayton", 0, 8.0)),
+    "gumbel_bottom": (PairCopula("gumbel", 0, 1.0 + 1e-4), PairCopula("gumbel", 0, 2.0)),
+    "frank_plus": (PairCopula("frank", 0, 1e-4), PairCopula("frank", 0, 4.0)),
+    "frank_minus": (PairCopula("frank", 0, -1e-4), PairCopula("frank", 0, -4.0)),
+    **{name: (template, gen) for name, (template, gen, _) in GOLDEN_REFITS.items()},
+}
+
+
+class TestWarmRefit:
+    """`refit_theta` from a bracket around the template theta against the
+    full search it falls back to."""
+
+    def test_agrees_with_full_search(self, loo_refits):
+        refits, _ = loo_refits
+        assert len(refits) == 288
+        off = []
+        for template, u, v, warm in refits:
+            loglik = _pair_loglik(template.family, template.rotation, u, v)
+            ll, theta = _search_theta(loglik, template_ranges(template),
+                                      seeds=[template.theta])
+            if not (abs(warm.theta - theta) <= 1e-5
+                    and loglik(warm.theta) >= ll - 1e-9 * max(1.0, abs(ll))):
+                off.append((template, warm.theta, theta))
+        assert off == []
+
+    def test_evaluation_count(self, loo_refits):
+        """6538 evaluations (22.7 per refit) with the full search on every
+        refit; 3290 from the warm bracket, 3 refits falling back."""
+        _, counts = loo_refits
+        assert counts["evaluations"] <= 3500
+        assert counts["fallbacks"] <= 10
+
+    @pytest.mark.parametrize("seed,name", enumerate(FALLBACK_REFITS, start=90))
+    def test_fallback_is_the_full_search(self, seed, name):
+        template, gen = FALLBACK_REFITS[name]
+        u, v = sample_pair(gen, 600, seed=seed)
+        loglik = _pair_loglik(template.family, template.rotation, u, v)
+        ranges = template_ranges(template)
+        assert _warm_theta(functools.cache(loglik), template.theta, *ranges[0]) is None
+        _, want = _search_theta(loglik, ranges, seeds=[template.theta])
+        assert repr(refit_theta(template, u, v).theta) == repr(want)
+
+
+CLAMP_INPUTS = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-300, 0.5, 1.0 - 1e-17, 1.0, 2.0]
+
+
+class TestClamps:
+    """The clamp helpers call the ndarray method; they are np.clip bit for bit."""
+
+    @pytest.mark.parametrize("helper,lo", [(_clamp, DENSITY_CLAMP), (_cl, COND_CLAMP)])
+    @pytest.mark.parametrize("shape", ["float", "0-d", "array"])
+    def test_equals_np_clip(self, helper, lo, shape):
+        if shape == "array":
+            inputs = [np.array(CLAMP_INPUTS), np.array(CLAMP_INPUTS).reshape(2, 5)]
+        else:
+            inputs = [x if shape == "float" else np.array(x) for x in CLAMP_INPUTS]
+        for x in inputs:
+            got = helper(x)
+            want = np.clip(np.asarray(x, dtype=float), lo, 1.0 - lo)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x
 
 
 class TestPairLoglik:

@@ -718,7 +718,9 @@ def forked_vine_runs() -> dict:
 # generated with the implementation before the conditional-CDF recursion was
 # merged into one cache, and regenerated when the theta search moved to
 # bounded Brent with Frank at rotation 0 only (edge 5 was Frank 90 at
-# -4.876692157992335); any change here is a change of output bits
+# -4.876692157992335); the refit thetas again when refits moved to Brent
+# from a bracket around the template (each by less than 3e-7); any change
+# here is a change of output bits
 GOLDEN_FORKED_VINE = {
     'data': 'e7040738fc4a2b67e27aa16cd26dbb4f996e41cf3f4ec0c184a0fc224c841381',
     'tree1': [
@@ -741,14 +743,14 @@ GOLDEN_FORKED_VINE = {
     ],
     'log_density': 'ef226b2caf3b888cb5c79881703dc6739016109c30f02948c7fa241440d251a1',
     'refit': [
-        ('clayton', 0, '3.135446578415707'),
-        ('gumbel', 90, '1.9720581934659507'),
-        ('clayton', 180, '4.144353737367447'),
-        ('clayton', 270, '2.7165701419688904'),
-        ('frank', 0, '4.864597793566554'),
+        ('clayton', 0, '3.1354466635815155'),
+        ('gumbel', 90, '1.972058067632857'),
+        ('clayton', 180, '4.144354008052522'),
+        ('clayton', 270, '2.7165700786335227'),
+        ('frank', 0, '4.864597907942698'),
         ('independence', 0, 'None'),
-        ('gumbel', 0, '1.658308818471105'),
-        ('clayton', 90, '0.9995859699004044'),
+        ('gumbel', 0, '1.6583088065972313'),
+        ('clayton', 90, '0.9995857612221721'),
         ('independence', 0, 'None'),
         ('independence', 0, 'None'),
     ],
