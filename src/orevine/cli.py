@@ -160,6 +160,7 @@ def _check_cells(ds: Dataset, path, rat: bool) -> None:
 
 
 def _run_descriptors(args) -> int:
+    _check_outputs(args.out, args.out + ".manifest.json")
     volume = read_volume(args.volume)
     labels = read_labels(args.labels)
     slices = [read_phase_slice(p) for p in args.phases]
@@ -239,13 +240,15 @@ def _run_sample(args) -> int:
 
 
 def _run_synth(args) -> int:
+    prefix = args.out_prefix
+    _check_outputs(*(prefix + suffix for suffix in
+                     ("_volume.raw", "_labels.raw", "_dataset.csv", ".manifest.json")))
     spec = load_scene_spec(args.spec)
     try:
         volume, labels, slices = generate_scene(spec)
     except ArgumentError as exc:
         # a spec the scene cannot be built from is a fault of the file
         raise ParseError(f"malformed scene spec: {exc}") from exc
-    prefix = args.out_prefix
     write_volume(prefix + "_volume.raw", volume)
     write_labels(prefix + "_labels.raw", labels)
     for i, sl in enumerate(slices):
@@ -259,6 +262,7 @@ def _run_synth(args) -> int:
 
 
 def _run_weights(args) -> int:
+    _check_outputs(args.out, args.out + ".json", args.out + ".manifest.json")
     labels = read_labels(args.labels)
     try:
         z_indices = [int(z) for z in args.slices.split(",") if z != ""]

@@ -30,12 +30,9 @@ from .errors import ArgumentError, FittingError
 
 BETA_CLAMP = 1e-6          # beta-family data clamped to [BETA_CLAMP, 1 - BETA_CLAMP]
 COLLAPSE_WEIGHT = 1e-6     # mixing weight below which a component is considered dead
-TABLE_POINTS = 4097        # largest cdf table that seeds the quantile root estimate
-TABLE_MIN_POINTS = 65      # smallest one, so a few values still get a usable estimate
-NEWTON_STEPS = 3           # root steps before an element falls back to plain bisection
-WINDOW = 2.0 ** -40        # relative half-width of the checked quantile window
-NARROW_WINDOW = 2.0 ** -47 # the nested window checked inside a passed WINDOW check
-WINDOW_MARGIN = 2.0 ** -49 # least |cdf - p| at the ends of a checked window
+TABLE_POINTS = 65          # cdf table points that seed each quantile's bracket
+TABLE_LEVEL = 1.0 - 1e-12  # cdf level the table reaches on an unbounded support
+NEWTON_STEPS = 8           # Newton points per quantile before plain bisection
 START_MAPS = 2             # guarded EM maps of a cold start before Newton begins
 HALVINGS = 10              # Newton step lengths 1, 1/2, ..., 1/512 tried before an EM map
 GAMMA_BOX = ((1e-3, 1e6), (1e-12, 1e12))    # shape, scale: the M-step's clamps
@@ -174,35 +171,34 @@ class MixtureModel:
         return scaled.clip(0.0, 1.0)
 
     def quantile(self, p):
-        """Inverse CDF by bisection.
+        """Inverse CDF by bracketed Newton, each element on its own.
 
-        Each element's bracket [lo, hi] starts at the support.  An infinite
-        upper end starts at the first of the tops t_k = t_0 * 2^k, t_0 the
-        larger component mean + 1, with cdf(t_k) >= p; `cdf` is evaluated
-        once per top that some element still needs, not once per element.
-        The bracket is halved at `mid`, lo moving up where cdf(mid) < p,
-        until the widest bracket is below 1e-14 * max(1, max |hi|).  The
-        result is the bracket midpoint: the stop rule bounds the bracket
-        width, not |F(x) - p|.
+        Each element keeps a bracket lo < root <= hi under bisection's sign
+        rule: an evaluated point x becomes lo where cdf(x) < p, else hi.
+        The bracket starts at the cell x_{k-1} < root <= x_k of a cdf table
+        over [support lo, T], and the first point is the linear interpolate
+        in that cell.  T is the support's upper end when that is finite;
+        otherwise it is the first t_0 * 2^k, t_0 the larger component mean
+        + 1, with cdf(T) >= TABLE_LEVEL, and an element with p above cdf(T)
+        doubles its own bracket from T.  The table is TABLE_POINTS evenly
+        spaced points plus one at half the stop tolerance inside each end:
+        a bracket that starts in such an end cell has already stopped, so
+        every root that close to an end returns the cell's midpoint and the
+        result stays non-decreasing in p there.
 
-        A level needs only the sign of cdf(mid) - p.  Only a mid inside the
-        element's checked window (a, b) around the root (`_root_window`)
-        calls `cdf`; a mid at or below a is below p and one at or above b is
-        not, as the cdf is non-decreasing.  `cdf` is elementwise, so calling
-        it on the subset of elements that need it, or once on a top that
-        elements share, gives the brackets, the levels and the result of
-        plain bisection bit for bit.
+        Each next point is the Newton point x - (cdf(x) - p) / density(x).
+        A Newton step shorter than a quarter of the tolerance is taken that
+        long instead, past the root, so the next evaluation closes the
+        bracket.  The bracket midpoint replaces a Newton point that is not
+        finite, falls outside the open bracket or comes after NEWTON_STEPS
+        steps, so an element the Newton steps do not serve ends as plain
+        bisection.
 
-        The stop rule is array-wide (the widest bracket, the largest |hi|),
-        so an element's bits can depend on the other elements of the call:
-        on an unbounded support an element whose bracket has narrowed may
-        go on halving while another's has not.  On a bounded support within
-        [-1, 1], as the composition band of `rat`, |hi| <= 1 and every
-        bracket starts at the support's width and halves in lockstep up to
-        rounding, so all elements stop at the level each would stop at
-        alone; `predict` stays row-independent (on the benchmark set's 200
-        held-out rows, no composite median of either engine differs from
-        its per-row value).
+        An element stops when hi - lo < 1e-14 * max(1, |hi|) and returns
+        0.5 * (lo + hi): plain bisection's stop rule and result, applied per
+        element.  The table and every step depend only on the model and that
+        element's p, so a value's bits do not depend on the other values of
+        the call.
         """
         p = np.asarray(p, dtype=float)
         if not np.all((p > 0.0) & (p < 1.0)):
@@ -211,137 +207,45 @@ class MixtureModel:
         p = np.atleast_1d(p)
         if not p.size:
             return np.empty(p.shape)
-        lo_s, top = self.support
-        lo = np.full(p.shape, lo_s)
-        if np.isinf(top):
-            hi = np.empty(p.shape)
+        bottom, top = self.support
+        unbounded = np.isinf(top)
+        if unbounded:
             top = max(self.comp1.mean, self.comp2.mean) + 1.0
-            short = np.arange(p.size)
-            while True:
-                below = self.cdf(top) < p[short]
-                hi[short[~below]] = top
-                short = short[below]
-                if not short.size:
-                    break
+            while self.cdf(top) < TABLE_LEVEL:
                 top *= 2.0
-        else:
-            hi = np.full(p.shape, top)
-        a, b = self._root_window(p, lo_s, top)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = mid <= a
-            need = np.flatnonzero((mid > a) & (mid < b))
-            if need.size:
-                below[need] = self.cdf(mid[need]) < p[need]
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(hi - lo) < 1e-14 * max(1.0, np.max(np.abs(hi))):
-                break
+        xs = np.concatenate([[bottom, bottom + 0.5e-14 * max(1.0, abs(bottom))],
+                             np.linspace(bottom, top, TABLE_POINTS)[1:-1],
+                             [top - 0.5e-14 * max(1.0, abs(top)), top]])
+        fs = np.maximum.accumulate(self.cdf(xs))
+        k = np.searchsorted(fs, p).clip(1, xs.size - 1)
+        lo, hi, f_lo, f_hi = xs[k - 1], xs[k], fs[k - 1], fs[k]
+        far = np.flatnonzero(unbounded & (p > fs[-1]))
+        while far.size:
+            lo[far], f_lo[far] = hi[far], f_hi[far]
+            hi[far] *= 2.0
+            f_hi[far] = self.cdf(hi[far])
+            far = far[f_hi[far] < p[far]]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = lo + (p - f_lo) / (f_hi - f_lo) * (hi - lo)
+            todo = np.flatnonzero(hi - lo >= 1e-14 * np.maximum(1.0, np.abs(hi)))
+            steps = 0
+            while todo.size:
+                a, b, q, t = lo[todo], hi[todo], p[todo], x[todo]
+                newton = np.isfinite(t) & (t > a) & (t < b) & (steps <= NEWTON_STEPS)
+                t = np.where(newton, t, 0.5 * (a + b))
+                c = self.cdf(t)
+                below = c < q
+                lo[todo] = a = np.where(below, t, a)
+                hi[todo] = b = np.where(below, b, t)
+                tol = 1e-14 * np.maximum(1.0, np.abs(b))
+                going = b - a >= tol
+                todo, t, c, q = todo[going], t[going], c[going], q[going]
+                step = (c - q) / self.density(t)
+                nudge = np.where(below[going], -0.25, 0.25) * tol[going]
+                x[todo] = t - np.where(np.abs(step) < 0.25 * tol[going], nudge, step)
+                steps += 1
         out = 0.5 * (lo + hi)
         return float(out[0]) if scalar else out
-
-    def _root_window(self, p, lo, top):
-        """Per element, a window (a, b) around the root of cdf(x) = p,
-        checked to hold cdf(a) < p <= cdf(b) with room to spare.
-
-        The root estimate r interpolates p in a cdf table over [lo, top] and
-        takes one Newton step.  The table has one point per value, at least
-        TABLE_MIN_POINTS and at most TABLE_POINTS: each point costs a cdf
-        evaluation, and a finer table saves less than that on the values'
-        later steps.  The floor is for few values, a single one above all
-        (each conditional median's back-map): a 2-point table leaves r so
-        far off that its checks fail and bisection calls `cdf` at every
-        level: over the 19 benchmark-truth marginals at 80 uniform
-        probabilities, 53.7 `cdf` calls per value, against 11.1 with 65
-        points (the table's 65 evaluations are one call).  The check
-        (`_check_window`) evaluates `cdf` at r -+ w, w = WINDOW * max(1, |r|).
-        It asks p - cdf(r - w) and cdf(r + w) - p to be WINDOW_MARGIN or
-        more, and the chord through the two values to cross p within w/2
-        of r.  Where the check fails, that crossing is the next Newton step,
-        taken from the check's own cdf values, and the check runs again, up
-        to NEWTON_STEPS steps in all; a step that is not finite keeps the
-        previous r.  An element whose last check fails gets (-inf, inf), so
-        bisection calls `cdf` at every one of its levels.  Where the check
-        passes, it runs once more at the half-width NARROW_WINDOW, centred
-        on the chord crossing c it has just computed.  An element that
-        passes that too gets (c - w', c + w'), which leaves bisection one or
-        two levels that call `cdf` instead of about eight; one that fails
-        keeps its WINDOW window.
-
-        Why the ends give the signs plain bisection computes.  The computed
-        cdf is monotone only up to rounding: let D bound how far it can rise
-        above itself to the left, cdf(y) <= cdf(z) + D for y <= z.  For any
-        mid <= a, cdf(mid) <= cdf(a) + D <= p - WINDOW_MARGIN + D, below p
-        when D < WINDOW_MARGIN; the upper end is the mirror image.  The
-        mixture is lam G1 + (1 - lam) G2, G a `gammainc` or `betainc` value
-        in [0, 1].  scipy states no error bound for either, so D is taken
-        from measurement: each G is within a few ulps of a smooth function
-        (formed as 1 - Q above the body, its rounding is absolute, an ulp of
-        1 = 2^-52), and the two products and the sum round once more each.
-        Over the 19 marginals of `synth.benchmark_truth` and the 19 of the
-        rvine model that the fit benchmark fits, at 24000 probabilities
-        each (tails oversampled), no computed cdf at a window end was
-        exceeded by more than 6.5 * 2^-52 at a point up to 4w beyond it
-        (largest in the body of the large-shape gamma marginals, about
-        2^-52 in the tails).  WINDOW_MARGIN = 2^-49 = 8 * 2^-52 is above
-        that.  Farther out the fall of F outruns it: a window that passes
-        has a span of 2^-48 or more over 2w, so over 4w F moves by 2^-47.
-
-        The chord test alone makes both margins at least a quarter of the
-        span cdf(b) - cdf(a), about 2 f w with f the density at the root,
-        so about f w / 2: f max(1, |x|) 2^-48 at the narrow window, 2^7
-        times more at the wide one.  Where f max(1, |x|) >= 1/2 that is
-        WINDOW_MARGIN or more and the margin test never bites; this is most
-        of the body of every marginal here.  The argument does not cover
-        the rest, where f w / 2 is down at the rounding: the upper tail,
-        where the density has fallen away and F is close to 1, and the
-        lower tail of a component whose shape keeps f x small there.
-        Without the margin test those elements can pass the chord test by
-        chance, at a span of two or three ulps.  With it they fail the
-        narrow check and keep the 2^-40 window, whose margins are 2^7
-        times larger; the few that fail that too (the far tails) bisect
-        with a `cdf` call at every level.
-        """
-        xs = np.linspace(lo, top, min(TABLE_POINTS, max(p.size + 1, TABLE_MIN_POINTS)))
-        r = np.interp(p, self.cdf(xs), xs)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = (self.cdf(r) - p) / self.density(r)
-        r = np.where(np.isfinite(step), r - step, r)
-        a = np.full(p.shape, -np.inf)
-        b = np.full(p.shape, np.inf)
-        todo = np.arange(p.size)
-        passed, centres = [], []
-        for steps in range(1, NEWTON_STEPS + 1):
-            x = r[todo]
-            ok, w, cross = self._check_window(x, p[todo], WINDOW)
-            a[todo[ok]] = x[ok] - w[ok]
-            b[todo[ok]] = x[ok] + w[ok]
-            passed.append(todo[ok])
-            centres.append(cross[ok])
-            todo, cross = todo[~ok], cross[~ok]
-            if not todo.size or steps == NEWTON_STEPS:
-                break
-            moved = np.isfinite(cross)
-            r[todo[moved]] = cross[moved]
-        todo, c = np.concatenate(passed), np.concatenate(centres)
-        ok, w, _ = self._check_window(c, p[todo], NARROW_WINDOW)
-        a[todo[ok]] = c[ok] - w[ok]
-        b[todo[ok]] = c[ok] + w[ok]
-        return a, b
-
-    def _check_window(self, x, q, half):
-        """Whether q - cdf(x - w) and cdf(x + w) - q, w = half * max(1, |x|),
-        are both WINDOW_MARGIN or more and the chord through the two values
-        crosses q within w/2 of x; returns that verdict, w and the
-        crossing."""
-        w = half * np.maximum(1.0, np.abs(x))
-        f_lo, f_hi = self.cdf(x - w), self.cdf(x + w)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = (q - f_lo) / (f_hi - f_lo)     # the chord crosses q at x + (2t - 1) w
-            cross = x + (2.0 * t - 1.0) * w
-        ok = ((q - f_lo >= WINDOW_MARGIN) & (f_hi - q >= WINDOW_MARGIN)
-              & (t >= 0.25) & (t <= 0.75))
-        return ok, w, cross
 
 
 # ---------------------------------------------------------------------------

@@ -801,7 +801,9 @@ class TestOutputPaths:
         def fail(*args, **kwargs):
             raise AssertionError("work ran before the output check")
 
-        for name in ("fit_composite", "load_model", "loo_cv"):
+        for name in ("fit_composite", "load_model", "loo_cv", "build_dataset",
+                     "compute_weight_map", "generate_scene", "load_scene_spec",
+                     "read_volume", "read_labels", "read_phase_slice"):
             monkeypatch.setattr(f"orevine.cli.{name}", fail)
 
     def argv(self, command, data_path, model_path, out):
@@ -814,10 +816,17 @@ class TestOutputPaths:
                 "evaluate": ["evaluate", "--model", str(model_path), "--data",
                              str(data_path), "--out-prefix", out, "--fast-loo"],
                 "sample": ["sample", "--model", str(model_path), "--n", "10",
-                           "--out", out]}[command]
+                           "--out", out],
+                # the readers are patched to fail, so the inputs need not exist
+                "descriptors": ["descriptors", "--volume", "v.raw", "--labels", "l.raw",
+                                "--phases", "p.json", "--out", out],
+                "weights": ["weights", "--labels", "l.raw", "--slices", "0",
+                            "--out", out],
+                "synth": ["synth", "--spec", "spec.json", "--out-prefix", out]}[command]
 
     @pytest.mark.parametrize("command", ["fit", "fit_report", "predict",
-                                         "evaluate", "sample"])
+                                         "evaluate", "sample", "descriptors",
+                                         "weights", "synth"])
     def test_missing_directory_exits_2(self, tmp_path, small_dataset, fitted_model_path,
                                        capsys, no_work, command):
         data_path, _ = small_dataset
@@ -826,12 +835,15 @@ class TestOutputPaths:
         assert "does not exist" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["fit", "predict", "evaluate", "sample"])
+    @pytest.mark.parametrize("command", ["fit", "predict", "evaluate", "sample",
+                                         "descriptors", "weights", "synth"])
     def test_directory_output_exits_2(self, tmp_path, small_dataset, fitted_model_path,
                                       capsys, no_work, command):
         data_path, _ = small_dataset
         out = tmp_path / "out"
-        target = out.with_suffix(".txt") if command == "evaluate" else out
+        # the output that is a directory: the main one, or one beside it
+        suffix = {"evaluate": ".txt", "weights": ".json", "synth": "_dataset.csv"}
+        target = tmp_path / ("out" + suffix.get(command, ""))
         target.mkdir()
         assert main(self.argv(command, data_path, fitted_model_path, str(out))) == 2
         assert "is a directory" in capsys.readouterr().err

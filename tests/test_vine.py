@@ -719,10 +719,12 @@ def forked_vine_runs() -> dict:
 # merged into one cache, and regenerated when the theta search moved to
 # bounded Brent with Frank at rotation 0 only (edge 5 was Frank 90 at
 # -4.876692157992335); the refit thetas again when refits moved to Brent
-# from a bracket around the template (each by less than 3e-7); any change
-# here is a change of output bits
+# from a bracket around the template (each by less than 3e-7); and all but
+# tree1 when the mixture quantile moved from array-wide bisection to per-
+# element bracketed Newton (the uniform marginals' draws moved at rounding
+# level); any change here is a change of output bits
 GOLDEN_FORKED_VINE = {
-    'data': 'e7040738fc4a2b67e27aa16cd26dbb4f996e41cf3f4ec0c184a0fc224c841381',
+    'data': '2307f79e51475791a8e8221b756cf0a3c3daa1cf83dcef65b880aaf40e60afe8',
     'tree1': [
         (0, 1),
         (1, 2),
@@ -730,31 +732,31 @@ GOLDEN_FORKED_VINE = {
         (3, 4),
     ],
     'fit': [
-        ('clayton', 0, '3.1145463261135244'),
-        ('gumbel', 90, '2.046043535774506'),
-        ('clayton', 180, '4.147490121953869'),
-        ('clayton', 270, '2.5884293045672475'),
-        ('frank', 0, '4.876692228444271'),
+        ('clayton', 0, '3.114546326123363'),
+        ('gumbel', 90, '2.046043535772219'),
+        ('clayton', 180, '4.147490122223069'),
+        ('clayton', 270, '2.5884293045657616'),
+        ('frank', 0, '4.876692228396397'),
         ('independence', 0, 'None'),
-        ('gumbel', 0, '1.6233391332141627'),
-        ('clayton', 90, '1.0159379831522746'),
+        ('gumbel', 0, '1.6233391331873208'),
+        ('clayton', 90, '1.0159379831076976'),
         ('independence', 0, 'None'),
         ('independence', 0, 'None'),
     ],
-    'log_density': 'ef226b2caf3b888cb5c79881703dc6739016109c30f02948c7fa241440d251a1',
+    'log_density': '81d4700c8b37e06081e4df423ce24c7ff4d5545b4983809ffec10c7bf2045fe1',
     'refit': [
-        ('clayton', 0, '3.1354466635815155'),
-        ('gumbel', 90, '1.972058067632857'),
-        ('clayton', 180, '4.144354008052522'),
-        ('clayton', 270, '2.7165700786335227'),
-        ('frank', 0, '4.864597907942698'),
+        ('clayton', 0, '3.135446663606398'),
+        ('gumbel', 90, '1.9720580676333244'),
+        ('clayton', 180, '4.144354008041838'),
+        ('clayton', 270, '2.71657007862217'),
+        ('frank', 0, '4.864597907962879'),
         ('independence', 0, 'None'),
-        ('gumbel', 0, '1.6583088065972313'),
-        ('clayton', 90, '0.9995857612221721'),
+        ('gumbel', 0, '1.6583088065984337'),
+        ('clayton', 90, '0.9995857612228014'),
         ('independence', 0, 'None'),
         ('independence', 0, 'None'),
     ],
-    'draw': 'db20383170eb89bf462293601410c1823bbd9122f18eac2fcbaaffd6167fcde5',
+    'draw': 'ed8c175fad7e991bfaf508267093692ce41112c58afb4016049877d7eb7b2176',
 }
 
 
@@ -791,16 +793,18 @@ def sampling_shape_models() -> dict:
 
 
 # generated with the sampler that searched an elimination order level by
-# level; any change here is a change of output bits
+# level, and regenerated when the mixture quantile moved from array-wide
+# bisection to per-element bracketed Newton; any change here is a change of
+# output bits
 GOLDEN_SAMPLING_SHAPES = {
-    "cvine_star": "fea1e4cf0472edf170159dc43af4493abf67cfe9a497ac7bd4e8a07c08c4bf59",
-    "dvine_5": "97d34fdc0e64667b2321fe6b4e118795e2b046c35de6f99cbb1e2e93e86af737",
-    "fitted_d3": "0fda0a809a9b1dba2dc58de36f8c392a5ee3f08a5dc29131f12daf20595155f4",
-    "fitted_d4": "5b180d22d34f31116263bc54602891eeb2c878235d302dc11262f6d9dc7601de",
-    "fitted_d5": "4430222e37a7b95d3b743a8c3cd3c02cb774219f3329a7fb4f0250565e17f0a5",
-    "fitted_d6": "c3933e26e3711b4466a3b8ca53972d5af5b248a2209481195ce97bfdf4eb0763",
-    "fitted_d7": "a2733d1d4b2034d7cffc8efcef264adbd4b49b05ca18a5459d4eb6c857ea717a",
-    "fitted_d8": "c9664849ec4296a945b6af8b77dfeb5e8010c163968288be0bb866011c6b19e0",
+    "cvine_star": "89e243f49d0cb1c05b78255bf69c2a117e2691fee78b71dfcc571fe80b9677e8",
+    "dvine_5": "7391a72fe953d93a7cc422c70e66600fad035071aafe3c227348888010652a0e",
+    "fitted_d3": "9ae6c1c079bcbbd25a7b054e5e79865ba298263a6a99c1d929a0b420f581c412",
+    "fitted_d4": "fddbaf4cba9226b8edbc32c34d556a3636b6099c27a6c2b92950a8724962166f",
+    "fitted_d5": "a490849de4162a1c88658dfc124c33f3bc53e10b7e8bad92a99db460afa9b109",
+    "fitted_d6": "9ff2d0505a9b3d117d86b2e3eb0a16bf35c3e8489bfaa4d640868331286a9141",
+    "fitted_d7": "88e5d4ac29f0a40b8e95a02f233a6cb6276c4d130542ce47ccbe837769d86ec1",
+    "fitted_d8": "e35d2316d04fc1f8f37364de9302738b201ae243f0da6f5d4f6944aa156787e9",
 }
 
 
@@ -825,11 +829,12 @@ class TestGoldenSamplingShapes:
 
 class TestGoldenCompositeSample:
     """SHA-256 of a seeded 10^4-row `CompositeModel.sample` of the benchmark
-    truth, generated while `MixtureModel.quantile` called `cdf` at every
-    bisection level; every sampled golden and acceptance dataset goes
-    through this path, so any change here is a change of output bits."""
+    truth, generated once `MixtureModel.quantile` took bracketed Newton
+    steps with a per-element stop; every sampled golden and acceptance
+    dataset goes through this path, so any change here is a change of
+    output bits."""
 
-    GOLDEN = "0c8482a3cc5acf50e20587ec0d80ac14c9d6b3bb80c652b5f4d6ed695c3ee846"
+    GOLDEN = "cdfd344a963652d5058f5cec3adf232796ad9461fd94aa0af52ba0460254a2b5"
 
     def test_bit_identical(self):
         rows = benchmark_truth().sample(10_000, seed=20261018)
@@ -858,10 +863,12 @@ def archimedean_golden_samples() -> dict:
 # generated before the pair and Archimedean fits shared one theta search;
 # the Frank -5 case regenerated when the 2-dim fit's negative Frank half
 # got finite log-densities (it had fitted the positive half's end, 1e-4),
-# and all three when bounded Brent replaced golden section.
+# all three when bounded Brent replaced golden section, and the Gumbel case
+# when the mixture quantile moved to per-element bracketed Newton, which
+# moved its sample at rounding level.
 GOLDEN_ARCHIMEDEAN = {
     "frank_negative_d2": ("frank", "-4.9895074619810655"),
-    "gumbel_d3": ("gumbel", "1.686388538758898"),
+    "gumbel_d3": ("gumbel", "1.686388538757864"),
     "independent_d2": ("frank", "0.26712175854221837"),
 }
 
