@@ -31,7 +31,7 @@ from .errors import (
     StructuralError,
 )
 from .evaluation import fit_scores, loo_cv, render_report, scores_to_json
-from .model import fit_composite, predict_vfvm
+from .model import engine_fits, fit_composite, predict_vfvm
 from .persist import load_model, save_model, write_manifest
 from .synth import generate_scene, load_scene_spec
 from .voxel import (
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the composite model to a dataset CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--engine", choices=("rvine", "archimedean"), default="rvine")
+    p.add_argument("--engine", choices=tuple(engine_fits()), default="rvine")
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--min-rows", type=int, default=30)
     p.add_argument("--em-tol", type=float, default=1e-8,

@@ -105,10 +105,7 @@ class PairCopula:
             if self.theta is not None:
                 raise ArgumentError("independence copula has no parameter")
             return
-        ranges = _theta_ranges(self.family)
-        if self.theta is None or not any(lo <= self.theta <= hi for lo, hi in ranges):
-            raise ArgumentError(f"{self.family} parameter {self.theta!r} lies outside "
-                                f"the fitted range {ranges}")
+        check_theta(self.family, self.theta, _theta_ranges(self.family))
 
     @property
     def n_params(self) -> int:
@@ -531,6 +528,14 @@ def _theta_ranges(family: str, sign: int = 0) -> list[tuple[float, float]]:
     return halves if sign == 0 else [halves[1 if sign > 0 else 0]]
 
 
+def check_theta(family: str, theta, ranges) -> None:
+    """Raise ArgumentError unless theta lies in one of the ranges; None and
+    NaN lie in none."""
+    if theta is None or not any(lo <= theta <= hi for lo, hi in ranges):
+        raise ArgumentError(f"{family} parameter {theta!r} lies outside "
+                            f"the fitted range {ranges}")
+
+
 def _finite_loglik(ll) -> float:
     """A log-likelihood sum in which every non-finite term scores -1e10."""
     return float(np.sum(np.where(np.isfinite(ll), ll, -1e10)))
@@ -552,7 +557,8 @@ def _search_theta(loglik, ranges, seeds=()):
     range fails.
 
     The cold search of `fit_pair` and `vine.fit_archimedean`, and the
-    fallback of `refit_theta` where its warm bracket holds no maximum:
+    fallback of `_refit_near` (the template refit of both engines) where
+    its warm bracket holds no maximum:
     each range by `_maximize_theta`, with the seeds that lie in it.  A range
     whose search raises or ends non-finite is skipped; a later range wins
     only with a strictly larger log-likelihood.
@@ -621,16 +627,29 @@ def _warm_theta(loglik, theta0: float, lo: float, hi: float):
     return -res.fun, float(res.x)
 
 
-def refit_theta(cop: PairCopula, u, v) -> PairCopula:
-    """Re-estimate theta keeping family and rotation fixed (fast refits).
+def _refit_near(loglik, family: str, theta0: float) -> float:
+    """The ML theta of a template refit, the one refit of both engines.
 
     The optimum of a refit on nearly the template's data lies close to the
     template theta, so `_warm_theta` first searches a bracket around it.
-    Where the bracket holds no maximum, the shared search of `fit_pair`
-    runs on the family's range, for Frank only the half of the template's
-    sign, seeded with the template theta, which lies in that range.
-    Raises ArgumentError for samples of unequal length and FittingError
-    when the search fails.
+    Where the bracket holds no maximum, `_search_theta` runs on the family's
+    range, for Frank only the half of theta0's sign, seeded with theta0,
+    which lies in that range.  `loglik` is memoised here.  Raises
+    FittingError when the search fails.
+    """
+    loglik = functools.cache(loglik)
+    ranges = _theta_ranges(family, 1 if theta0 > 0 else -1)   # one range
+    found = (_warm_theta(loglik, theta0, *ranges[0])
+             or _search_theta(loglik, ranges, seeds=[theta0]))
+    if found is None:
+        raise FittingError(f"{family} theta refit failed numerically")
+    return found[1]
+
+
+def refit_theta(cop: PairCopula, u, v) -> PairCopula:
+    """Re-estimate theta keeping family and rotation fixed (fast refits),
+    by `_refit_near` from the template theta.  Raises ArgumentError for
+    samples of unequal length and FittingError when the search fails.
     """
     if cop.family == "independence":
         return cop
@@ -638,14 +657,8 @@ def refit_theta(cop: PairCopula, u, v) -> PairCopula:
     v = np.asarray(v, dtype=float).ravel()
     if u.shape != v.shape:
         raise ArgumentError("refit_theta requires equal-length samples")
-    ranges = _theta_ranges(cop.family, 1 if cop.theta > 0 else -1)   # one range
-    loglik = functools.cache(_pair_loglik(cop.family, cop.rotation, u, v))
-    theta0 = float(cop.theta)
-    found = (_warm_theta(loglik, theta0, *ranges[0])
-             or _search_theta(loglik, ranges, seeds=[theta0]))
-    if found is None:
-        raise FittingError(f"{cop.family} theta refit failed numerically")
-    return PairCopula(cop.family, cop.rotation, found[1])
+    loglik = _pair_loglik(cop.family, cop.rotation, u, v)
+    return PairCopula(cop.family, cop.rotation, _refit_near(loglik, cop.family, float(cop.theta)))
 
 
 def _fit_pair_with_tau(u, v, tau: float, candidates) -> PairCopula:

@@ -60,6 +60,14 @@ GAMMA_COLUMNS = ("med", "iqr", "vol")
 EngineModel = RVineModel | ArchimedeanModel
 
 
+def engine_fits() -> dict:
+    """Engine name -> the fit of one class density's copula, cold or from a
+    template.  The table is built from this module's bindings at each call,
+    so a fit function rebound here after import (a tracing wrapper) is the
+    one called."""
+    return {"rvine": fit_sequential, "archimedean": fit_archimedean}
+
+
 def check_epsilon(epsilon: float) -> None:
     """The one rule for the composition band width: 0 < epsilon < 0.5."""
     if not (0.0 < epsilon < 0.5):
@@ -97,7 +105,10 @@ class FitSettings:
             raise ArgumentError(f"em_tol must be finite and > 0, got {self.em_tol!r}")
 
     def check_engine(self, engine: str) -> None:
-        """The Archimedean engine searches only `ARCHIMEDEAN_FAMILIES`."""
+        """The engine is one of `engine_fits`; the Archimedean engine
+        searches only `ARCHIMEDEAN_FAMILIES`."""
+        if engine not in engine_fits():
+            raise ArgumentError(f"unknown engine {engine!r}")
         if engine == "archimedean" and not set(self.candidates or ()) <= set(ARCHIMEDEAN_FAMILIES):
             raise ArgumentError(f"archimedean candidates must be among "
                                 f"{ARCHIMEDEAN_FAMILIES}, got {list(self.candidates)}")
@@ -207,17 +218,9 @@ def fit_class_marginals(data: Dataset, epsilon: float, init=None,
 
 def _fit_engine(data: Dataset, marginals, engine: str, settings: FitSettings,
                 template: EngineModel | None = None):
-    if template is not None and engine == "archimedean":
-        # keep the family, re-estimate theta
-        kw = {"candidates": (template.family,)}
-    else:
-        kw = {} if settings.candidates is None else {"candidates": settings.candidates}
-    if engine == "rvine":
-        return fit_sequential(data.matrix, marginals, min_rows=settings.min_rows,
-                              template=template, **kw)
-    if engine == "archimedean":
-        return fit_archimedean(data.matrix, marginals, min_rows=settings.min_rows, **kw)
-    raise ArgumentError(f"unknown engine {engine!r}")
+    kw = {} if settings.candidates is None else {"candidates": settings.candidates}
+    fit = engine_fits()[engine]
+    return fit(data.matrix, marginals, min_rows=settings.min_rows, template=template, **kw)
 
 
 def check_class_sizes(parts, min_rows: int) -> None:
@@ -235,8 +238,12 @@ def fit_class_part(part: Dataset, engine: str, epsilon: float,
     rows of one partition.
 
     With `template` given, the EM starts from its marginals and the copula
-    keeps its structure and families, re-estimating parameters only.
+    keeps its structure and families, re-estimating parameters only: each
+    theta is refitted from a warm bracket around the template's, the one
+    template refit of both engines (`copulas._refit_near`).  An unknown
+    engine raises ArgumentError before any fitting.
     """
+    settings.check_engine(engine)
     # warm restarts tolerate a looser EM stop; the optimum moves O(1/n)
     marginals = fit_class_marginals(
         part, epsilon, init=None if template is None else template.marginals,

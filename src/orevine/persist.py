@@ -39,7 +39,6 @@ from .vine import (
     ArchimedeanModel,
     RVineModel,
     RVineStructure,
-    arch_theta_ranges,
     validate_structure,
 )
 
@@ -120,13 +119,7 @@ def _engine_from(doc: dict):
             raise StructuralError(f"model document vine is invalid: {problem}")
         return model
     if doc["type"] == "archimedean":
-        model = ArchimedeanModel(doc["family"], _number(doc, "theta"), marginals)
-        # every fitted theta comes from a search over these ranges
-        ranges = arch_theta_ranges(model.family, model.d)
-        if not any(lo <= model.theta <= hi for lo, hi in ranges):
-            raise ParseError(f"model document {model.family} theta {model.theta!r} "
-                             f"lies outside the fitted range {ranges}")
-        return model
+        return ArchimedeanModel(doc["family"], _number(doc, "theta"), marginals)
     raise SchemaError(f"unknown engine type {doc['type']!r}")
 
 

@@ -35,8 +35,10 @@ from .copulas import (
     _bisect_increasing,
     _finite_loglik,
     _fit_pair_with_tau,
+    _refit_near,
     _search_theta,
     _theta_ranges,
+    check_theta,
     kendall_tau,
     pair_h,
     pair_h2,
@@ -221,7 +223,11 @@ class RVineModel:
 
 @dataclass(frozen=True)
 class ArchimedeanModel:
-    """Single-parameter d-dimensional Archimedean copula with marginals."""
+    """Single-parameter d-dimensional Archimedean copula with marginals.
+
+    theta lies in one of `arch_theta_ranges(family, d)`, the ranges a fit
+    searches, as a `PairCopula`'s theta lies in its family's ranges.
+    """
 
     family: str
     theta: float
@@ -230,6 +236,7 @@ class ArchimedeanModel:
     def __post_init__(self):
         if self.family not in ARCHIMEDEAN_FAMILIES:
             raise ArgumentError(f"unknown Archimedean family {self.family!r}")
+        check_theta(self.family, self.theta, arch_theta_ranges(self.family, self.d))
 
     @property
     def d(self) -> int:
@@ -271,6 +278,19 @@ class ArchimedeanModel:
 # sequential fitting (structure selection + pair-copula estimation)
 # ---------------------------------------------------------------------------
 
+def _copula_data(data, marginals, min_rows: int):
+    """(u, marginals) for fitting either engine: the clamped pseudo-observations
+    u_i = F_i(x_i) of the data's columns, after the row-count check
+    (FittingError) and the one-marginal-per-column check (ArgumentError)."""
+    x = np.atleast_2d(np.asarray(data, dtype=float))
+    if len(x) < min_rows:
+        raise FittingError(f"need at least {min_rows} rows to fit a copula, got {len(x)}")
+    marginals = tuple(marginals)
+    if len(marginals) != x.shape[1]:
+        raise ArgumentError(f"expected {x.shape[1]} marginals, got {len(marginals)}")
+    return np.column_stack([_cl(m.cdf(x[:, i])) for i, m in enumerate(marginals)]), marginals
+
+
 def fit_sequential(data, marginals, candidates=DEFAULT_CANDIDATES,
                    min_rows: int = 30,
                    template: RVineModel | None = None) -> RVineModel:
@@ -285,18 +305,12 @@ def fit_sequential(data, marginals, candidates=DEFAULT_CANDIDATES,
     computed once per level on the cached conditional pseudo-observations.
 
     When `template` is given, its structure and per-edge families are
-    reused and only the copula parameters are re-estimated (fast refits).
+    reused and only the copula parameters are re-estimated (fast refits,
+    `copulas.refit_theta`).
     """
-    x = np.atleast_2d(np.asarray(data, dtype=float))
-    n, d = x.shape
-    if n < min_rows:
-        raise FittingError(f"need at least {min_rows} rows to fit a vine, got {n}")
-    marginals = tuple(marginals)
-    if len(marginals) != d:
-        raise ArgumentError(f"expected {d} marginals for {d} columns")
-
-    cache = _ConditionalCache(u=np.column_stack(
-        [_cl(marginals[i].cdf(x[:, i])) for i in range(d)]))
+    u, marginals = _copula_data(data, marginals, min_rows)
+    d = u.shape[1]
+    cache = _ConditionalCache(u=u)
     if template is not None:
         return _refit_template(template, cache, marginals)
 
@@ -748,7 +762,8 @@ def arch_theta_ranges(family: str, d: int) -> list[tuple[float, float]]:
 
 
 def fit_archimedean(data, marginals, candidates=ARCHIMEDEAN_FAMILIES,
-                    min_rows: int = 30) -> ArchimedeanModel:
+                    min_rows: int = 30,
+                    template: ArchimedeanModel | None = None) -> ArchimedeanModel:
     """Fit the best single-theta d-dimensional Archimedean copula by ML.
 
     Every family gets its theta from the search `fit_pair` uses
@@ -757,18 +772,22 @@ def fit_archimedean(data, marginals, candidates=ARCHIMEDEAN_FAMILIES,
     both Frank halves are searched, for d >= 3 only the positive one.  A
     later family wins only with a strictly larger log-likelihood, so ties
     go to the candidate order.
+
+    When `template` is given, its family is kept and only theta is
+    re-estimated, by the template refit of the R-vine edges
+    (`copulas._refit_near`): a warm bracket around the template theta, on
+    the range of its sign.
     """
-    x = np.atleast_2d(np.asarray(data, dtype=float))
-    n, d = x.shape
-    if n < min_rows:
-        raise FittingError(f"need at least {min_rows} rows, got {n}")
-    marginals = tuple(marginals)
-    u = np.column_stack([_cl(marginals[i].cdf(x[:, i])) for i in range(d)])
+    u, marginals = _copula_data(data, marginals, min_rows)
+    if template is not None:
+        theta = _refit_near(functools.partial(_arch_loglik, template.family, u),
+                            template.family, float(template.theta))
+        return ArchimedeanModel(template.family, theta, marginals)
 
     best = None
     for family in candidates:
         found = _search_theta(functools.partial(_arch_loglik, family, u),
-                              arch_theta_ranges(family, d))
+                              arch_theta_ranges(family, u.shape[1]))
         if found is not None and (best is None or found[0] > best[0]):
             best = (found[0], family, found[1])
     if best is None:

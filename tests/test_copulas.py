@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import orevine.model
 import orevine.vine
 from orevine import copulas
 from orevine.copulas import (
@@ -41,8 +42,16 @@ from orevine.copulas import (
 from orevine.descriptors import COLUMNS, Dataset
 from orevine.errors import ArgumentError
 from orevine.evaluation import loo_cv
+from orevine.marginals import BetaParams, MixtureModel
 from orevine.model import fit_composite
-from orevine.vine import COND_CLAMP, _cl
+from orevine.vine import (
+    COND_CLAMP,
+    ArchimedeanModel,
+    _arch_loglik,
+    _cl,
+    _copula_data,
+    fit_archimedean,
+)
 from orevine.synth import benchmark_truth, generate_composite_dataset
 
 # moderate parameters keep the 200x200 midpoint integral test meaningful;
@@ -869,6 +878,87 @@ class TestWarmRefit:
         assert _warm_theta(functools.cache(loglik), template.theta, *ranges[0]) is None
         _, want = _search_theta(loglik, ranges, seeds=[template.theta])
         assert repr(refit_theta(template, u, v).theta) == repr(want)
+
+
+@pytest.fixture(scope="class")
+def arch_loo_refits():
+    """Every template refit of a serial Archimedean fast-LOO pass over the
+    `loo` rows at run seed 1, as (template, u, refitted model), and the
+    pass's count of `_arch_loglik` evaluations and full-search fallbacks."""
+    rows = loo_workload_rows(1)
+    scored = fit_composite(rows, engine="archimedean")
+    counts = {"evaluations": 0, "fallbacks": 0}
+    refits = []
+
+    def counted_loglik(*args):
+        counts["evaluations"] += 1
+        return _arch_loglik(*args)
+
+    def counted_search(*args, **kwargs):
+        counts["fallbacks"] += 1
+        return _search_theta(*args, **kwargs)
+
+    def recorded_fit(data, marginals, *args, template=None, **kwargs):
+        new = fit_archimedean(data, marginals, *args, template=template, **kwargs)
+        if template is not None:
+            refits.append((template, _copula_data(data, marginals, 1)[0], new))
+        return new
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orevine.vine, "_arch_loglik", counted_loglik)
+        mp.setattr(copulas, "_search_theta", counted_search)
+        mp.setattr(orevine.model, "fit_archimedean", recorded_fit)
+        loo_cv(scored, rows, fast=True, parallelism=1)
+    return refits, counts
+
+
+def arch_template_search(template: ArchimedeanModel, u):
+    """(loglik, full-search (ll, theta)) of a template refit on u: the range
+    of the template's sign, seeded with its theta."""
+    loglik = functools.partial(_arch_loglik, template.family, u)
+    return loglik, _search_theta(loglik, _theta_ranges(template.family,
+                                                        1 if template.theta > 0 else -1),
+                                 seeds=[template.theta])
+
+
+class TestWarmArchimedeanRefit:
+    """`fit_archimedean(template=...)` refits theta as `refit_theta` does, from
+    a bracket around the template theta, against the full search it falls
+    back to."""
+
+    def test_agrees_with_full_search(self, arch_loo_refits):
+        refits, _ = arch_loo_refits
+        assert len(refits) == 96
+        off = []
+        for template, u, warm in refits:
+            assert warm.family == template.family
+            loglik, (ll, theta) = arch_template_search(template, u)
+            if not (abs(warm.theta - theta) <= 1e-5
+                    and loglik(warm.theta) >= ll - 1e-9 * max(1.0, abs(ll))):
+                off.append((template.family, template.theta, warm.theta, theta))
+        assert off == []
+
+    def test_evaluation_count(self, arch_loo_refits):
+        """2142 `_arch_loglik` evaluations with the cold grid search of the
+        template's family on every refit; 1089 from the warm bracket, no
+        refit falling back."""
+        _, counts = arch_loo_refits
+        assert counts["evaluations"] <= 1150
+        assert counts["fallbacks"] <= 2
+
+    @pytest.mark.parametrize("family,theta0,gen_theta", [
+        ("clayton", 50.0, 8.0), ("gumbel", 1.0 + 1e-4, 2.0)],
+        ids=["clayton_top", "gumbel_bottom"])
+    def test_fallback_is_the_full_search(self, family, theta0, gen_theta):
+        margs = (MixtureModel("beta", BetaParams(1.0, 1.0), BetaParams(1.0, 1.0), 0.5),) * 3
+        x = ArchimedeanModel(family, gen_theta, margs).sample(300, seed=94)
+        template = ArchimedeanModel(family, theta0, margs)
+        u = _copula_data(x, margs, 1)[0]
+        loglik, (_, want) = arch_template_search(template, u)
+        assert _warm_theta(functools.cache(loglik), theta0,
+                           *_theta_ranges(family, 1)[0]) is None
+        got = fit_archimedean(x, margs, template=template)
+        assert (got.family, repr(got.theta)) == (family, repr(want))
 
 
 CLAMP_INPUTS = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-300, 0.5, 1.0 - 1e-17, 1.0, 2.0]

@@ -356,6 +356,28 @@ class TestSampling:
 
 
 class TestArchimedean:
+    @pytest.mark.parametrize("n_marginals", [2, 4])
+    @pytest.mark.parametrize("fit", [fit_archimedean, fit_sequential])
+    def test_marginal_count_must_match_columns(self, fit, n_marginals):
+        x = np.random.default_rng(5).uniform(size=(40, 3))
+        with pytest.raises(ArgumentError, match="expected 3 marginals"):
+            fit(x, [uniform_marginal()] * n_marginals)
+
+    @pytest.mark.parametrize("family,theta,d", [
+        ("clayton", -5.0, 3), ("clayton", 0.0, 2), ("clayton", 50.5, 3),
+        ("gumbel", 1.0, 2), ("joe", 0.5, 4), ("frank", 0.0, 2),
+        ("frank", -2.0, 3), ("frank", 60.0, 2),
+        ("clayton", np.nan, 3), ("frank", np.nan, 2), ("gumbel", np.inf, 3),
+    ])
+    def test_theta_outside_fitted_range_raises(self, family, theta, d):
+        with pytest.raises(ArgumentError, match="outside the fitted range"):
+            ArchimedeanModel(family, theta, (uniform_marginal(),) * d)
+
+    def test_range_ends_and_bivariate_negative_frank_are_admitted(self):
+        for family, theta, d in [("clayton", 1e-4, 3), ("clayton", 50.0, 3),
+                                 ("gumbel", 1.0 + 1e-4, 2), ("frank", -2.0, 2),
+                                 ("frank", -50.0, 2), ("frank", 1e-4, 5)]:
+            assert ArchimedeanModel(family, theta, (uniform_marginal(),) * d).theta == theta
     def test_d2_coincides_with_unrotated_fit_pair(self):
         rng = np.random.default_rng(42)
         from orevine.copulas import pair_h_inverse
