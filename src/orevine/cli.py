@@ -246,10 +246,10 @@ def _run_synth(args) -> int:
     spec = load_scene_spec(args.spec)
     try:
         volume, labels, slices = generate_scene(spec)
+        write_volume(prefix + "_volume.raw", volume)   # gray values beyond float32 raise
     except ArgumentError as exc:
-        # a spec the scene cannot be built from is a fault of the file
+        # a spec the scene cannot be built from or stored is a fault of the file
         raise ParseError(f"malformed scene spec: {exc}") from exc
-    write_volume(prefix + "_volume.raw", volume)
     write_labels(prefix + "_labels.raw", labels)
     for i, sl in enumerate(slices):
         write_phase_slice(f"{prefix}_phase_{i}.json", sl)

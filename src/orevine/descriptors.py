@@ -431,14 +431,15 @@ def compute_descriptors(particle: np.ndarray, volume: VoxelVolume) -> Descriptor
     if box.a2 <= 0 or box.a1 <= 0:
         raise StructuralError("degenerate bounding box")
     vol_voxels = float(pts.shape[0])
-    area = surface_area(pts, spacing=volume.spacing)
-    vol_phys = vol_voxels * volume.spacing ** 3
-    sphericity = (36.0 * math.pi * vol_phys ** 2) ** (1.0 / 3.0) / area
+    area_voxels = surface_area(pts)
+    # unit-free, so taken in voxel units, where no spacing can overflow it
+    sphericity = (36.0 * math.pi * vol_voxels ** 2) ** (1.0 / 3.0) / area_voxels
 
     grays = volume.values[pts[:, 0], pts[:, 1], pts[:, 2]]
     q1, med, q3 = np.percentile(grays, [25.0, 50.0, 75.0])  # linear interpolation
     return DescriptorVector(
-        med=float(med), iqr=float(q3 - q1), vol=vol_voxels, area=float(area),
+        med=float(med), iqr=float(q3 - q1), vol=vol_voxels,
+        area=float(area_voxels * volume.spacing * volume.spacing),
         elo=float(box.a2 / box.a1), flat=float(box.a3 / box.a2),
         sphe=float(sphericity), rat=None)
 

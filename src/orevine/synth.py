@@ -46,6 +46,13 @@ class Primitive:
     def __post_init__(self):
         if self.shape not in ("ball", "box", "plate"):
             raise ArgumentError(f"unknown primitive shape {self.shape!r}")
+        for name, value in (("center", self.center), ("angles", self.angles)):
+            if not all(map(_finite, value)):
+                raise ArgumentError(f"{name} must be finite, got {list(value)}")
+        if not (_finite(self.radius) and self.radius >= 0):
+            raise ArgumentError(f"radius must be finite and >= 0, got {self.radius}")
+        if not all(_finite(x) and x >= 0 for x in self.size):
+            raise ArgumentError(f"size must be finite and >= 0, got {list(self.size)}")
         if not 0.0 <= self.vfvm <= 1.0:
             raise ArgumentError("vfvm must lie in [0, 1]")
         if self.gray_sigma < 0.0:
@@ -119,12 +126,20 @@ class SceneSpec:
             raise ParseError(f"malformed scene spec: {exc}") from exc
 
 
+def _finite(x) -> bool:
+    """Whether the number x is finite as a float; an int too large for one is not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _numbers(value, what: str, count: int | None = None, kinds=(int, float)):
     """A finite number of `kinds`, or with `count` a tuple of that many; else TypeError."""
     items = value if count is not None else [value]
     if (not isinstance(items, list) or len(items) != (count or 1)
             or not all(isinstance(x, kinds) and not isinstance(x, bool)
-                       and math.isfinite(x) for x in items)):
+                       and _finite(x) for x in items)):
         noun = "integer" if kinds is int else "finite number"
         raise TypeError(f"{what} must be {f'{count} {noun}s' if count else f'one {noun}'}, "
                         f"got {value!r}")
@@ -142,22 +157,35 @@ def _rotation_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return rz1 @ ry @ rz2
 
 
-def _primitive_mask(prim: Primitive, dims) -> np.ndarray:
-    xs = np.arange(dims[0])[:, None, None]
-    ys = np.arange(dims[1])[None, :, None]
-    zs = np.arange(dims[2])[None, None, :]
-    cx, cy, cz = prim.center
-    if prim.shape == "ball":
-        return ((xs - cx) ** 2 + (ys - cy) ** 2 + (zs - cz) ** 2
-                <= prim.radius ** 2)
-    # box / plate: rotated half-extent test
-    rot = _rotation_zyz(*np.deg2rad(prim.angles))
-    dx = np.broadcast_to(xs - cx, dims).ravel()
-    dy = np.broadcast_to(ys - cy, dims).ravel()
-    dz = np.broadcast_to(zs - cz, dims).ravel()
-    local = np.column_stack([dx, dy, dz]) @ rot.T
-    half = np.asarray(prim.size, dtype=float) / 2.0
-    return np.all(np.abs(local) <= half, axis=1).reshape(dims)
+def _primitive_cube(prim: Primitive, dims):
+    """The primitive's bounding cube in the volume and its inside-test there.
+
+    The cube spans the centre +- the radius of a ball, or +- |size / 2|_2 of
+    a box or plate, widened to whole voxels and clipped to the volume; no
+    voxel outside it can pass the test.  Returns (cube, mask): `cube` a tuple
+    of slices into the volume, `mask` the test on the cube's voxels.  All of
+    it is float64, so a huge radius or size saturates to inf and never
+    raises.
+    """
+    center = np.asarray(prim.center, dtype=np.float64)
+    radius = np.float64(prim.radius)
+    half = np.asarray(prim.size, dtype=np.float64) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = radius if prim.shape == "ball" else np.sqrt(half @ half)
+        lo = np.clip(np.floor(center - reach), 0, dims)
+        hi = np.clip(np.ceil(center + reach) + 1, 0, dims)
+        cube = tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+        dx, dy, dz = np.meshgrid(*(np.arange(s.start, s.stop) - c
+                                   for s, c in zip(cube, center)),
+                                 indexing="ij", sparse=True)
+        if prim.shape == "ball":
+            return cube, dx ** 2 + dy ** 2 + dz ** 2 <= radius ** 2
+        # box / plate: rotated half-extent test
+        shape = tuple(s.stop - s.start for s in cube)
+        rot = _rotation_zyz(*np.deg2rad(prim.angles))
+        local = np.column_stack([np.broadcast_to(d, shape).ravel()
+                                 for d in (dx, dy, dz)]) @ rot.T
+        return cube, np.all(np.abs(local) <= half, axis=1).reshape(shape)
 
 
 def generate_scene(spec: SceneSpec):
@@ -169,19 +197,23 @@ def generate_scene(spec: SceneSpec):
     """
     rng = np.random.default_rng(spec.seed)
     labels = np.zeros(spec.dims, dtype=np.uint32)
+    cubes = []
     for pid, prim in enumerate(spec.particles, start=1):
-        mask = _primitive_mask(prim, spec.dims)
+        cube, mask = _primitive_cube(prim, spec.dims)
         if not mask.any():
             raise ArgumentError(f"particle {pid} rasterizes to no voxels")
-        if (labels[mask] != 0).any():
+        view = labels[cube]
+        if (view[mask] != 0).any():
             raise ArgumentError(f"particle {pid} overlaps an earlier particle")
-        labels[mask] = pid
+        view[mask] = pid
+        cubes.append((cube, mask))
 
+    # a cube's C order is the volume's restricted to it, so each particle's
+    # draws land on its voxels in volume order
     values = rng.normal(spec.background_mean, spec.noise_sigma, spec.dims)
-    for pid, prim in enumerate(spec.particles, start=1):
-        sel = labels == pid
-        values[sel] = rng.normal(prim.gray_mean, prim.gray_sigma,
-                                 int(sel.sum()))
+    for prim, (cube, mask) in zip(spec.particles, cubes):
+        values[cube][mask] = rng.normal(prim.gray_mean, prim.gray_sigma,
+                                        int(mask.sum()))
 
     label_volume = LabelVolume(labels, spec.spacing)
     volume = VoxelVolume(values, spec.spacing)

@@ -321,7 +321,13 @@ def _header(values: np.ndarray, spacing: float, dtype: str) -> dict:
 
 def _write_grid(path: Path, values: np.ndarray, spacing: float, dtype: str,
                 container: bool) -> None:
-    raw = np.ascontiguousarray(values.astype(_DTYPES[dtype])).tobytes()
+    # a finite value beyond the dtype's range would be stored as inf, which
+    # `read_volume` refuses
+    with np.errstate(over="ignore"):
+        cast = values.astype(_DTYPES[dtype])
+    if not np.all(np.isfinite(cast)):
+        raise ArgumentError(f"values beyond the range of {dtype}")
+    raw = np.ascontiguousarray(cast).tobytes()
     header = json.dumps(_header(values, spacing, dtype), sort_keys=True).encode()
     if container:
         with open(path, "wb") as fh:

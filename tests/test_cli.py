@@ -541,9 +541,15 @@ class TestCliSynthWeights:
         lambda doc: {**doc, "particles": [{**doc["particles"][0], "shape": "cone"}]},
         lambda doc: {**doc, "phase_planes": [[2, 24]]},
         lambda doc: {**doc, "particles": [doc["particles"][0], doc["particles"][0]]},
+        lambda doc: {**doc, "particles": [{**doc["particles"][0], "radius": -2}]},
+        lambda doc: {**doc, "particles": [{**doc["particles"][0], "shape": "box",
+                                           "size": [4, -1, 4]}]},
+        lambda doc: {**doc, "particles": [{**doc["particles"][0], "radius": 10 ** 400}]},
+        lambda doc: {**doc, "background_mean": 1e300},
     ], ids=["center_two_elements", "radius_not_number", "phase_plane_one_element",
             "root_not_object", "dims_two_elements", "spacing_zero", "vfvm_above_one",
-            "shape_cone", "phase_plane_outside", "particles_overlap"])
+            "shape_cone", "phase_plane_outside", "particles_overlap", "radius_negative",
+            "size_negative", "radius_int_beyond_float", "gray_beyond_float32"])
     def test_bad_scene_spec_is_data_error(self, tmp_path, capsys, fault):
         spec_path = self.scene_file(tmp_path)
         spec_path.write_text(json.dumps(fault(json.loads(spec_path.read_text()))))
@@ -568,6 +574,17 @@ class TestCliSynthWeights:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: malformed scene spec: scene dims")
         assert not (tmp_path / "scene_out_dataset.csv").exists()
+
+    def test_huge_radius_fills_the_volume(self, tmp_path):
+        # finite but beyond any square: every voxel of the clipped cube is inside
+        spec_path = tmp_path / "scene.json"
+        spec_path.write_text(json.dumps({
+            "dims": [6, 5, 4], "phase_planes": [[2, 1]], "seed": 2,
+            "particles": [{"shape": "ball", "center": [40, 2, 2], "radius": 1e300}]}))
+        prefix = tmp_path / "scene_out"
+        assert main(["synth", "--spec", str(spec_path), "--out-prefix", str(prefix)]) == 0
+        from orevine.voxel import read_labels
+        assert np.all(read_labels(str(prefix) + "_labels.raw").labels == 1)
 
     def test_synth_determinism(self, tmp_path):
         spec_path = self.scene_file(tmp_path)

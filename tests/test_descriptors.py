@@ -383,6 +383,13 @@ class TestComputeDescriptors:
         b = compute_descriptors(ball, VoxelVolume(np.ones((23, 23, 23)), spacing=3.5))
         assert a.sphe == pytest.approx(b.sphe, rel=1e-12)
 
+    @pytest.mark.parametrize("spacing", [1e-300, 1e300])
+    def test_sphericity_finite_at_extreme_spacing(self, spacing):
+        ball = digital_ball(4, center=(6, 6, 6))
+        a = compute_descriptors(ball, VoxelVolume(np.ones((13, 13, 13))))
+        b = compute_descriptors(ball, VoxelVolume(np.ones((13, 13, 13)), spacing=spacing))
+        assert b.sphe == a.sphe
+
     def test_translation_invariance_of_texture(self):
         rng = np.random.default_rng(7)
         vals = rng.uniform(1, 5, (12, 12, 12))

@@ -1,10 +1,16 @@
-"""Seeded mutation fuzzing of model documents through `predict`.
+"""Seeded mutation fuzzing of model documents through `predict` and of
+scene specs through `synth`.
 
-Each case mutates a fitted model document (a deleted or retyped field, a
-non-finite, negative or huge number, or a value no fit produces: theta out
-of range, `lam` outside [0, 1], a bad truncation, bad counts or bad fit
-settings), runs `predict` in-process and checks that the CLI exits 0 with
-finite predictions or exits 3 with a message, and never raises.
+Each model case mutates a fitted model document (a deleted or retyped
+field, a non-finite, negative or huge number, or a value no fit produces:
+theta out of range, `lam` outside [0, 1], a bad truncation, bad counts or
+bad fit settings), runs `predict` in-process and checks that the CLI exits
+0 with finite predictions or exits 3 with a message, and never raises.
+
+Each scene case deletes or retypes a field of a small scene spec, or sets a
+number of it from NUMBERS, runs `synth` in-process and checks that the CLI
+exits 0 with finite outputs or exits 2, 3 or 4 with a message, and never
+raises.
 """
 
 import json
@@ -14,9 +20,12 @@ import numpy as np
 import pytest
 
 from orevine.cli import main
+from orevine.descriptors import Dataset
 from orevine.model import fit_composite
 from orevine.persist import composite_to_doc
-from orevine.synth import benchmark_truth, generate_composite_dataset
+from orevine.synth import (Primitive, SceneSpec, benchmark_truth,
+                           generate_composite_dataset)
+from orevine.voxel import read_volume
 
 SEEDS = (0, 1, 2, 3)
 CASES_PER_SEED = 40
@@ -157,4 +166,46 @@ def test_mutated_model_document(tmp_path, capsys, base_documents, seed):
             values = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
             if not all(v == "" or math.isfinite(float(v)) for v in values):
                 problems.append(f"case {case} ({what}): predictions {values}")
+    assert problems == []
+
+
+SCENE_CASES_PER_SEED = 100
+
+# a scene mutation never makes `dims` or a count large: NUMBERS are floats,
+# which an integer field rejects, and RETYPES hold no integer above 7, so no
+# volume is bigger than this one
+SCENE = json.loads(SceneSpec(
+    dims=(14, 12, 10),
+    particles=(Primitive("ball", (4.0, 5.5, 5.0), radius=3.0, gray_mean=2.0, vfvm=0.4),
+               Primitive("box", (10.5, 6.0, 5.0), size=(4.0, 5.0, 3.0),
+                         angles=(20.0, 30.0, 40.0), vfvm=0.7)),
+    phase_planes=((2, 5), (0, 4)), seed=3).to_json())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_scene_spec(tmp_path, capsys, seed):
+    rng = np.random.default_rng(seed)
+    problems = []
+    for case in range(SCENE_CASES_PER_SEED):
+        doc = json.loads(json.dumps(SCENE))
+        what = pick(rng, (delete_field, retype_field, bad_number))(doc, rng)
+        spec = tmp_path / "scene.json"
+        spec.write_text(json.dumps(doc))
+        prefix = tmp_path / f"case{case}"
+        try:
+            rc = main(["synth", "--spec", str(spec), "--out-prefix", str(prefix)])
+        except Exception as exc:  # an escape is the finding this test reports
+            problems.append(f"case {case} ({what}): raised {exc!r}")
+            continue
+        err = capsys.readouterr().err
+        if rc not in (0, 2, 3, 4):
+            problems.append(f"case {case} ({what}): exit {rc}")
+        elif rc != 0 and not err.strip():
+            problems.append(f"case {case} ({what}): exit {rc} without a message")
+        elif rc == 0:
+            matrix = Dataset.from_csv(f"{prefix}_dataset.csv").matrix
+            values = read_volume(f"{prefix}_volume.raw").values
+            if not (np.all(np.isfinite(matrix[:, :-1]))
+                    and np.all(np.isfinite(values))):
+                problems.append(f"case {case} ({what}): non-finite output")
     assert problems == []

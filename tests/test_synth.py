@@ -7,6 +7,8 @@ from orevine.model import partition_dataset
 from orevine.synth import (
     Primitive,
     SceneSpec,
+    _primitive_cube,
+    _rotation_zyz,
     benchmark_truth,
     generate_composite_dataset,
     generate_scene,
@@ -40,6 +42,87 @@ def reference_phase_grids(spec, labels):
             grid, c2 = pool[key]
             grid[c2] = 1 if rank < n_val else 2
     return grids
+
+
+def reference_mask(prim, dims):
+    """The inside-test on every voxel of the volume."""
+    xs = np.arange(dims[0])[:, None, None]
+    ys = np.arange(dims[1])[None, :, None]
+    zs = np.arange(dims[2])[None, None, :]
+    cx, cy, cz = prim.center
+    if prim.shape == "ball":
+        return ((xs - cx) ** 2 + (ys - cy) ** 2 + (zs - cz) ** 2
+                <= prim.radius ** 2)
+    rot = _rotation_zyz(*np.deg2rad(prim.angles))
+    dx = np.broadcast_to(xs - cx, dims).ravel()
+    dy = np.broadcast_to(ys - cy, dims).ravel()
+    dz = np.broadcast_to(zs - cz, dims).ravel()
+    local = np.column_stack([dx, dy, dz]) @ rot.T
+    half = np.asarray(prim.size, dtype=float) / 2.0
+    return np.all(np.abs(local) <= half, axis=1).reshape(dims)
+
+
+def cube_primitives(dims, seed):
+    """Balls, boxes and plates at random angles and sub-voxel centres: inside
+    the volume, cut by each of its faces, wholly outside it, and of radius or
+    size 0."""
+    rng = np.random.default_rng(seed)
+    dims = np.asarray(dims, dtype=float)
+
+    def shape_at(center):
+        angles = tuple(rng.uniform(0.0, 360.0, 3))
+        kind = ("ball", "box", "plate")[int(rng.integers(3))]
+        if kind == "ball":
+            return Primitive("ball", center, radius=float(rng.uniform(0.3, 7.0)))
+        size = rng.uniform(0.5, 12.0, 3)
+        if kind == "plate":
+            size[int(rng.integers(3))] = rng.uniform(0.5, 2.0)
+        return Primitive(kind, center, size=tuple(size), angles=angles)
+
+    prims = [shape_at(tuple(rng.uniform(0.0, dims - 1.0))) for _ in range(30)]
+    for axis in range(3):
+        for face in (0.0, dims[axis] - 1.0):
+            for shift in (-3.0, -0.5, 0.0, 0.5, 3.0):
+                center = rng.uniform(0.0, dims - 1.0)
+                center[axis] = face + shift + rng.uniform(-0.5, 0.5)
+                prims.append(shape_at(tuple(center)))
+            center = rng.uniform(0.0, dims - 1.0)
+            center[axis] = face + (30.0 if face else -30.0)
+            prims.append(shape_at(tuple(center)))        # wholly outside
+    # a cube whose diagonal lies along y reaches |size / 2|_2 from its centre
+    prims.append(Primitive("box", tuple(dims / 2.0 + 0.3), size=(10.0, 10.0, 10.0),
+                           angles=(45.0, np.degrees(np.arctan(np.sqrt(0.5))), 0.0)))
+    center = (3.0, 4.0, 5.0)
+    prims += [Primitive("ball", center), Primitive("ball", (3.2, 4.0, 5.0)),
+              Primitive("box", center, angles=(10.0, 20.0, 30.0)),
+              Primitive("plate", (3.5, 4.5, 5.5), size=(4.0, 3.0, 0.0))]
+    return prims
+
+
+class TestPrimitiveCube:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_whole_volume_mask(self, seed):
+        dims = (23, 19, 17)
+        for prim in cube_primitives(dims, seed):
+            cube, mask = _primitive_cube(prim, dims)
+            placed = np.zeros(dims, dtype=bool)
+            placed[cube] = mask
+            reference = reference_mask(prim, dims)
+            assert np.array_equal(placed, reference), prim
+            if not reference.any():
+                with pytest.raises(ArgumentError, match="rasterizes to no voxels"):
+                    generate_scene(SceneSpec(dims=dims, particles=(prim,)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("radius", -2.0), ("radius", np.nan), ("radius", np.inf),
+        ("size", (4.0, -1.0, 4.0)), ("size", (4.0, np.nan, 4.0)),
+        ("size", (4.0, np.inf, 4.0)), ("center", (5.0, np.nan, 5.0)),
+        ("center", (np.inf, 5.0, 5.0)), ("angles", (0.0, np.nan, 0.0)),
+        ("angles", (0.0, 0.0, -np.inf))])
+    def test_bad_geometry_rejected(self, field, value):
+        for shape in ("ball", "box"):
+            with pytest.raises(ArgumentError, match=f"{field} must be finite"):
+                Primitive(shape, **{"center": (5.0, 5.0, 5.0), field: value})
 
 
 class TestGenerateScene:
