@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import ArgumentError, ParseError, StructuralError
+from .errors import ArgumentError, StructuralError, file_faults
 from .voxel import LabelVolume, VoxelVolume, register_phase_slices
 
 CSV_HEADER = ["id", "med", "iqr", "vol", "elo", "flat", "sphe", "rat"]
@@ -153,29 +153,23 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        path = Path(path)
+        """Read a CSV written by `to_csv`; a fault of the file is a
+        ParseError naming it and the line."""
         ids, rows = [], []
-        with open(path, newline="", encoding="utf-8") as fh:
+        # a byte that is not UTF-8 reads as a lone surrogate, which no
+        # header or number holds, so it fails on its own line
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file") from None
-            if header != CSV_HEADER:
-                raise ParseError(
-                    f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
-            for ln, row in enumerate(reader, start=2):
-                if len(row) != len(CSV_HEADER):
-                    raise ParseError(f"{path}: line {ln}: expected "
-                                     f"{len(CSV_HEADER)} fields, got {len(row)}")
-                try:
-                    ids.append(int(row[0]))
-                    vals = [float(v) for v in row[1:7]]
-                    vals.append(float(row[7]) if row[7] != "" else np.nan)
-                except ValueError as exc:
-                    raise ParseError(f"{path}: line {ln}: non-numeric cell "
-                                     f"({exc})") from None
-                rows.append(vals)
+            with file_faults(path, lambda: f"line {max(reader.line_num, 1)}"):
+                if next(reader, None) != CSV_HEADER:
+                    raise ValueError(f"expected header {','.join(CSV_HEADER)}")
+                for row in reader:
+                    if len(row) != len(CSV_HEADER):
+                        raise ValueError(f"expected {len(CSV_HEADER)} fields, "
+                                         f"got {len(row)}")
+                    ids.append(np.int64(row[0]))
+                    rows.append([float(v) for v in row[1:7]]
+                                + [float(row[7]) if row[7] != "" else np.nan])
         matrix = np.array(rows, dtype=float).reshape(len(rows), 7)
         return cls(np.array(ids, dtype=np.int64), matrix, COLUMNS)
 

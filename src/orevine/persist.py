@@ -7,15 +7,14 @@ engine is the submodels' `type`, the atom width is epsilon, a vine's
 dimension its number of marginals, and its edges' conditioned and
 conditioning sets follow from the tree edges; Frank is at rotation 0.
 Other schemas fail with a migration error.  Loading checks a document as
-strictly as a fit (every key the writer emits, boolean flags, numbers
-that are JSON numbers rather than booleans or strings, positive finite
-component parameters, weights in [0, 1], thetas in the fitted
-ranges, rotations a fit stores, non-negative integer counts, epsilon in
-(0, 0.5), a valid vine, one submodel type, `FitSettings` valid for it, and
-no truncation but the composition marginal's, to exactly (epsilon,
-1 - epsilon)); a document that fails exits as a data error.  Every CLI run
-also writes a manifest with the resolved configuration, its hash, the seed
-and library versions.
+strictly as a fit (every key the writer emits, positive finite component
+parameters, weights in [0, 1], thetas in the fitted ranges, rotations a fit
+stores, non-negative counts, epsilon in (0, 0.5), a valid vine, one
+submodel type, `FitSettings` valid for it, and no truncation but the
+composition marginal's, to exactly (epsilon, 1 - epsilon)); its numbers,
+integers and flags follow the input rule of `errors`, and a document that
+fails exits as a data error.  Every CLI run also writes a manifest with the
+resolved configuration, its hash, the seed and library versions.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import scipy
 
 from . import __version__
 from .copulas import FIT_ROTATIONS, PairCopula
-from .errors import ArgumentError, ParseError, SchemaError, StructuralError
+from .errors import SchemaError, StructuralError, file_faults, json_value
 from .marginals import BetaParams, GammaParams, MixtureModel
 from .model import CompositeModel, FitSettings
 from .vine import (
@@ -55,26 +54,15 @@ def _mixture_doc(m: MixtureModel) -> dict:
 
 
 def _mixture_from(doc: dict) -> MixtureModel:
-    comp = (lambda c: GammaParams(_number(c, "alpha"), _number(c, "beta"))
-            if doc["family"] == "gamma" else BetaParams(_number(c, "p"), _number(c, "q")))
+    comp = (lambda c: GammaParams(json_value(c["alpha"], "alpha"),
+                                  json_value(c["beta"], "beta"))
+            if doc["family"] == "gamma"
+            else BetaParams(json_value(c["p"], "p"), json_value(c["q"], "q")))
     c1, c2 = comp(doc["comp1"]), comp(doc["comp2"])
     trunc = tuple(doc["truncation"]) if doc["truncation"] is not None else None
-    return MixtureModel(doc["family"], c1, c2, _number(doc, "lam"), truncation=trunc,
-                        degenerate=_flag(doc, "degenerate"))
-
-
-def _flag(doc: dict, key: str) -> bool:
-    if type(doc[key]) is not bool:
-        raise ParseError(f"model document {key} {doc[key]!r} is not a boolean")
-    return doc[key]
-
-
-def _number(doc: dict, key: str) -> int | float:
-    """A number of the document: a JSON int or float, never a boolean or a
-    string."""
-    if type(doc[key]) not in (int, float):
-        raise ParseError(f"model document {key} {doc[key]!r} is not a number")
-    return doc[key]
+    return MixtureModel(doc["family"], c1, c2, json_value(doc["lam"], "lam"),
+                        truncation=trunc,
+                        degenerate=json_value(doc["degenerate"], "degenerate", bool))
 
 
 def _copula_doc(c: PairCopula) -> dict:
@@ -84,11 +72,12 @@ def _copula_doc(c: PairCopula) -> dict:
 
 def _copula_from(doc: dict) -> PairCopula:
     # PairCopula admits exactly the thetas a fit stores
-    theta = None if doc["theta"] is None else _number(doc, "theta")
-    cop = PairCopula(doc["family"], doc["rotation"], theta, _flag(doc, "fallback"))
-    if type(cop.rotation) is not int or cop.rotation not in FIT_ROTATIONS[cop.family]:
-        raise ParseError(f"model document {cop.family} copula at rotation "
-                         f"{cop.rotation}, which no fit stores")
+    theta = None if doc["theta"] is None else json_value(doc["theta"], "theta")
+    cop = PairCopula(doc["family"], json_value(doc["rotation"], "rotation", int), theta,
+                     json_value(doc["fallback"], "fallback", bool))
+    if cop.rotation not in FIT_ROTATIONS[cop.family]:
+        raise ValueError(f"{cop.family} copula at rotation {cop.rotation}, "
+                         "which no fit stores")
     return cop
 
 
@@ -111,7 +100,8 @@ def _engine_from(doc: dict):
     if doc["type"] == "rvine":
         structure = RVineStructure.from_tree_edges(
             len(marginals),
-            [[tuple(e) for e in level] for level in doc["tree_edges"]])
+            [[json_value(e, "tree edge", int, 2) for e in level]
+             for level in doc["tree_edges"]])
         copulas = tuple(_copula_from(e) for e in doc["edges"])
         model = RVineModel(structure, copulas, marginals)
         problem = validate_structure(model.structure)
@@ -119,7 +109,8 @@ def _engine_from(doc: dict):
             raise StructuralError(f"model document vine is invalid: {problem}")
         return model
     if doc["type"] == "archimedean":
-        return ArchimedeanModel(doc["family"], _number(doc, "theta"), marginals)
+        return ArchimedeanModel(doc["family"], json_value(doc["theta"], "theta"),
+                                marginals)
     raise SchemaError(f"unknown engine type {doc['type']!r}")
 
 
@@ -138,40 +129,34 @@ def composite_to_doc(model: CompositeModel) -> dict:
 
 
 def composite_from_doc(doc) -> CompositeModel:
-    if not isinstance(doc, dict):
-        raise ParseError(f"model document root is a {type(doc).__name__}, "
-                         "not an object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    """The model of a document; a fault of it raises KeyError, TypeError,
+    ValueError or ArgumentError, which `load_model` reports as the file's."""
+    version = json_value(doc, "the root", dict).get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(
             f"model document schema {version!r} is not supported by this "
             f"build (expected {SCHEMA_VERSION}); migrate the document first")
     if doc.get("kind") != "composite_model":
         raise SchemaError(f"not a composite model document: {doc.get('kind')!r}")
-    try:
-        classes = ("valuable", "non_valuable", "composite")
-        counts = [doc["counts"][c] for c in classes]
-        if not (all(type(n) is int and n >= 0 for n in counts) and sum(counts) > 0):
-            raise ParseError(f"model document counts {counts} must be "
-                             "non-negative integers with a positive sum")
-        f_v, f_nv, f_c = (_engine_from(doc["submodels"][c]) for c in classes)
-        fit = doc["settings"]
-        model = CompositeModel(f_v, f_nv, f_c, *counts,
-                               epsilon=float(_number(doc, "epsilon")),
-                               settings=FitSettings(fit["candidates"], fit["min_rows"],
-                                                    _number(fit, "em_tol")))
-        eps = model.epsilon
-        # only the composite class's composition marginal, the last one,
-        # is truncated, and to exactly the open composite band
-        truncations = [m.truncation for f in (f_v, f_nv, f_c) for m in f.marginals]
-        if truncations != [None] * (len(truncations) - 1) + [(eps, 1.0 - eps)]:
-            raise ParseError(f"model document truncations {truncations} must be "
-                             "null but for the composition marginal's "
-                             f"(epsilon, 1 - epsilon) = ({eps!r}, {1.0 - eps!r})")
-        return model
-    except (KeyError, TypeError, ValueError, ArgumentError) as exc:
-        # ArgumentError: a value outside what the model classes accept
-        raise ParseError(f"malformed model document: {exc}") from exc
+    classes = ("valuable", "non_valuable", "composite")
+    counts = [json_value(doc["counts"][c], f"{c} count", int) for c in classes]
+    if not (min(counts) >= 0 and sum(counts) > 0):
+        raise ValueError(f"counts {counts} must be non-negative with a positive sum")
+    f_v, f_nv, f_c = (_engine_from(doc["submodels"][c]) for c in classes)
+    fit = doc["settings"]
+    model = CompositeModel(f_v, f_nv, f_c, *counts,
+                           epsilon=float(json_value(doc["epsilon"], "epsilon")),
+                           settings=FitSettings(fit["candidates"], fit["min_rows"],
+                                                json_value(fit["em_tol"], "em_tol")))
+    eps = model.epsilon
+    # only the composite class's composition marginal, the last one, is
+    # truncated, and to exactly the open composite band
+    truncations = [m.truncation for f in (f_v, f_nv, f_c) for m in f.marginals]
+    if truncations != [None] * (len(truncations) - 1) + [(eps, 1.0 - eps)]:
+        raise ValueError(f"truncations {truncations} must be null but for the "
+                         "composition marginal's (epsilon, 1 - epsilon) = "
+                         f"({eps!r}, {1.0 - eps!r})")
+    return model
 
 
 def save_model(path, model: CompositeModel) -> None:
@@ -180,11 +165,10 @@ def save_model(path, model: CompositeModel) -> None:
 
 
 def load_model(path) -> CompositeModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return composite_from_doc(doc)
+    """The model of the document at `path`; a fault of the file is a
+    ParseError naming it."""
+    with file_faults(path):
+        return composite_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # ---------------------------------------------------------------------------

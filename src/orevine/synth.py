@@ -23,7 +23,7 @@ import numpy as np
 
 from .copulas import PairCopula
 from .descriptors import COLUMNS, Dataset
-from .errors import ArgumentError, ParseError
+from .errors import ArgumentError, file_faults, json_value
 from .marginals import BetaParams, GammaParams, MixtureModel
 from .model import CompositeModel
 from .vine import RVineModel, dvine_structure
@@ -99,31 +99,27 @@ class SceneSpec:
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
         """Parse a spec; a fault in its JSON, keys, field types or field
-        values is a ParseError."""
-        try:
-            doc = json.loads(text)
-            if not isinstance(doc, dict):
-                raise TypeError(f"the root must be an object, got {type(doc).__name__}")
+        values is a ParseError (the input rule of `errors`)."""
+        with file_faults("malformed scene spec"):
+            doc = json_value(json.loads(text), "the root", dict)
             particles = tuple(
-                Primitive(shape=p["shape"], center=_numbers(p["center"], "center", 3),
-                          radius=_numbers(p.get("radius", 0.0), "radius"),
-                          size=_numbers(p.get("size", [0, 0, 0]), "size", 3),
-                          angles=_numbers(p.get("angles", [0, 0, 0]), "angles", 3),
-                          gray_mean=_numbers(p.get("gray_mean", 1.0), "gray_mean"),
-                          gray_sigma=_numbers(p.get("gray_sigma", 0.05), "gray_sigma"),
-                          vfvm=_numbers(p.get("vfvm", 0.5), "vfvm"))
+                Primitive(shape=p["shape"], center=json_value(p["center"], "center", count=3),
+                          radius=json_value(p.get("radius", 0.0), "radius"),
+                          size=json_value(p.get("size", [0, 0, 0]), "size", count=3),
+                          angles=json_value(p.get("angles", [0, 0, 0]), "angles", count=3),
+                          gray_mean=json_value(p.get("gray_mean", 1.0), "gray_mean"),
+                          gray_sigma=json_value(p.get("gray_sigma", 0.05), "gray_sigma"),
+                          vfvm=json_value(p.get("vfvm", 0.5), "vfvm"))
                 for p in doc.get("particles", []))
-            return cls(dims=_numbers(doc["dims"], "dims", 3, kinds=int),
+            return cls(dims=json_value(doc["dims"], "dims", int, 3),
                        particles=particles,
-                       phase_planes=tuple(_numbers(p, "phase plane (axis, index)", 2, kinds=int)
+                       phase_planes=tuple(json_value(p, "phase plane (axis, index)", int, 2)
                                           for p in doc.get("phase_planes", [])),
-                       spacing=_numbers(doc.get("spacing", 1.0), "spacing"),
-                       background_mean=_numbers(doc.get("background_mean", 0.2),
-                                                "background_mean"),
-                       noise_sigma=_numbers(doc.get("noise_sigma", 0.05), "noise_sigma"),
-                       seed=_numbers(doc.get("seed", 0), "seed", kinds=int))
-        except (json.JSONDecodeError, KeyError, TypeError, ArgumentError) as exc:
-            raise ParseError(f"malformed scene spec: {exc}") from exc
+                       spacing=json_value(doc.get("spacing", 1.0), "spacing"),
+                       background_mean=json_value(doc.get("background_mean", 0.2),
+                                                  "background_mean"),
+                       noise_sigma=json_value(doc.get("noise_sigma", 0.05), "noise_sigma"),
+                       seed=json_value(doc.get("seed", 0), "seed", int))
 
 
 def _finite(x) -> bool:
@@ -132,18 +128,6 @@ def _finite(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
-
-
-def _numbers(value, what: str, count: int | None = None, kinds=(int, float)):
-    """A finite number of `kinds`, or with `count` a tuple of that many; else TypeError."""
-    items = value if count is not None else [value]
-    if (not isinstance(items, list) or len(items) != (count or 1)
-            or not all(isinstance(x, kinds) and not isinstance(x, bool)
-                       and _finite(x) for x in items)):
-        noun = "integer" if kinds is int else "finite number"
-        raise TypeError(f"{what} must be {f'{count} {noun}s' if count else f'one {noun}'}, "
-                        f"got {value!r}")
-    return value if count is None else tuple(items)
 
 
 def _rotation_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -349,4 +333,5 @@ def benchmark_truth(epsilon: float = 0.01) -> CompositeModel:
 
 
 def load_scene_spec(path) -> SceneSpec:
-    return SceneSpec.from_json(Path(path).read_text())
+    with file_faults("malformed scene spec"):
+        return SceneSpec.from_json(Path(path).read_text(encoding="utf-8"))

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import ArgumentError, ParseError, StructuralError
+from .errors import (GRID, ArgumentError, ParseError, StructuralError, file_faults,
+                     json_value)
 
 BCE_EPS = 1e-7
 DEFAULT_D_HAT = 5.0
@@ -64,9 +65,15 @@ class LabelVolume:
         _check_grid(self.labels, "label volume")
         if self.labels.min() < 0:
             raise ArgumentError("labels must be non-negative")
-        nonzero = np.unique(self.labels)
-        nonzero = nonzero[nonzero > 0]
-        if nonzero.size and (nonzero.size != int(nonzero.max()) or nonzero[0] != 1):
+        # K contiguous ids need K voxels, so a larger id fails before a flag
+        # is allocated for every id up to it
+        top = int(self.labels.max())
+        contiguous = top <= self.labels.size
+        if contiguous:
+            seen = np.zeros(top + 1, dtype=bool)
+            seen[self.labels] = True
+            contiguous = bool(seen[1:].all())
+        if not contiguous:
             raise ArgumentError("label ids must form a contiguous range 1..K")
 
     @property
@@ -343,42 +350,29 @@ def _write_grid(path: Path, values: np.ndarray, spacing: float, dtype: str,
 def _read_grid(path: Path):
     """Voxel values and spacing of a container or raw-plus-sidecar file.
 
-    Every fault in the file (header, dims, byte count) raises ParseError
-    naming the file that holds it.
+    A fault of the header is a ParseError naming the file that holds it, a
+    wrong byte count one naming the voxel file.
     """
     path = Path(path)
     data = path.read_bytes()
     if data[:4] == _CONTAINER_MAGIC:
         source = path
         hlen = int.from_bytes(data[4:12], "little")
-        text = data[12:12 + hlen]
-        raw = data[12 + hlen:]
+        text, raw = data[12:12 + hlen], data[12 + hlen:]
     else:
         source = Path(str(path) + ".json")
         if not source.exists():
             raise ParseError(f"missing sidecar header {source}")
-        text = source.read_bytes()
-        raw = data
-    try:
+        text, raw = source.read_bytes(), data
+    with file_faults(source):
         header = json.loads(text)
-    except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
-        raise ParseError(f"{source}: volume header is not JSON: {exc}") from exc
-    try:
-        dims = tuple(header["dims"])
+        dims = json_value(header["dims"], "dims", int, 3)
         dtype = header["dtype"]
-        spacing = header.get("spacing", 1.0)
-        if type(spacing) not in (int, float):      # not a boolean or a string
-            raise TypeError(f"spacing must be a number, got {spacing!r}")
-        spacing = float(spacing)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{source}: malformed volume header: {exc}") from exc
-    if len(dims) != 3 or not all(type(d) is int and d >= 0 for d in dims):
-        raise ParseError(f"{source}: dims must be three non-negative integers, "
-                         f"got {list(dims)}")
-    if not math.isfinite(spacing):
-        raise ParseError(f"{source}: spacing must be finite, got {spacing}")
-    if not isinstance(dtype, str) or dtype not in _DTYPES:
-        raise ParseError(f"{source}: unsupported dtype {dtype!r}")
+        spacing = float(json_value(header.get("spacing", 1.0), "spacing"))
+        if min(dims) < 0:
+            raise ValueError(f"dims must be non-negative, got {list(dims)}")
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise ValueError(f"unsupported dtype {dtype!r}")
     need = np.dtype(_DTYPES[dtype]).itemsize * math.prod(dims)
     if len(raw) != need:
         raise ParseError(f"{path}: {len(raw)} bytes of voxel data, but dims "
@@ -394,10 +388,8 @@ def write_volume(path, volume: VoxelVolume, container: bool = False,
 
 def read_volume(path) -> VoxelVolume:
     values, spacing = _read_grid(path)
-    try:
+    with file_faults(path):
         return VoxelVolume(values.astype(float), spacing)
-    except ArgumentError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_labels(path, labels: LabelVolume, container: bool = False) -> None:
@@ -406,19 +398,17 @@ def write_labels(path, labels: LabelVolume, container: bool = False) -> None:
 
 def read_labels(path) -> LabelVolume:
     values, spacing = _read_grid(path)
-    if values.dtype.kind == "f":
-        # a float grid must hold the ids exactly: casting would read 1.7 as
-        # id 1 and wrap a negative value
-        bad = ~((values >= 0) & (values <= np.iinfo(np.uint32).max)
-                & (values == np.floor(values)))
-        if bad.any():
-            first = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise ParseError(f"{path}: label ids must be non-negative integers, "
-                             f"got {float(values[first]):g} at voxel {first}")
-    try:
+    with file_faults(path):
+        if values.dtype.kind == "f":
+            # a float grid must hold the ids exactly: casting would read 1.7
+            # as id 1 and wrap a negative value
+            bad = ~((values >= 0) & (values <= np.iinfo(np.uint32).max)
+                    & (values == np.floor(values)))
+            if bad.any():
+                first = tuple(int(i) for i in np.argwhere(bad)[0])
+                raise ValueError(f"label ids must be non-negative integers, "
+                                 f"got {float(values[first]):g} at voxel {first}")
         return LabelVolume(values.astype(np.uint32), spacing)
-    except ArgumentError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_phase_slice(path, sl: PhaseSlice) -> None:
@@ -437,34 +427,15 @@ def write_phase_slice(path, sl: PhaseSlice) -> None:
 
 
 def read_phase_slice(path) -> PhaseSlice:
-    """Read a slice written by `write_phase_slice`; any fault in the file,
-    a number that is not a JSON integer included, raises ParseError naming
-    it."""
-    try:
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict):
-            raise ValueError(f"the root must be an object, got {type(doc).__name__}")
+    """Read a slice written by `write_phase_slice`; a fault of the file is a
+    ParseError naming it (the input rule of `errors`)."""
+    with file_faults(path):
+        text = Path(path).read_text(encoding="utf-8")
+        doc = json_value(json.loads(text), "the root", dict)
         if "plane" in doc:
             plane = doc["plane"]
-            return PhaseSlice.from_plane(_integer(plane["axis"], "plane axis"),
-                                         _integer(plane["index"], "plane index"),
-                                         _integers(doc["grid"], "grid"))
-        coords = _integers(doc["coords"], "coords").reshape(-1, 3)
-        return PhaseSlice(coords, _integers(doc["phases"], "phases"))
-    except (KeyError, TypeError, ValueError, OverflowError, ArgumentError) as exc:
-        raise ParseError(f"{path}: malformed phase slice: {exc}") from exc
-
-
-def _integer(value, what: str) -> int:
-    """A JSON integer (not a fraction, not a boolean), else TypeError."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _integers(value, what: str) -> np.ndarray:
-    """Nested lists of JSON integers as an int64 array, else TypeError."""
-    items = np.asarray(value, dtype=object)
-    for x in items.flat:
-        _integer(x, f"every {what} value")
-    return items.astype(np.int64)
+            return PhaseSlice.from_plane(json_value(plane["axis"], "plane axis", int),
+                                         json_value(plane["index"], "plane index", int),
+                                         json_value(doc["grid"], "grid", int, GRID))
+        coords = json_value(doc["coords"], "coords", int, GRID).reshape(-1, 3)
+        return PhaseSlice(coords, json_value(doc["phases"], "phases", int, GRID))

@@ -165,6 +165,31 @@ def truncated_ct_marginal(doc):
     doc["submodels"]["valuable"]["marginals"][3]["truncation"] = [0.01, 0.99]
 
 
+def tree_edge_node_boolean(doc):
+    # would read as node 1 and be written back as true
+    edge = next(e for e in doc["submodels"]["composite"]["tree_edges"][0] if 1 in e)
+    edge[edge.index(1)] = True
+
+
+def schema_version_float(doc):
+    doc["schema_version"] = 3.0     # equal to 3, but not a JSON integer
+
+
+# raw file contents no reader may raise on: a JSON nesting too deep to
+# decode, and a UTF-16 byte order mark, which is not UTF-8
+NESTING_BOMB = b"[" * 200000 + b"]" * 200000
+NOT_UTF8 = b"\xff\xfe" + b'{"dims": [6, 6, 6]}'
+
+
+def line_2_cell(text, column, cell):
+    """The CSV bytes `text` with the cell of `column` on line 2 set to `cell`."""
+    lines = text.split(b"\n")
+    fields = lines[1].split(b",")
+    fields[column] = cell
+    lines[1] = b",".join(fields)
+    return b"\n".join(lines)
+
+
 class TestPersistence:
     def test_model_document_round_trip(self, small_dataset, tmp_path):
         _, ds = small_dataset
@@ -233,6 +258,7 @@ class TestPersistence:
                                        settings_em_tol_boolean, epsilon_string,
                                        frank_edge_theta_boolean,
                                        archimedean_theta_boolean,
+                                       tree_edge_node_boolean, schema_version_float,
                                        [1], 3, None],
                              ids=lambda f: (f.__name__ if callable(f)
                                             else f"root_{json.dumps(f)}"))
@@ -251,6 +277,20 @@ class TestPersistence:
                    "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [NESTING_BOMB, NOT_UTF8],
+                             ids=["nesting_bomb", "not_utf8"])
+    def test_raw_model_bytes_are_data_error(self, tmp_path, small_dataset, capsys,
+                                            content):
+        data_path, _ = small_dataset
+        bad = tmp_path / "bad_model.json"
+        bad.write_bytes(content)
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(bad), "--data", str(data_path),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert not out.exists()
 
     def test_loaded_truncation_cache_is_fresh(self, fitted_model_path):
@@ -353,6 +393,21 @@ class TestCliFitPredict:
         rc = main(["predict", "--model", str(fitted_model_path),
                    "--data", str(bad), "--out", str(tmp_path / "p.csv")])
         assert rc == 3
+
+    @pytest.mark.parametrize("fault, place", [
+        (lambda text: NOT_UTF8 + text, ""),
+        (lambda text: line_2_cell(text, 1, b"1" * 200000), "line 2: "),
+        (lambda text: line_2_cell(text, 0, b"99999999999999999999"), "line 2: "),
+    ], ids=["not_utf8", "cell_beyond_csv_field_limit", "id_beyond_int64"])
+    def test_raw_dataset_bytes_are_data_error(self, tmp_path, small_dataset, capsys,
+                                              fault, place):
+        data_path, _ = small_dataset
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(fault(Path(data_path).read_bytes()))
+        out = tmp_path / "model.json"
+        assert main(["fit", "--data", str(bad), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {place}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_ct_cell_is_data_error(self, tmp_path, small_dataset,
@@ -559,6 +614,17 @@ class TestCliSynthWeights:
         assert capsys.readouterr().err.startswith("error: malformed scene spec: ")
         assert not (tmp_path / "scene_out_dataset.csv").exists()
 
+    @pytest.mark.parametrize("content", [NESTING_BOMB, NOT_UTF8],
+                             ids=["nesting_bomb", "not_utf8"])
+    def test_raw_spec_bytes_are_data_error(self, tmp_path, capsys, content):
+        spec_path = tmp_path / "scene.json"
+        spec_path.write_bytes(content)
+        rc = main(["synth", "--spec", str(spec_path),
+                   "--out-prefix", str(tmp_path / "scene_out")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: malformed scene spec: ")
+        assert not (tmp_path / "scene_out_dataset.csv").exists()
+
     @pytest.mark.parametrize("dims", [[0, 36, 24], [2 ** 70, 4, 4],
                                       [2 ** 40, 2 ** 40, 2 ** 40]],
                              ids=["zero", "dim_beyond_intp", "voxels_beyond_intp"])
@@ -714,13 +780,35 @@ def negative_label(d):
     return d / "lab.raw"
 
 
+def sidecar_nesting_bomb(d):
+    sidecar = d / "vol.raw.json"
+    sidecar.write_bytes(NESTING_BOMB)
+    return sidecar
+
+
+def phase_nesting_bomb(d):
+    phases = d / "phase.json"
+    phases.write_bytes(NESTING_BOMB)
+    return phases
+
+
+def label_id_beyond_voxel_count(d):
+    labels = np.zeros((6, 6, 6))
+    labels[1:4, 1:4, 1:4] = 1
+    labels[0, 0, 0] = 2 ** 32 - 1   # 216 voxels hold at most 216 contiguous ids
+    write_raw_grid(d / "lab.raw", labels, "uint32")
+    return d / "lab.raw"
+
+
 class TestCliDescriptors:
     @pytest.mark.parametrize("fault", [truncate_raw, short_dims, nan_spacing,
                                        string_spacing, boolean_spacing, huge_integer_spacing,
                                        sidecar_not_json, container_header_not_json,
                                        nan_voxel, label_gap, float_label,
                                        negative_label, phase_root_not_object,
-                                       phase_fractional_numbers, phase_boolean_numbers],
+                                       phase_fractional_numbers, phase_boolean_numbers,
+                                       sidecar_nesting_bomb, phase_nesting_bomb,
+                                       label_id_beyond_voxel_count],
                              ids=lambda f: f.__name__)
     def test_bad_volume_file_is_data_error(self, tmp_path, capsys, fault):
         labels = np.zeros((6, 6, 6), dtype=np.uint32)

@@ -1,5 +1,4 @@
-"""Seeded mutation fuzzing of model documents through `predict` and of
-scene specs through `synth`.
+"""Seeded mutation fuzzing of every file format the CLI reads.
 
 Each model case mutates a fitted model document (a deleted or retyped
 field, a non-finite, negative or huge number, or a value no fit produces:
@@ -11,6 +10,14 @@ Each scene case deletes or retypes a field of a small scene spec, or sets a
 number of it from NUMBERS, runs `synth` in-process and checks that the CLI
 exits 0 with finite outputs or exits 2, 3 or 4 with a message, and never
 raises.
+
+The same field mutations run on phase-slice JSON and volume sidecars
+through `descriptors`.  Byte mutations (a flipped bit, a truncation, an
+inserted 0xff byte) run on every format: model JSON through `predict`, the
+scene spec through `synth`, volume and label files (raw with sidecar, and
+container) and phase slices through `descriptors`, and the dataset CSV
+through `fit`.  A fault of a file read by `predict` or `descriptors` must
+exit 3; `synth` and `fit` may also exit 2 or 4.
 """
 
 import json
@@ -22,10 +29,10 @@ import pytest
 from orevine.cli import main
 from orevine.descriptors import Dataset
 from orevine.model import fit_composite
-from orevine.persist import composite_to_doc
+from orevine.persist import composite_to_doc, load_model
 from orevine.synth import (Primitive, SceneSpec, benchmark_truth,
-                           generate_composite_dataset)
-from orevine.voxel import read_volume
+                           generate_composite_dataset, generate_scene)
+from orevine.voxel import read_volume, write_labels, write_phase_slice, write_volume
 
 SEEDS = (0, 1, 2, 3)
 CASES_PER_SEED = 40
@@ -208,4 +215,178 @@ def test_mutated_scene_spec(tmp_path, capsys, seed):
             if not (np.all(np.isfinite(matrix[:, :-1]))
                     and np.all(np.isfinite(values))):
                 problems.append(f"case {case} ({what}): non-finite output")
+    assert problems == []
+
+
+def flip_bit(data, rng):
+    at, bit = int(rng.integers(len(data))), int(rng.integers(8))
+    flipped = data[:at] + bytes([data[at] ^ 1 << bit]) + data[at + 1:]
+    return flipped, f"flip bit {bit} of byte {at}"
+
+
+def truncate(data, rng):
+    at = int(rng.integers(len(data)))
+    return data[:at], f"truncate at byte {at}"
+
+
+def insert_ff(data, rng):
+    at = int(rng.integers(len(data) + 1))
+    return data[:at] + b"\xff" + data[at:], f"insert 0xff at byte {at}"
+
+
+def byte_mutation(data, rng):
+    return pick(rng, (flip_bit, truncate, insert_ff))(data, rng)
+
+
+BYTE_CASES_PER_SEED = 40
+
+
+def run_cli(argv, capsys, codes, outputs_ok):
+    """The problem of one in-process CLI run, or None.  A problem is an
+    escaping exception, an exit code outside `codes`, a non-zero exit
+    without a message, or, on exit 0, `outputs_ok()` false."""
+    try:
+        rc = main([str(a) for a in argv])
+    except Exception as exc:  # an escape is the finding these tests report
+        return f"raised {exc!r}"
+    err = capsys.readouterr().err
+    if rc not in codes:
+        return f"exit {rc}"
+    if rc != 0 and not err.strip():
+        return f"exit {rc} without a message"
+    if rc == 0 and not outputs_ok():
+        return "non-finite output"
+    return None
+
+
+def predictions_finite(out):
+    values = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+    return all(v == "" or math.isfinite(float(v)) for v in values)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_byte_mutated_model_document(tmp_path, capsys, base_documents, seed):
+    rows = generate_composite_dataset(benchmark_truth(), 1, 1, 1, seed=seed)
+    data, model, out = tmp_path / "rows.csv", tmp_path / "model.json", tmp_path / "pred.csv"
+    rows.to_csv(data)
+    rng = np.random.default_rng(seed)
+    problems = []
+    for case in range(BYTE_CASES_PER_SEED):
+        text = json.dumps(pick(rng, base_documents), indent=2).encode()
+        mutated, what = byte_mutation(text, rng)
+        model.write_bytes(mutated)
+        out.unlink(missing_ok=True)
+        problem = run_cli(["predict", "--model", model, "--data", data, "--out", out],
+                          capsys, (0, 3), lambda: predictions_finite(out))
+        if problem:
+            problems.append(f"case {case} ({what}): {problem}")
+    assert problems == []
+
+
+def synth_outputs_finite(prefix):
+    matrix = Dataset.from_csv(f"{prefix}_dataset.csv").matrix
+    values = read_volume(f"{prefix}_volume.raw").values
+    return np.all(np.isfinite(matrix[:, :-1])) and np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_byte_mutated_scene_spec(tmp_path, capsys, seed):
+    # a byte mutation changes one character, so at most one digit of `dims`
+    # grows, to a 9: no volume is larger than 94 x 12 x 10
+    text = json.dumps(SCENE, indent=2).encode()
+    rng = np.random.default_rng(seed)
+    problems = []
+    for case in range(BYTE_CASES_PER_SEED):
+        mutated, what = byte_mutation(text, rng)
+        spec = tmp_path / "scene.json"
+        spec.write_bytes(mutated)
+        prefix = tmp_path / f"case{case}"
+        problem = run_cli(["synth", "--spec", spec, "--out-prefix", prefix],
+                          capsys, (0, 2, 3, 4), lambda: synth_outputs_finite(prefix))
+        if problem:
+            problems.append(f"case {case} ({what}): {problem}")
+    assert problems == []
+
+
+@pytest.fixture(scope="module")
+def scene_files(tmp_path_factory):
+    """The bytes of SCENE's volume and labels, each as raw data plus sidecar
+    (`.raw`, `.raw.json`) and as container (`.ovol`), and of its phase
+    slices, by file name."""
+    d = tmp_path_factory.mktemp("scene_files")
+    volume, labels, slices = generate_scene(SceneSpec.from_json(json.dumps(SCENE)))
+    for container in (False, True):
+        suffix = ".ovol" if container else ".raw"
+        write_volume(d / f"vol{suffix}", volume, container=container)
+        write_labels(d / f"lab{suffix}", labels, container=container)
+    for i, sl in enumerate(slices):
+        write_phase_slice(d / f"phase{i}.json", sl)
+    return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+def field_mutation(data, rng):
+    doc = json.loads(data)
+    what = pick(rng, (delete_field, retype_field, bad_number))(doc, rng)
+    return json.dumps(doc).encode(), what
+
+
+def mutated_descriptors_run(directory, files, rng, mutate, suffix):
+    """Write `files` (name -> bytes) to `directory`, one file that a
+    `descriptors` run reads and whose name ends in `suffix` replaced by
+    `mutate(its bytes, rng)`.  The volume and the labels are each read as
+    raw data plus sidecar or as container, picked by `rng`.  Returns the
+    run's argv and what was mutated."""
+    vol, lab = pick(rng, ["vol.raw", "vol.ovol"]), pick(rng, ["lab.raw", "lab.ovol"])
+    phases = sorted(name for name in files if name.startswith("phase"))
+    read = [vol, lab, *phases] + [f"{f}.json" for f in (vol, lab) if f.endswith(".raw")]
+    target = pick(rng, [name for name in read if name.endswith(suffix)])
+    data, what = mutate(files[target], rng)
+    directory.mkdir()
+    for name, content in {**files, target: data}.items():
+        (directory / name).write_bytes(content)
+    argv = ["descriptors", "--volume", directory / vol, "--labels", directory / lab,
+            "--phases", *(directory / name for name in phases), "--include-unmatched",
+            "--out", directory / "desc.csv"]
+    return argv, f"{target}: {what}"
+
+
+def descriptors_outputs_finite(out):
+    # `rat` is empty for a particle no slice meets
+    return np.all(np.isfinite(Dataset.from_csv(out).matrix[:, :-1]))
+
+
+VOXEL_CASES_PER_SEED = 40
+
+
+@pytest.mark.parametrize("mutate, suffix", [(field_mutation, ".json"), (byte_mutation, "")],
+                         ids=["fields", "bytes"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_voxel_files(tmp_path, capsys, scene_files, seed, mutate, suffix):
+    rng = np.random.default_rng(seed)
+    problems = []
+    for case in range(VOXEL_CASES_PER_SEED):
+        argv, what = mutated_descriptors_run(tmp_path / f"case{case}", scene_files,
+                                             rng, mutate, suffix)
+        problem = run_cli(argv, capsys, (0, 3),
+                          lambda: descriptors_outputs_finite(argv[-1]))
+        if problem:
+            problems.append(f"case {case} ({what}): {problem}")
+    assert problems == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_byte_mutated_dataset_csv(tmp_path, capsys, seed):
+    data, model = tmp_path / "rows.csv", tmp_path / "model.json"
+    generate_composite_dataset(benchmark_truth(), 12, 12, 12, seed=5).to_csv(data)
+    text = data.read_bytes()
+    rng = np.random.default_rng(seed)
+    problems = []
+    for case in range(BYTE_CASES_PER_SEED):
+        mutated, what = byte_mutation(text, rng)
+        data.write_bytes(mutated)
+        model.unlink(missing_ok=True)
+        problem = run_cli(["fit", "--data", data, "--out", model, "--min-rows", 10],
+                          capsys, (0, 2, 3, 4), lambda: load_model(model) is not None)
+        if problem:
+            problems.append(f"case {case} ({what}): {problem}")
     assert problems == []
