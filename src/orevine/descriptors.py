@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ArgumentError, StructuralError, file_faults
@@ -445,25 +446,21 @@ def build_dataset(labels: LabelVolume, volume: VoxelVolume, slices,
     By default only particles whose slice intersection carries a defined
     mineral ratio are kept (rows carry rat); include_unmatched=True keeps
     every particle with rat absent where undefined, for prediction-only
-    datasets.
+    datasets.  Each particle's voxels are read from its bounding box, in
+    the volume's C order, so scratch memory is one box, not the volume.
     """
     if labels.dims != volume.dims:
         raise StructuralError("labels and volume dims differ")
     registration = register_phase_slices(labels, slices)
 
     ids, rows = [], []
-    flat = labels.labels.ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_labels = flat[order]
-    boundaries = np.searchsorted(sorted_labels, np.arange(1, labels.n_particles + 2))
-    all_coords = np.column_stack(np.unravel_index(order, labels.dims))
-    for pid in range(1, labels.n_particles + 1):
-        coords = all_coords[boundaries[pid - 1]:boundaries[pid]]
-        if coords.shape[0] == 0:
-            continue
+    # ids are contiguous, so no box is None; a box's C order is the
+    # volume's restricted to it
+    for pid, box in enumerate(ndimage.find_objects(labels.labels), start=1):
         rat = registration.mineral_ratio(pid)
         if rat is None and not include_unmatched:
             continue
+        coords = np.argwhere(labels.labels[box] == pid) + [s.start for s in box]
         desc = replace(compute_descriptors(coords, volume), rat=rat)
         ids.append(pid)
         rows.append(desc.values(with_rat=True))

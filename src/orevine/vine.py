@@ -726,14 +726,6 @@ def _arch_log_density(family: str, theta: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _arch_cond_cdf(family: str, theta: float, m: int, t_prev: np.ndarray,
-                   phi_u: np.ndarray) -> np.ndarray:
-    """F(u_{m+1} | u_1..u_m) = psi^(m)(t_prev + phi(u)) / psi^(m)(t_prev)."""
-    num = _arch_log_psi_m(family, theta, m, t_prev + phi_u)
-    den = _arch_log_psi_m(family, theta, m, t_prev)
-    return np.exp(num - den)
-
-
 def _arch_sample_uniform(family: str, theta: float, d: int, n: int, seed) -> np.ndarray:
     """Conditional-inversion sampling of the Archimedean copula itself."""
     rng = np.random.default_rng(seed)
@@ -742,9 +734,12 @@ def _arch_sample_uniform(family: str, theta: float, d: int, n: int, seed) -> np.
     u[:, 0] = w[:, 0]
     t_prev = _arch_phi(family, theta, u[:, 0])
     for m in range(1, d):
+        # F(u_{m+1} | u_1..u_m) = psi^(m)(t_prev + phi(u)) / psi^(m)(t_prev)
+        log_den = _arch_log_psi_m(family, theta, m, t_prev)
         u[:, m] = _bisect_increasing(
-            lambda x: _arch_cond_cdf(family, theta, m, t_prev,
-                                     _arch_phi(family, theta, x)),
+            lambda x: np.exp(_arch_log_psi_m(family, theta, m,
+                                             t_prev + _arch_phi(family, theta, x))
+                             - log_den),
             w[:, m], COND_CLAMP, 1.0 - COND_CLAMP, 80)
         t_prev = t_prev + _arch_phi(family, theta, u[:, m])
     return u

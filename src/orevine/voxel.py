@@ -193,23 +193,24 @@ def weight_from_distances(d1, d2, decay: float = DEFAULT_DECAY,
 
 def _slice_two_distances(slice_labels: np.ndarray, d_hat: float):
     """Exact Euclidean distances to the nearest and second-nearest particle
-    within one 2-D slice, truncated to inf beyond d_hat."""
-    present = np.unique(slice_labels)
-    present = present[present > 0]
-    shape = slice_labels.shape
-    if present.size == 0:
-        return (np.full(shape, np.inf), np.full(shape, np.inf))
-    stacks = np.empty((present.size,) + shape)
-    for i, k in enumerate(present):
-        stacks[i] = ndimage.distance_transform_edt(slice_labels != k)
-    if present.size == 1:
-        d1 = stacks[0]
-        d2 = np.full(shape, np.inf)
-    else:
-        part = np.partition(stacks, 1, axis=0)
-        d1, d2 = part[0], part[1]
-    d1 = np.where(d1 > d_hat, np.inf, d1)
-    d2 = np.where(d2 > d_hat, np.inf, d2)
+    within one 2-D slice, truncated to inf beyond d_hat.  Each particle's
+    map is taken on its box grown by ceil(d_hat), so scratch memory is of
+    the order of one slice, not particles x slice area."""
+    d1 = np.full(slice_labels.shape, np.inf)
+    d2 = np.full(slice_labels.shape, np.inf)
+    # growing by the longest side covers the slice, also for d_hat = inf
+    reach = math.ceil(min(d_hat, max(slice_labels.shape)))
+    for k, box in enumerate(ndimage.find_objects(slice_labels), start=1):
+        if box is None:
+            continue
+        # a voxel outside the window lies beyond d_hat; inside, the map is
+        # the whole slice's, the square root of the same integer offset
+        window = tuple(slice(max(s.start - reach, 0), s.stop + reach) for s in box)
+        d = ndimage.distance_transform_edt(slice_labels[window] != k)
+        d[d > d_hat] = np.inf
+        near, second = d1[window], d2[window]
+        np.minimum(second, np.maximum(near, d), out=second)
+        np.minimum(near, d, out=near)
     return d1, d2
 
 
@@ -358,7 +359,7 @@ def _read_grid(path: Path):
     if data[:4] == _CONTAINER_MAGIC:
         source = path
         hlen = int.from_bytes(data[4:12], "little")
-        text, raw = data[12:12 + hlen], data[12 + hlen:]
+        text, raw = data[12:12 + hlen], memoryview(data)[12 + hlen:]
     else:
         source = Path(str(path) + ".json")
         if not source.exists():
@@ -377,8 +378,8 @@ def _read_grid(path: Path):
     if len(raw) != need:
         raise ParseError(f"{path}: {len(raw)} bytes of voxel data, but dims "
                          f"{list(dims)} of {dtype} need {need}")
-    values = np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(dims).copy()
-    return values, spacing
+    # a read-only view of the file's bytes: each reader's cast is its one copy
+    return np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(dims), spacing
 
 
 def write_volume(path, volume: VoxelVolume, container: bool = False,

@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from orevine import voxel
+from orevine.descriptors import build_dataset
 from orevine.errors import ArgumentError, StructuralError
+from orevine.synth import Primitive, SceneSpec, generate_scene
 from orevine.voxel import (
     LabelVolume,
     PhaseSlice,
@@ -21,6 +27,42 @@ from orevine.voxel import (
 
 def volume_from(values):
     return VoxelVolume(np.asarray(values, dtype=float))
+
+
+def reference_two_distances(slice_labels, d_hat):
+    """The stacked form: one whole-slice distance map per particle on the
+    slice, partitioned for the two smallest, then truncated."""
+    present = np.unique(slice_labels)
+    present = present[present > 0]
+    shape = slice_labels.shape
+    if present.size == 0:
+        return (np.full(shape, np.inf), np.full(shape, np.inf))
+    stacks = np.empty((present.size,) + shape)
+    for i, k in enumerate(present):
+        stacks[i] = ndimage.distance_transform_edt(slice_labels != k)
+    if present.size == 1:
+        d1 = stacks[0]
+        d2 = np.full(shape, np.inf)
+    else:
+        part = np.partition(stacks, 1, axis=0)
+        d1, d2 = part[0], part[1]
+    d1 = np.where(d1 > d_hat, np.inf, d1)
+    d2 = np.where(d2 > d_hat, np.inf, d2)
+    return d1, d2
+
+
+def blob_slice(rng, shape, ids):
+    """Rectangles of the given ids at random places, the border included;
+    a later one may cover an earlier one, in part or in whole."""
+    grid = np.zeros(shape, dtype=np.uint32)
+    for k in ids:
+        x, y = rng.integers(0, shape[0]), rng.integers(0, shape[1])
+        wx, wy = rng.integers(1, 6, 2)
+        grid[max(x - wx, 0):x + wx, max(y - wy, 0):y + wy] = k
+    return grid
+
+
+D_HATS = (0.5, 1.0, 2.5, 5.0, 7.3, 1e300, np.inf)
 
 
 class TestBinarizeAndLabel:
@@ -134,6 +176,43 @@ class TestWeightMap:
         # with only one particle, every background weight is the floor
         assert np.allclose(wm.weights[:, :, 0][bg], 0.04)
 
+    def test_two_distances_match_stacked_reference(self):
+        rng = np.random.default_rng(41)
+        one = np.zeros((12, 10), dtype=np.uint32)
+        one[9:, 7:] = 4                           # one particle in a corner
+        grids = [np.zeros((7, 9), dtype=np.uint32), one]
+        for _ in range(40):
+            shape = tuple(int(n) for n in rng.integers(2, 33, 2))
+            # ids up to 9, some never drawn and some covered by later ones
+            ids = rng.choice(np.arange(1, 10), size=rng.integers(2, 8), replace=False)
+            grids.append(blob_slice(rng, shape, ids))
+        for grid in grids:
+            for d_hat in D_HATS:
+                got = voxel._slice_two_distances(grid, d_hat)
+                want = reference_two_distances(grid, d_hat)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), d_hat
+
+    def test_weight_map_matches_stacked_reference(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        for _ in range(4):
+            shape = tuple(int(n) for n in rng.integers(8, 30, 2))
+            labels = np.zeros(shape + (5,), dtype=np.uint32)
+            for z in range(3):
+                ids = rng.choice(np.arange(1, 16), size=rng.integers(2, 9), replace=False)
+                labels[:, :, z] = blob_slice(rng, shape, ids)
+            labels[:, :, 3] = blob_slice(rng, shape, [16])   # one particle; z = 4 none
+            # contiguous ids over the volume, most absent from any one slice
+            labels = np.unique(labels, return_inverse=True)[1].reshape(labels.shape)
+            lab = LabelVolume(labels.astype(np.uint32))
+            for d_hat in D_HATS:
+                got = compute_weight_map(lab, range(5), d_hat=d_hat)
+                with monkeypatch.context() as m:
+                    m.setattr(voxel, "_slice_two_distances", reference_two_distances)
+                    want = compute_weight_map(lab, range(5), d_hat=d_hat)
+                assert got.weights.tobytes() == want.weights.tobytes(), d_hat
+                assert repr(got.c_f) == repr(want.c_f), d_hat
+
     def test_no_foreground_error(self):
         labels = np.zeros((6, 6, 2), dtype=np.uint32)
         with pytest.raises(ArgumentError):
@@ -143,6 +222,42 @@ class TestWeightMap:
         labels = np.zeros((4, 4, 2), dtype=np.uint32)
         with pytest.raises(ArgumentError):
             compute_weight_map(LabelVolume(labels), [])
+
+
+def ball_grid_scene():
+    """96 x 96 x 32 voxels, 128 balls of radius 2.5-4.5, one per 12-voxel
+    cell, phased on the planes z = 6 (64 balls) and x = 30."""
+    rng = np.random.default_rng(5)
+    balls = tuple(Primitive("ball", center=(x, y, z), radius=float(rng.uniform(2.5, 4.5)))
+                  for x in range(6, 96, 12) for y in range(6, 96, 12) for z in (6, 18))
+    return generate_scene(SceneSpec(dims=(96, 96, 32), particles=balls,
+                                    phase_planes=((2, 6), (0, 30)), seed=5))
+
+
+def traced_peak(fn):
+    """Peak bytes that Python and numpy allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchMemory:
+    """Per-particle work stays inside each particle's box: scratch memory
+    does not grow with the volume or with particles x slice area."""
+
+    def test_build_dataset_below_one_volume_grid(self):
+        volume, labels, slices = ball_grid_scene()
+        peak = traced_peak(lambda: build_dataset(labels, volume, slices))
+        assert peak < volume.values.nbytes
+
+    def test_weight_map_below_output_plus_slices(self):
+        _, labels, _ = ball_grid_scene()
+        assert np.count_nonzero(np.unique(labels.labels[:, :, 6])) == 64
+        peak = traced_peak(lambda: compute_weight_map(labels, [6]))
+        assert peak < labels.labels.size * 8 + 16 * 96 * 96 * 8
 
 
 class TestWeightedBce:
@@ -293,3 +408,15 @@ class TestIo:
         back = read_labels(p)
         assert back.labels.dtype == np.uint32
         assert np.array_equal(back.labels, labels)
+
+    @pytest.mark.parametrize("container", [False, True])
+    def test_readers_return_writeable_arrays(self, tmp_path, container):
+        # the file bytes are read-only, and each grid is stored in the dtype
+        # its reader casts to, so only the cast's copy makes it writeable
+        labels = np.zeros((4, 4, 2), dtype=np.uint32)
+        labels[1:3, 1:3, :] = 1
+        write_volume(tmp_path / "vol", volume_from(labels), container=container,
+                     dtype="float64")
+        write_labels(tmp_path / "lab", LabelVolume(labels), container=container)
+        assert read_volume(tmp_path / "vol").values.flags.writeable
+        assert read_labels(tmp_path / "lab").labels.flags.writeable
