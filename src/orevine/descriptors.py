@@ -427,8 +427,10 @@ def compute_descriptors(particle: np.ndarray, volume: VoxelVolume) -> Descriptor
         raise StructuralError("degenerate bounding box")
     vol_voxels = float(pts.shape[0])
     area_voxels = surface_area(pts)
-    # unit-free, so taken in voxel units, where no spacing can overflow it
-    sphericity = (36.0 * math.pi * vol_voxels ** 2) ** (1.0 / 3.0) / area_voxels
+    # unit-free, so taken in voxel units, where no spacing can overflow it;
+    # capped at the isoperimetric bound 1, which the area estimate of a
+    # digital ball can undershoot
+    sphericity = min((36.0 * math.pi * vol_voxels ** 2) ** (1.0 / 3.0) / area_voxels, 1.0)
 
     grays = volume.values[pts[:, 0], pts[:, 1], pts[:, 2]]
     q1, med, q3 = np.percentile(grays, [25.0, 50.0, 75.0])  # linear interpolation

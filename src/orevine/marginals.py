@@ -143,9 +143,20 @@ class MixtureModel:
         return self._base_support if self.truncation is None else self.truncation
 
     def _raw_density(self, x):
-        d1 = np.exp(self.comp1.logpdf(x))
-        d2 = np.exp(self.comp2.logpdf(x))
-        return self.lam * d1 + (1.0 - self.lam) * d2
+        """The untruncated mixture density.  A beta value on the closed
+        [0, 1] is scored as `fit_mixture_em` sees it, clamped into
+        [BETA_CLAMP, 1 - BETA_CLAMP]; a value outside [0, 1] is out of
+        support.  Both components share one set of logs."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.family == "gamma":
+                inside, logs = x > 0, (x, np.log(x))
+            else:
+                inside = (x >= 0.0) & (x <= 1.0)
+                at = x.clip(BETA_CLAMP, 1.0 - BETA_CLAMP)
+                logs = (np.log(at), np.log1p(-at))
+            d1 = np.exp(self.comp1.logpdf_from_logs(*logs))
+            d2 = np.exp(self.comp2.logpdf_from_logs(*logs))
+        return np.where(inside, self.lam * d1 + (1.0 - self.lam) * d2, 0.0)
 
     def _raw_cdf(self, x):
         return self.lam * self.comp1.cdf(x) + (1.0 - self.lam) * self.comp2.cdf(x)

@@ -25,7 +25,10 @@ normaliser is exp(const) times the integral of g over [0, 1], taken by
 adaptive Gauss-Legendre quadrature with an error bar relative to it, and
 the median is the rat quantile of the u where the running integral of g
 reaches half of it, found by bracketed Newton steps inside one accepted
-quadrature panel.
+quadrature panel.  The rows of one call are integrated, and their medians
+found, in lock step: each round evaluates the pending panels or Newton
+points of every row together, one `log_g` call per LOCKSTEP_ROWS rows, and
+a row's result is bit for bit the one it gets alone.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ MAX_DEPTH = 24           # bisection levels of one quadrature interval
 GL_NODES = 64            # Gauss-Legendre nodes per panel
 NEWTON_TOL = 1e-12       # last step of the median's Newton iteration, in u
 MEDIAN_STEPS = 60        # Newton or bisection steps of one median, at most
+# Rows per `log_g` call of the lock-step quadrature and median (calls for
+# all rows at once ran slower and raised peak memory; 8-32 performed alike).
+LOCKSTEP_ROWS = 16
 GAMMA_COLUMNS = ("med", "iqr", "vol")
 
 EngineModel = RVineModel | ArchimedeanModel
@@ -313,63 +319,100 @@ def _gl_nodes(n: int):
     return nodes, weights
 
 
-def _panels(f, bounds) -> list[float]:
-    """GL_NODES-node Gauss-Legendre sums over each (a, b) in `bounds`, from
-    one call of `f` on all their nodes."""
+def _g_rows(log_g, rows: np.ndarray, todo: list[int], u: np.ndarray) -> np.ndarray:
+    """g = exp(log_g) at the abscissae u[j] (a (len(todo), m) matrix) of
+    head row rows[todo[j]], flattened row by row, from one `log_g` call per
+    LOCKSTEP_ROWS rows.  `todo` lists positions in `rows` in order."""
+    if len(todo) < rows.size:
+        rows = rows[todo]
+    with np.errstate(all="ignore"):
+        if rows.size == 1:      # a lone row broadcasts, as log_g allows
+            return np.exp(log_g(u.ravel(), rows))
+        return np.concatenate([
+            np.exp(log_g(u[start:start + LOCKSTEP_ROWS].ravel(),
+                         rows[start:start + LOCKSTEP_ROWS].repeat(u.shape[1])))
+            for start in range(0, rows.size, LOCKSTEP_ROWS)])
+
+
+def _panel_sums(log_g, rows: np.ndarray, todo: list[int], bounds) -> list[float]:
+    """GL_NODES-node Gauss-Legendre sums of g over each (a, b) of
+    `bounds[j]` on head row rows[todo[j]], row by row; every row has as
+    many intervals."""
     n = GL_NODES
     nodes, weights = _gl_nodes(n)
-    scales = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in bounds]
-    values = f(np.concatenate([mid + half * nodes for mid, half in scales]))
+    scales = [(0.5 * (a + b), 0.5 * (b - a)) for row in bounds for a, b in row]
+    mid_half = np.array(scales)
+    values = _g_rows(log_g, rows, todo, (mid_half[:, :1] + mid_half[:, 1:] * nodes)
+                     .reshape(len(todo), -1))
+    # one dot per panel: a batched product sums in another order
     return [float(half * np.dot(weights, values[i * n:(i + 1) * n]))
             for i, (_, half) in enumerate(scales)]
 
 
-def adaptive_integral(f):
-    """The integral of `f` over [0, 1] by adaptive GL_NODES-node
-    Gauss-Legendre with interval bisection; returns (integral, panels).
+def adaptive_integral(log_g, rows) -> tuple[np.ndarray, tuple[list, ...]]:
+    """The integral of g_i(u) = exp(log_g(u, i)) over [0, 1] for each head
+    row i of `rows`, by adaptive GL_NODES-node Gauss-Legendre with interval
+    bisection; returns (integrals, panels).
 
-    `f` must accept a vector of abscissae and return a vector of values.
-    An interval on the stack carries its own panel and its two half panels;
-    splitting it evaluates the four quarter panels in one call of `f`, so an
-    interval accepted at once costs a single call.  An interval is accepted
-    when its halves' sum differs from its panel by at most QUAD_TOL times
-    the current estimate of the integral (the accepted panels plus the
-    halves of the open intervals), so the error bar is relative to the
-    integral however small it is; or at MAX_DEPTH.  `panels` lists the
-    accepted intervals (lo, hi, halves' sum) from left to right, and the
-    integral is their sum in that order.
+    Each row keeps its own stack of intervals.  An interval on the stack
+    carries its own panel and its two half panels; splitting it evaluates
+    the four quarter panels, so an interval accepted at once costs nothing
+    more.  An interval is accepted when its halves' sum differs from its
+    panel by at most QUAD_TOL times the row's current estimate of its
+    integral (the accepted panels plus the halves of the open intervals),
+    so the error bar is relative to the integral however small it is; or at
+    MAX_DEPTH.  The rows run in lock step: each pops intervals until it
+    meets one that must split, then the pending splits of all rows are
+    evaluated together (`_g_rows`), so a round costs one `log_g` call per
+    LOCKSTEP_ROWS rows.  A row's panels, their order and its sums are those
+    of integrating it alone.  `panels[k]` lists row k's accepted intervals
+    (lo, hi, halves' sum) from left to right, and its integral is their sum
+    in that order.
     """
-    whole, left, right = _panels(f, ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0)))
-    estimate = left + right
-    stack = [(0.0, 1.0, 0, whole, left, right)]
-    panels = []
-    while stack:
-        lo, hi, depth, whole, left, right = stack.pop()
-        # a NaN error is accepted: splitting could not end before MAX_DEPTH
-        if depth >= MAX_DEPTH or not abs(left + right - whole) > QUAD_TOL * abs(estimate):
-            panels.append((lo, hi, left + right))
-            continue
-        mid = 0.5 * (lo + hi)
-        q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        ll, lr, rl, rr = _panels(f, ((lo, q1), (q1, mid), (mid, q3), (q3, hi)))
-        estimate += (ll + lr) + (rl + rr) - (left + right)
-        # the left half is popped first, so panels come out left to right
-        stack.append((mid, hi, depth + 1, right, rl, rr))
-        stack.append((lo, mid, depth + 1, left, ll, lr))
-    total = 0.0
-    for _, _, value in panels:
-        total += value
-    return total, panels
-
-
-def _row_g(log_g, row: int):
-    """u -> exp(log_g(u)) at one row of a `copula_slice` head, vectorised."""
-    rows = np.array([row])
-
-    def g(u):
-        with np.errstate(all="ignore"):
-            return np.exp(log_g(u, rows))
-    return g
+    rows = np.asarray(rows)
+    if not rows.size:
+        return np.array([]), ()
+    todo = list(range(rows.size))
+    first = _panel_sums(log_g, rows, todo, [((0.0, 1.0), (0.0, 0.5), (0.5, 1.0))] * rows.size)
+    stacks, estimate, panels = [], [], []
+    for k in range(rows.size):
+        whole, left, right = first[3 * k:3 * k + 3]
+        stacks.append([(0.0, 1.0, 0, whole, left, right)])
+        estimate.append(left + right)
+        panels.append([])
+    while todo:
+        split, bounds = [], []
+        for k in todo:
+            stack, tol = stacks[k], QUAD_TOL * abs(estimate[k])
+            while stack:
+                lo, hi, depth, whole, left, right = interval = stack.pop()
+                # a NaN error is accepted: splitting could not end before MAX_DEPTH
+                if depth >= MAX_DEPTH or not abs(left + right - whole) > tol:
+                    panels[k].append((lo, hi, left + right))
+                    continue
+                mid = 0.5 * (lo + hi)
+                q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+                split.append((k, mid, interval))
+                bounds.append(((lo, q1), (q1, mid), (mid, q3), (q3, hi)))
+                break
+        if not split:
+            break
+        if len(split) < len(todo):
+            todo = [k for k, _, _ in split]
+        sums = iter(_panel_sums(log_g, rows, todo, bounds))
+        quarters = zip(sums, sums, sums, sums)
+        for (k, mid, (lo, hi, depth, _, left, right)), (ll, lr, rl, rr) in zip(split, quarters):
+            estimate[k] += (ll + lr) + (rl + rr) - (left + right)
+            # the left half is popped first, so panels come out left to right
+            stacks[k].append((mid, hi, depth + 1, right, rl, rr))
+            stacks[k].append((lo, mid, depth + 1, left, ll, lr))
+    totals = []
+    for row_panels in panels:
+        total = 0.0
+        for _, _, value in row_panels:
+            total += value
+        totals.append(total)
+    return np.array(totals), tuple(panels)
 
 
 @dataclass(frozen=True)
@@ -380,9 +423,9 @@ class CompositionSlices:
     With (const, log_g) from the engine's `copula_slice`,
     f_c(ct_i, s) = exp(const_i) f_rat(s) g_i(F_rat(s)), so
     Z_i = exp(const_i) z_u[i], z_u[i] the integral of g_i over [0, 1]; the
-    integrand carries no marginal of rat.  `panels[i]` are the accepted
-    panels of row i's `adaptive_integral`, and `index[i]` is its row of the
-    head that `log_g` was built on.
+    integrand carries no marginal of rat.  `panels[i]` are row i's accepted
+    panels from `adaptive_integral`, and `index[i]` is its row of the head
+    that `log_g` was built on.
     """
 
     const: np.ndarray
@@ -394,17 +437,12 @@ class CompositionSlices:
     @classmethod
     def at(cls, model: CompositeModel, ct: np.ndarray) -> "CompositionSlices":
         """The slices of the (n, d_ct) rows `ct`: one `copula_slice` call,
-        then one adaptive integral per row."""
+        then one lock-step adaptive integral of all rows."""
         with np.errstate(all="ignore"):
             const, log_g = model.f_c.copula_slice(ct)
         index = np.arange(ct.shape[0])
-        integrals = [adaptive_integral(_row_g(log_g, i)) for i in index]
-        return cls(const, log_g, index, np.array([z for z, _ in integrals]),
-                   tuple(p for _, p in integrals))
-
-    def g(self, i: int):
-        """u -> g_i(u), vectorised."""
-        return _row_g(self.log_g, self.index[i])
+        z_u, panels = adaptive_integral(log_g, index)
+        return cls(const, log_g, index, z_u, panels)
 
     @property
     def z(self) -> np.ndarray:
@@ -417,49 +455,67 @@ class CompositionSlices:
         return CompositionSlices(self.const[idx], self.log_g, self.index[idx],
                                  self.z_u[idx], tuple(self.panels[i] for i in idx))
 
-    def median_u(self, i: int) -> float:
-        """The u at which the integral of g_i from 0 reaches z_u[i] / 2.
+    def median_u(self) -> np.ndarray:
+        """Per row i, the u at which the integral of g_i from 0 reaches
+        z_u[i] / 2.  A row without positive finite mass raises FittingError.
 
         The running sum of the row's panels, left to right, finds the panel
         [lo, hi] where it crosses z_u / 2.  There the crossing m solves
         H(m) = (the integral of g_i over [lo, m]) - (what is left of
         z_u / 2) = 0 by Newton steps inside a bracket: each step evaluates
-        g_i on the GL_NODES nodes of [lo, m] and at m in one call, narrows
-        the bracket by the sign of H(m), and takes the bracket's midpoint
-        where the step leaves it.  It stops once the step or the bracket is
-        NEWTON_TOL or less.
+        g_i on the GL_NODES nodes of [lo, m] and at m, narrows the bracket
+        by the sign of H(m), and takes the bracket's midpoint where the step
+        leaves it.  A row stops once its step or its bracket is NEWTON_TOL
+        or less, or after MEDIAN_STEPS steps.  The rows step in lock step,
+        one `log_g` call per LOCKSTEP_ROWS rows still stepping, and each
+        row's steps are those it would take alone.
         """
-        z_u = self.z_u[i]
-        if not (z_u > 0.0 and math.isfinite(z_u)):
+        if not np.all((self.z_u > 0.0) & np.isfinite(self.z_u)):
             raise FittingError("conditional composition density has no mass")
-        half = 0.5 * z_u
-        below = 0.0
-        for lo, hi, value in self.panels[i]:
-            if below + value >= half:
-                break
-            below += value
-        target = half - below
-        g = self.g(i)
-        nodes, weights = _gl_nodes(GL_NODES)
-        a, b = lo, hi
-        m = lo + (hi - lo) * min(max(target / value, 0.0), 1.0)   # the chord's crossing
+        lo, a, b, m, target = [], [], [], [], []
+        for z_u, row_panels in zip(self.z_u, self.panels):
+            half = 0.5 * z_u
+            below = 0.0
+            for p_lo, p_hi, value in row_panels:
+                if below + value >= half:
+                    break
+                below += value
+            lo.append(p_lo)
+            a.append(p_lo)
+            b.append(p_hi)
+            target.append(half - below)
+            # the chord's crossing
+            m.append(p_lo + (p_hi - p_lo) * min(max(target[-1] / value, 0.0), 1.0))
+        n = GL_NODES
+        nodes, weights = _gl_nodes(n)
+        todo = list(range(len(m)))
         for _ in range(MEDIAN_STEPS):
-            scale = 0.5 * (m - lo)
-            values = g(np.append(0.5 * (lo + m) + scale * nodes, m))
-            h = scale * float(np.dot(weights, values[:-1])) - target
-            slope = float(values[-1])
-            if slope > 0.0 and abs(h) <= NEWTON_TOL * slope:
-                return m - h / slope
-            if h < 0.0:
-                a = m
-            else:
-                b = m
-            m = m - h / slope if slope > 0.0 else b
-            if not a < m < b:
-                m = 0.5 * (a + b)
-            if b - a <= NEWTON_TOL:
+            if not todo:
                 break
-        return m
+            scales = [(0.5 * (lo[k] + m[k]), 0.5 * (m[k] - lo[k])) for k in todo]
+            mid_half = np.array(scales)
+            u = np.empty((len(todo), n + 1))
+            u[:, :n] = mid_half[:, :1] + mid_half[:, 1:] * nodes
+            u[:, n] = [m[k] for k in todo]
+            values = _g_rows(self.log_g, self.index, todo, u)
+            stepping = []
+            for i, (k, (_, scale)) in enumerate(zip(todo, scales)):
+                start = i * (n + 1)
+                h = scale * float(np.dot(weights, values[start:start + n])) - target[k]
+                slope = float(values[start + n])
+                if slope > 0.0 and abs(h) <= NEWTON_TOL * slope:
+                    m[k] = m[k] - h / slope
+                    continue
+                if h < 0.0:
+                    a[k] = m[k]
+                else:
+                    b[k] = m[k]
+                step = m[k] - h / slope if slope > 0.0 else b[k]
+                m[k] = step if a[k] < step < b[k] else 0.5 * (a[k] + b[k])
+                if b[k] - a[k] > NEWTON_TOL:
+                    stepping.append(k)
+            todo = stepping
+        return np.array(m)
 
 
 def _ct_rows(model: CompositeModel, ct) -> tuple[np.ndarray, bool]:
@@ -493,14 +549,14 @@ def conditional_median(model: CompositeModel, ct,
     """Median of f_c(x7 | ct): a float for one CT vector, an array for the
     rows of a matrix.
 
-    Each row's median in the copula coordinate
-    (`CompositionSlices.median_u`) maps back through one vectorised
-    quantile call of the rat marginal for all rows.  `slices` is
+    The rows' medians in the copula coordinate, found in lock step by
+    `CompositionSlices.median_u`, map back through one vectorised quantile
+    call of the rat marginal for all rows.  `slices` is
     `CompositionSlices.at(model, rows)` when the caller already has it.
     """
     rows, single = _ct_rows(model, ct)
     slices = slices or CompositionSlices.at(model, rows)
-    u = np.array([slices.median_u(i) for i in range(rows.shape[0])])
+    u = slices.median_u()
     med = model.f_c.marginals[-1].quantile(np.clip(u, COND_CLAMP, 1.0 - COND_CLAMP))
     return float(med[0]) if single else med
 

@@ -21,14 +21,15 @@ from orevine.voxel import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # SHA-256 of the synth dataset CSV and of the `descriptors --include-unmatched`
-# CSV per fixture scene, written with the flush-face calipers box search
+# CSV per fixture scene, written with the flush-face calipers box search and
+# sphericity capped at 1
 FIXTURE_CSV_DIGESTS = {
     "demo_scene": (
-        "2bed9eda3fa62617b500071982cf932f44fc0e9e1c71ca3cd18d5e814e66dbde",
-        "63002ee0004f2e243866c68d8484ce66ab83e67a5cf4bcdba1e6ace2455fdb41"),
+        "7d8232c5433f5bb1f0849a8808588acddf53335511d6fd8732e8c41022e05602",
+        "156312d419767bfd2affac70df4ae1a6ed0b589605cabfa1841150ec2bff0dc3"),
     "six_particles": (
-        "414a4a8b0393d0e612a03c3069f704106a3b5fc4ffaf1fa459cf229ee3f3c9d6",
-        "4e10422cd1ab85a6c7a3da35dc1212df6924eb4a129c2ba2f2033baf39e59b98"),
+        "9e9799b8d13f5c0059cfcede0f1938795789de9ddc70f068a1ec953865f69a6a",
+        "038ab5f7bb3eae8e18e4cf33b0fb5ac02011b6d4bc0915fa2fbfd18099f67a12"),
 }
 
 

@@ -21,7 +21,15 @@ from orevine.descriptors import (
     surface_area,
 )
 from orevine.errors import ParseError, StructuralError
-from orevine.synth import Primitive, SceneSpec, _rotation_zyz, benchmark_truth, generate_scene
+from orevine.model import predict_vfvm
+from orevine.synth import (
+    Primitive,
+    SceneSpec,
+    _rotation_zyz,
+    benchmark_truth,
+    generate_composite_dataset,
+    generate_scene,
+)
 from orevine.voxel import LabelVolume, PhaseSlice, VoxelVolume, register_phase_slices
 
 
@@ -375,6 +383,25 @@ class TestComputeDescriptors:
         vol = VoxelVolume(np.ones((2 * r + 5, 2 * r + 5, 2 * r + 5)))
         d = compute_descriptors(ball, vol)
         assert d.sphe == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("r", [2, 4, 8, 20])
+    def test_ball_sphericity_capped_at_one(self, r):
+        # the 13-direction area of these digital balls reads below the
+        # sphere's, so their uncapped sphericity is 1.0014 to 1.0432
+        ball = digital_ball(r, center=(r + 2, r + 2, r + 2))
+        d = compute_descriptors(ball, VoxelVolume(np.ones((2 * r + 5,) * 3)))
+        assert d.sphe == 1.0
+
+    def test_edge_rows_get_a_class(self):
+        """Rows with elo = 1, flat = 1 and a digital ball's sphe, which voxel
+        descriptors reach, are predicted, not left out of support."""
+        ball = digital_ball(4, center=(6, 6, 6))
+        sphe = compute_descriptors(ball, VoxelVolume(np.ones((13, 13, 13)))).sphe
+        truth = benchmark_truth()
+        rows = generate_composite_dataset(truth, 5, 5, 5, seed=3).matrix[:, :6].copy()
+        rows[:, 3:] = [1.0, 1.0, sphe]
+        labels = {p.label for p in predict_vfvm(truth, rows)}
+        assert labels and "out_of_support" not in labels
 
     def test_sphericity_unit_free(self):
         # identical voxel sets at different spacing give identical sphericity

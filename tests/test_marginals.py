@@ -64,6 +64,18 @@ class TestDensity:
         total = m.density(xs).sum() * 0.98 / 10_000
         assert total == pytest.approx(1.0, abs=1e-3)
 
+    def test_beta_edges_score_as_the_fit_clamps(self):
+        """A beta value on the closed [0, 1] scores as `fit_mixture_em` saw
+        it, clamped into [BETA_CLAMP, 1 - BETA_CLAMP]; one outside [0, 1]
+        is out of support, truncated or not."""
+        m = beta_mix(6.0, 3.0, 4.0, 2.0, 0.5)
+        edges = m.density(np.array([0.0, 0.5 * BETA_CLAMP, 1.0 - 0.5 * BETA_CLAMP, 1.0]))
+        inner = m.density(np.array([BETA_CLAMP, BETA_CLAMP, 1.0 - BETA_CLAMP, 1.0 - BETA_CLAMP]))
+        assert edges.tolist() == inner.tolist() and np.all(edges > 0.0)
+        assert m.density(np.array([-1e-12, 1.0 + 1e-12, np.nan])).tolist() == [0.0] * 3
+        t = beta_mix(6.0, 3.0, 4.0, 2.0, 0.5, truncation=(1e-7, 0.5))
+        assert t.density(np.array([0.0, 1e-7])).tolist() == [0.0, 0.0]
+
 
 class TestCdfQuantile:
     def test_uniform_cdf(self):

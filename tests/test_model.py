@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,7 +10,15 @@ from orevine.descriptors import COLUMNS, Dataset
 from orevine.errors import ArgumentError, FittingError
 from orevine.marginals import BetaParams, MixtureModel
 from orevine.model import (
+    GL_NODES,
+    LOCKSTEP_ROWS,
+    MAX_DEPTH,
+    MEDIAN_STEPS,
+    NEWTON_TOL,
+    QUAD_TOL,
     CompositeModel,
+    CompositionSlices,
+    adaptive_integral,
     composite_density,
     composite_log_density,
     conditional_median,
@@ -312,3 +321,201 @@ class TestHeldoutRows:
                 ref = sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
                           for a, b in zip(edges[:-1], edges[1:]))
             assert abs(z[i] - ref) <= 1e-6 * ref
+
+
+# ---------------------------------------------------------------------------
+# the lock-step quadrature and median against their one-row reference
+# ---------------------------------------------------------------------------
+
+def plain_integral(g):
+    """(integral, panels) of g over [0, 1], one row alone: the adaptive
+    Gauss-Legendre bisection that `adaptive_integral` runs in lock step,
+    kept as its reference.  Returns the number of g calls as well."""
+    n = GL_NODES
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    calls = 0
+
+    def sums(bounds):
+        nonlocal calls
+        calls += 1
+        scales = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in bounds]
+        values = g(np.concatenate([mid + half * nodes for mid, half in scales]))
+        return [float(half * np.dot(weights, values[i * n:(i + 1) * n]))
+                for i, (_, half) in enumerate(scales)]
+
+    whole, left, right = sums(((0.0, 1.0), (0.0, 0.5), (0.5, 1.0)))
+    estimate = left + right
+    stack = [(0.0, 1.0, 0, whole, left, right)]
+    panels = []
+    while stack:
+        lo, hi, depth, whole, left, right = stack.pop()
+        if depth >= MAX_DEPTH or not abs(left + right - whole) > QUAD_TOL * abs(estimate):
+            panels.append((lo, hi, left + right))
+            continue
+        mid = 0.5 * (lo + hi)
+        q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        ll, lr, rl, rr = sums(((lo, q1), (q1, mid), (mid, q3), (q3, hi)))
+        estimate += (ll + lr) + (rl + rr) - (left + right)
+        stack.append((mid, hi, depth + 1, right, rl, rr))
+        stack.append((lo, mid, depth + 1, left, ll, lr))
+    total = 0.0
+    for _, _, value in panels:
+        total += value
+    return total, panels, calls
+
+
+def plain_median_u(g, z_u, panels):
+    """(median u, g calls) of one row alone: the bracketed Newton search
+    that `CompositionSlices.median_u` runs in lock step, kept as its
+    reference."""
+    if not (z_u > 0.0 and math.isfinite(z_u)):
+        raise FittingError("conditional composition density has no mass")
+    half = 0.5 * z_u
+    below = 0.0
+    for lo, hi, value in panels:
+        if below + value >= half:
+            break
+        below += value
+    target = half - below
+    nodes, weights = np.polynomial.legendre.leggauss(GL_NODES)
+    a, b = lo, hi
+    m = lo + (hi - lo) * min(max(target / value, 0.0), 1.0)
+    for calls in range(1, MEDIAN_STEPS + 1):
+        scale = 0.5 * (m - lo)
+        values = g(np.append(0.5 * (lo + m) + scale * nodes, m))
+        h = scale * float(np.dot(weights, values[:-1])) - target
+        slope = float(values[-1])
+        if slope > 0.0 and abs(h) <= NEWTON_TOL * slope:
+            return m - h / slope, calls
+        if h < 0.0:
+            a = m
+        else:
+            b = m
+        m = m - h / slope if slope > 0.0 else b
+        if not a < m < b:
+            m = 0.5 * (a + b)
+        if b - a <= NEWTON_TOL:
+            break
+    return m, calls
+
+
+def row_g(log_g, row):
+    """u -> g at one head row, alone."""
+    def g(u):
+        with np.errstate(all="ignore"):
+            return np.exp(log_g(u, np.array([row])))
+    return g
+
+
+def reference(slices):
+    """Per row of `slices`: the one-row (z_u, panels, integral calls) and,
+    for rows with mass, the one-row (median u, median calls)."""
+    rows = []
+    for i in slices.index:
+        z_u, panels, calls = plain_integral(row_g(slices.log_g, i))
+        median = (plain_median_u(row_g(slices.log_g, i), z_u, panels)
+                  if z_u > 0.0 and math.isfinite(z_u) else None)
+        rows.append((z_u, panels, calls, median))
+    return rows
+
+
+def assert_matches_reference(slices, ref):
+    assert slices.z_u.tolist() == [z for z, _, _, _ in ref]
+    assert list(slices.panels) == [p for _, p, _, _ in ref]
+    with_mass = [k for k, r in enumerate(ref) if r[3] is not None]
+    medians = slices.take(with_mass).median_u()
+    assert medians.tolist() == [ref[k][3][0] for k in with_mass]
+
+
+@pytest.mark.parametrize("engine", ["rvine", "archimedean"])
+class TestLockstepReference:
+    """The lock-step quadrature and median give every row bit for bit what
+    the one-row reference gives it."""
+
+    def test_many_rows(self, heldout_fits, engine):
+        models, ct = heldout_fits
+        slices = CompositionSlices.at(models[engine], ct)
+        ref = reference(slices)
+        assert len(ref) > 4 * LOCKSTEP_ROWS
+        # rows stop after different numbers of rounds
+        assert len({calls for _, _, calls, _ in ref}) > 3
+        assert_matches_reference(slices, ref)
+
+    def test_single_row(self, heldout_fits, engine):
+        models, ct = heldout_fits
+        for i in (0, 17, 199):
+            slices = CompositionSlices.at(models[engine], ct[i:i + 1])
+            assert_matches_reference(slices, reference(slices))
+
+
+def uneven_log_g(u, rows):
+    """Rows of unequal difficulty: Gaussian peaks of widths 0.3 down to
+    1e-3, a cusp sqrt|u - 0.3| (row 3), one row of zero mass (row 5) and
+    a flat row (row 6)."""
+    centre = np.array([0.5, 0.1, 0.77, 0.3, 0.9999, 0.5, 0.5])[rows]
+    width = np.array([0.3, 1e-2, 1e-3, 1.0, 1e-2, 1.0, np.inf])[rows]
+    with np.errstate(divide="ignore"):
+        out = np.where(rows == 3, 0.5 * np.log(np.abs(u - centre)),
+                       -((u - centre) / width) ** 2)
+    return np.where(rows == 5, -np.inf, out)
+
+
+class TestLockstepRows:
+    def test_uneven_rows(self):
+        rows = np.array([3, 0, 6, 2, 5, 1, 4, 3])
+        z_u, panels = adaptive_integral(uneven_log_g, rows)
+        for k, row in enumerate(rows):
+            z, p, _ = plain_integral(row_g(uneven_log_g, row))
+            assert (z_u[k], panels[k]) == (z, p)
+        assert z_u[4] == 0.0 and len(panels[2]) == 1 and len(panels[0]) > 10
+
+    def test_zero_mass_row_raises(self):
+        rows = np.arange(7)
+        z_u, panels = adaptive_integral(uneven_log_g, rows)
+        slices = CompositionSlices(np.zeros(7), uneven_log_g, rows, z_u, panels)
+        with pytest.raises(FittingError, match="has no mass"):
+            slices.median_u()
+        with pytest.raises(FittingError, match="has no mass"):
+            plain_median_u(row_g(uneven_log_g, 5), z_u[5], panels[5])
+        with_mass = [0, 1, 2, 3, 4, 6]
+        assert slices.take(with_mass).median_u().tolist() == [
+            plain_median_u(row_g(uneven_log_g, k), z_u[k], panels[k])[0] for k in with_mass]
+
+    def test_no_rows(self):
+        z_u, panels = adaptive_integral(uneven_log_g, np.arange(0))
+        assert z_u.shape == (0,) and panels == ()
+
+
+@pytest.mark.parametrize("engine", ["rvine", "archimedean"])
+def test_log_g_calls_per_round(heldout_fits, engine, monkeypatch):
+    """A 200-row `predict_vfvm` calls log_g at most once per LOCKSTEP_ROWS
+    rows per round: integral rounds (the most calls one row's integral
+    makes alone) times ceil(200 / LOCKSTEP_ROWS), plus median rounds (the
+    most Newton steps of a composite row) times
+    ceil(composite rows / LOCKSTEP_ROWS)."""
+    models, ct = heldout_fits
+    model = models[engine]
+    calls = []
+    slice_of = type(model.f_c).copula_slice
+
+    def counted(self, head):
+        const, log_g = slice_of(self, head)
+
+        def log_g_counted(u, rows):
+            calls.append(np.unique(rows).size)
+            return log_g(u, rows)
+        return const, log_g_counted
+
+    monkeypatch.setattr(type(model.f_c), "copula_slice", counted)
+    preds = predict_vfvm(model, ct)
+    monkeypatch.undo()
+    composite = [i for i, p in enumerate(preds) if p.label == "composite"]
+    ref = reference(CompositionSlices.at(model, ct))
+    integral_rounds = max(calls_alone for _, _, calls_alone, _ in ref)
+    median_rounds = max(ref[i][3][1] for i in composite)
+    bound = (integral_rounds * math.ceil(len(ct) / LOCKSTEP_ROWS)
+             + median_rounds * math.ceil(len(composite) / LOCKSTEP_ROWS))
+    assert max(calls) <= LOCKSTEP_ROWS
+    assert len(calls) <= bound
+    # the integrals' calls row by row alone break the bound many times over
+    assert sum(calls_alone for _, _, calls_alone, _ in ref) > 3 * bound
